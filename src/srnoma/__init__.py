@@ -15,7 +15,7 @@ from .network import (
 )
 from .problem import ConstraintReport, evaluate_constraints, harvested_energy, objective, reward
 from .rates import DecisionVariables, RateReport, mrc_vector, rate_report, sic_order
-from .ris import RisCoefficients, beamforming_matrix, equal_energy_split
+from .ris import RisCoefficients, equal_energy_split
 
 __all__ = [
     "ChannelRealization",
@@ -27,7 +27,6 @@ __all__ = [
     "SrEnv",
     "SystemConfig",
     "action_dim",
-    "beamforming_matrix",
     "dbm_to_watts",
     "decode_action",
     "draw_realization",

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import problem, ris
 from .network import ChannelRealization, SystemConfig, draw_realization, make_placement
-from .rates import DecisionVariables, RateReport, rate_report
+from .rates import DecisionVariables, RateReport, rate_report, row_dot
 
 
 class EnvProtocolError(RuntimeError):
@@ -70,18 +70,21 @@ def rate_cap_auto(ch: ChannelRealization, cfg: SystemConfig) -> float:
     return math.log2(1.0 + cfg.symbols_per_bd_symbol * cfg.p_bs_max_watts * gain / noise)
 
 
-def _unit_columns(raw: np.ndarray, n: int, i: int) -> np.ndarray:
-    cols = np.empty((n, i), dtype=complex)
-    for k in range(i):
-        chunk = raw[2 * n * k : 2 * n * (k + 1)]
-        col = chunk[:n] + 1j * chunk[n:]
-        norm = np.linalg.norm(col)
-        if norm == 0.0:
-            col = np.zeros(n, dtype=complex)
-            col[0] = 1.0
-            norm = 1.0
-        cols[:, k] = col / norm
-    return cols
+def _unit_columns(raw: np.ndarray, n: int, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-norm beam columns of both phases from their 4NI raw entries (per
+    column N real then N imaginary parts; e1 when all zero): w1 and w2, each
+    (..., N, I)."""
+    blocks = raw.reshape(raw.shape[:-1] + (2, i, 2, n))
+    cols = blocks[..., 0, :] + 1j * blocks[..., 1, :]  # (..., 2, I, N)
+    # the norm as np.linalg.norm takes it: the real and the imaginary parts
+    # dotted with themselves, which keeps its last bit
+    norm = np.sqrt(row_dot(cols.real, cols.real) + row_dot(cols.imag, cols.imag))
+    zero = norm == 0.0
+    if zero.any():
+        cols[zero] = np.eye(1, n)[0]
+        norm[zero] = 1.0
+    beams = (cols / norm[..., None]).swapaxes(-1, -2).copy()
+    return beams[..., 0, :, :], beams[..., 1, :, :]
 
 
 def decode_action(
@@ -90,31 +93,35 @@ def decode_action(
     ris_mode: str = ris.ACTIVE,
     rate_cap: float = 1.0,
 ) -> DecisionVariables:
-    """Map a box action to a physically valid decision (total on [-1, 1]^D)."""
+    """Map a box action to a physically valid decision (total on [-1, 1]^D).
+
+    A (B, D) array of actions decodes to one batch of B decisions.
+    """
     a = np.asarray(action, dtype=float)
-    if a.shape != (action_dim(cfg),):
-        raise ValueError(f"action must have shape ({action_dim(cfg)},), got {a.shape}")
+    dim = action_dim(cfg)
+    if a.ndim not in (1, 2) or a.shape[-1] != dim:
+        raise ValueError(f"action must have shape ({dim},) or (B, {dim}), got {a.shape}")
     n, m, i = cfg.n_bs_antennas, cfg.n_ris_elements, cfg.n_pairs
     unit = (a + 1.0) / 2.0  # componentwise [0, 1]
 
-    rate_target = float(unit[0]) * rate_cap
-    eta = unit[1 : 1 + i]
-    tau = unit[1 + i : 1 + 2 * i]
-    power = unit[1 + 2 * i : 1 + 3 * i] * cfg.p_bs_max_watts
+    rate_target = unit[..., 0] * rate_cap
+    if a.ndim == 1:
+        rate_target = float(rate_target)
+    eta = unit[..., 1 : 1 + i]
+    tau = unit[..., 1 + i : 1 + 2 * i]
+    power = unit[..., 1 + 2 * i : 1 + 3 * i] * cfg.p_bs_max_watts
     cursor = 1 + 3 * i
-    w1 = _unit_columns(a[cursor : cursor + 2 * n * i], n, i)
-    cursor += 2 * n * i
-    w2 = _unit_columns(a[cursor : cursor + 2 * n * i], n, i)
-    cursor += 2 * n * i
+    w1, w2 = _unit_columns(a[..., cursor : cursor + 4 * n * i], n, i)
+    cursor += 4 * n * i
     if ris_mode == ris.ACTIVE:
-        beta_t = unit[cursor : cursor + m] * (cfg.p_asris_watts / 2.0)
-        beta_r = unit[cursor + m : cursor + 2 * m] * (cfg.p_asris_watts / 2.0)
+        beta_t = unit[..., cursor : cursor + m] * (cfg.p_asris_watts / 2.0)
+        beta_r = unit[..., cursor + m : cursor + 2 * m] * (cfg.p_asris_watts / 2.0)
     else:
-        beta_t = unit[cursor : cursor + m]
+        beta_t = unit[..., cursor : cursor + m]
         beta_r = 1.0 - beta_t
     cursor += 2 * m
-    theta_t = (a[cursor : cursor + m] + 1.0) * math.pi
-    theta_r = (a[cursor + m : cursor + 2 * m] + 1.0) * math.pi
+    theta_t = (a[..., cursor : cursor + m] + 1.0) * math.pi
+    theta_r = (a[..., cursor + m : cursor + 2 * m] + 1.0) * math.pi
 
     coeff = ris.RisCoefficients(beta_t, beta_r, theta_t, theta_r, mode=ris_mode)
     return DecisionVariables(rate_target, eta, tau, power, w1, w2, coeff)

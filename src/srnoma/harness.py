@@ -11,9 +11,9 @@ that produced each row, so reruns are byte-comparable.
 from __future__ import annotations
 
 import copy
+import csv
 import dataclasses
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -23,7 +23,7 @@ import yaml
 
 from . import problem
 from .agents import A3cAgent, PpoAgent, Td3Agent, random_policy_trace, train
-from .env import SrEnv, decode_action
+from .env import SrEnv, action_dim, decode_action
 from .network import (
     ChannelRealization,
     SystemConfig,
@@ -205,19 +205,51 @@ class SearchResult:
     _sum_rate: float = float("nan")
 
 
+# candidates scored per kernel call by the search baselines
+CHUNK = 1024
+
+_STRUCTURAL = problem.CONSTRAINT_NAMES.index("rate_target_phase1")
+
+
 def evaluate_decision(
     cfg: SystemConfig, ch: ChannelRealization, dv: DecisionVariables
-) -> tuple[float, float, bool]:
+) -> tuple:
     """Feasible max-min evaluation: the achieved worst rate becomes the
     target, so the target constraints hold by construction and feasibility
     reduces to the structural families C1..C9.  The target families are
     excluded explicitly: their slacks invert the rate formula at exact
-    equality, where a last-bit rounding difference could flip the sign."""
+    equality, where a last-bit rounding difference could flip the sign.
+
+    Returns (min_rate, sum_rate, feasible) as (float, float, bool), or as
+    three (B,) arrays for a batch of decisions.
+    """
     rates = rate_report(ch, dv, cfg)
-    scored = dataclasses.replace(dv, rate_target=rates.min_rate)
-    report = problem.evaluate_constraints(ch, scored, cfg, rates)
-    structural = problem.CONSTRAINT_NAMES.index("rate_target_phase1")
-    return rates.min_rate, rates.sum_rate, bool(report.flags[:structural].all())
+    min_rate = rates.min_rates
+    scored = dataclasses.replace(dv, rate_target=min_rate)
+    slacks = problem.constraint_slacks(ch, scored, cfg, rates)
+    feasible = np.all(slacks[..., :_STRUCTURAL] >= 0.0, axis=-1)
+    if np.ndim(min_rate) == 0:
+        return float(min_rate), float(rates.sum_rates), bool(feasible)
+    return min_rate, rates.sum_rates, feasible
+
+
+def _best_feasible(cfg: SystemConfig, ch: ChannelRealization, batches,
+                   evaluated: int) -> SearchResult:
+    """Score each batch of decisions and keep the first strictly best
+    feasible one over all of them: NaN never wins, the earliest row wins a
+    tie."""
+    best = SearchResult(-math.inf, None, False, 0, evaluated)
+    for batch in batches:
+        min_rate, sum_rate, feasible = evaluate_decision(cfg, ch, batch)
+        best.feasible_count += int(feasible.sum())
+        score = np.where(feasible & ~np.isnan(min_rate), min_rate, -math.inf)
+        b = int(np.argmax(score))
+        if score[b] > best.objective:
+            best.objective = float(score[b])
+            best.decision = batch.row(b)
+            best.feasible = True
+            best._sum_rate = float(sum_rate[b])
+    return best
 
 
 def random_search(
@@ -233,20 +265,13 @@ def random_search(
     with the same seed evaluates a superset of the candidates.
     """
     rng = np.random.Generator(np.random.Philox(seed))
-    dim = 1 + 3 * cfg.n_pairs + 4 * cfg.n_bs_antennas * cfg.n_pairs + 4 * cfg.n_ris_elements
-    best = SearchResult(-math.inf, None, False, 0, int(budget))
-    for _ in range(int(budget)):
-        action = rng.uniform(-1.0, 1.0, dim)
-        dv = decode_action(action, cfg, ris_mode, rate_cap=1.0)
-        min_rate, sum_rate, feasible = evaluate_decision(cfg, ch, dv)
-        if feasible:
-            best.feasible_count += 1
-            if min_rate > best.objective:
-                best.objective = min_rate
-                best.decision = dv
-                best.feasible = True
-                best._sum_rate = sum_rate
-    return best
+    budget, dim = int(budget), action_dim(cfg)
+    batches = (
+        decode_action(rng.uniform(-1.0, 1.0, (min(CHUNK, budget - start), dim)),
+                      cfg, ris_mode, rate_cap=1.0)
+        for start in range(0, budget, CHUNK)
+    )
+    return _best_feasible(cfg, ch, batches, budget)
 
 
 def grid_oracle(
@@ -263,7 +288,8 @@ def grid_oracle(
     phases; any axis can be overridden (or pinned to a single value) through
     ``grids``.  Beam scalars are fixed to 1 since a unit-modulus scalar beam
     cannot change any magnitude.  Refuses to run when the grid would exceed
-    ``cap`` points.
+    ``cap`` points.  Points are scored in chunks, in itertools.product order
+    of the axes.
     """
     if not (cfg.n_bs_antennas == 1 and cfg.n_ris_elements == 1 and cfg.n_pairs == 1):
         raise ValueError("grid_oracle only handles the N = M = I = 1 scene")
@@ -285,49 +311,27 @@ def grid_oracle(
             raise ValueError(f"unknown grid axis {name!r}")
         axes[name] = np.atleast_1d(np.asarray(values, dtype=float))
 
-    names = list(axes)
-    points = 1
-    for values in axes.values():
-        points *= len(values)
+    shape = tuple(len(values) for values in axes.values())
+    points = math.prod(shape)
     if points > cap:
         raise GridCapError(
             f"grid holds {points} points, above the cap of {int(cap)}; "
             "coarsen the resolution or pin axes"
         )
 
-    one = np.ones((1, 1), dtype=complex)
-    best = SearchResult(-math.inf, None, False, 0, points)
-    for combo in itertools.product(*(axes[n] for n in names)):
-        value = dict(zip(names, combo))
-        beta_t = np.array([value["beta_t"]])
-        beta_r = (
-            np.array([value["beta_r"]]) if ris_mode == ACTIVE else 1.0 - beta_t
-        )
-        coeff = RisCoefficients(
-            beta_t,
-            beta_r,
-            np.array([value["theta_t"]]),
-            np.array([value["theta_r"]]),
-            mode=ris_mode,
-        )
-        dv = DecisionVariables(
-            0.0,
-            np.array([value["eta"]]),
-            np.array([value["tau"]]),
-            np.array([value["power"]]),
-            one,
-            one,
-            coeff,
-        )
-        min_rate, sum_rate, feasible = evaluate_decision(cfg, ch, dv)
-        if feasible:
-            best.feasible_count += 1
-            if min_rate > best.objective:
-                best.objective = min_rate
-                best.decision = dv
-                best.feasible = True
-                best._sum_rate = sum_rate
-    return best
+    def batch(start: int) -> DecisionVariables:
+        flat = np.arange(start, min(start + CHUNK, points))
+        picks = np.unravel_index(flat, shape)  # C order: the last axis varies fastest
+        value = {name: values[k][:, None] for (name, values), k in zip(axes.items(), picks)}
+        beta_t = value["beta_t"]
+        beta_r = value["beta_r"] if ris_mode == ACTIVE else 1.0 - beta_t
+        coeff = RisCoefficients(beta_t, beta_r, value["theta_t"], value["theta_r"],
+                                mode=ris_mode)
+        one = np.ones((len(flat), 1, 1), dtype=complex)
+        return DecisionVariables(np.zeros(len(flat)), value["eta"], value["tau"],
+                                 value["power"], one, one, coeff)
+
+    return _best_feasible(cfg, ch, (batch(s) for s in range(0, points, CHUNK)), points)
 
 
 # --------------------------------------------------------------------------
@@ -426,17 +430,23 @@ def _fmt(value) -> str:
     return str(value)
 
 
+_SUMMARY_HEADER = ["config_hash", "variable", "value", "ris_mode", "seed", "n_points",
+                   "min_rate_mean", "min_rate_std", "sum_rate_mean", "sum_rate_std"]
+
+
 def write_csv(path, header: list, rows: list) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
         for row in rows:
-            fh.write(",".join(_fmt(row[col]) for col in header) + "\n")
+            writer.writerow([_fmt(row.get(col, "")) for col in header])
 
 
 def sweep(config: dict, out_dir) -> tuple[str, str]:
     """Run the configured sweep; writes point-level and summary CSVs.
 
-    A failing point is recorded with status "error" and the sweep moves on.
+    A failing point is recorded with status "error: <type>: <message>" and
+    the sweep moves on.
     """
     os.makedirs(out_dir, exist_ok=True)
     sweep_cfg = config["sweep"]
@@ -447,11 +457,12 @@ def sweep(config: dict, out_dir) -> tuple[str, str]:
     if sweep_cfg["compare_modes"]:
         modes = [ACTIVE, PASSIVE]
 
-    rows = []
+    rows, series = [], []
     for value in sweep_cfg["values"]:
         patched = _apply_sweep_value(config, variable, value)
         for mode in modes:
             effective_mode = mode or patched["env"]["ris_mode"]
+            series.append((value, effective_mode))
             for seed in run_cfg["seeds"]:
                 row = {
                     "config_hash": digest,
@@ -475,7 +486,7 @@ def sweep(config: dict, out_dir) -> tuple[str, str]:
                         {k: point[k] for k in ("min_rate", "sum_rate", "feasible_channels")}
                     )
                 except Exception as exc:  # keep sweeping past broken points
-                    row["status"] = f"error: {type(exc).__name__}"
+                    row["status"] = f"error: {type(exc).__name__}: {exc}"
                 rows.append(row)
 
     points_path = os.path.join(out_dir, "sweep_points.csv")
@@ -487,42 +498,35 @@ def sweep(config: dict, out_dir) -> tuple[str, str]:
     )
 
     summary_rows = []
-    for value in sweep_cfg["values"]:
-        for mode in modes:
-            effective_mode = mode or config["env"]["ris_mode"]
-            picked = [
-                r["min_rate"]
-                for r in rows
-                if r["value"] == value and r["ris_mode"] == effective_mode
-                and r["status"] == "ok" and not math.isnan(r["min_rate"])
-            ]
-            picked_sum = [
-                r["sum_rate"]
-                for r in rows
-                if r["value"] == value and r["ris_mode"] == effective_mode
-                and r["status"] == "ok" and not math.isnan(r["sum_rate"])
-            ]
-            summary_rows.append(
-                {
-                    "config_hash": digest,
-                    "variable": variable,
-                    "value": value,
-                    "ris_mode": effective_mode,
-                    "seed": "all",
-                    "n_points": len(picked),
-                    "min_rate_mean": float(np.mean(picked)) if picked else float("nan"),
-                    "min_rate_std": float(np.std(picked)) if picked else float("nan"),
-                    "sum_rate_mean": float(np.mean(picked_sum)) if picked_sum else float("nan"),
-                    "sum_rate_std": float(np.std(picked_sum)) if picked_sum else float("nan"),
-                }
-            )
+    for value, effective_mode in series:
+        picked = [
+            r["min_rate"]
+            for r in rows
+            if r["value"] == value and r["ris_mode"] == effective_mode
+            and r["status"] == "ok" and not math.isnan(r["min_rate"])
+        ]
+        picked_sum = [
+            r["sum_rate"]
+            for r in rows
+            if r["value"] == value and r["ris_mode"] == effective_mode
+            and r["status"] == "ok" and not math.isnan(r["sum_rate"])
+        ]
+        summary_rows.append(
+            {
+                "config_hash": digest,
+                "variable": variable,
+                "value": value,
+                "ris_mode": effective_mode,
+                "seed": "all",
+                "n_points": len(picked),
+                "min_rate_mean": float(np.mean(picked)) if picked else float("nan"),
+                "min_rate_std": float(np.std(picked)) if picked else float("nan"),
+                "sum_rate_mean": float(np.mean(picked_sum)) if picked_sum else float("nan"),
+                "sum_rate_std": float(np.std(picked_sum)) if picked_sum else float("nan"),
+            }
+        )
     summary_path = os.path.join(out_dir, "sweep_summary.csv")
-    write_csv(
-        summary_path,
-        ["config_hash", "variable", "value", "ris_mode", "seed", "n_points",
-         "min_rate_mean", "min_rate_std", "sum_rate_mean", "sum_rate_std"],
-        rows=summary_rows,
-    )
+    write_csv(summary_path, _SUMMARY_HEADER, summary_rows)
     return points_path, summary_path
 
 
@@ -531,12 +535,8 @@ def sweep(config: dict, out_dir) -> tuple[str, str]:
 
 
 def _read_csv(path) -> list[dict]:
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        rows = []
-        for line in fh:
-            rows.append(dict(zip(header, line.strip().split(","))))
-    return rows
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 def report(in_dir, out_path=None) -> tuple[str, list[str]]:
@@ -575,10 +575,5 @@ def report(in_dir, out_path=None) -> tuple[str, list[str]]:
         )
 
     out_path = out_path or os.path.join(in_dir, "report.csv")
-    header = ["config_hash", "variable", "value", "ris_mode", "seed", "n_points",
-              "min_rate_mean", "min_rate_std", "sum_rate_mean", "sum_rate_std"]
-    with open(out_path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row.get(col, "") for col in header) + "\n")
+    write_csv(out_path, _SUMMARY_HEADER, rows)
     return out_path, lines

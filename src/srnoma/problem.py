@@ -29,7 +29,7 @@ import dataclasses
 import numpy as np
 
 from .network import ChannelRealization, SystemConfig
-from .rates import DecisionVariables, RateReport
+from .rates import DecisionVariables, RateReport, beam_gains, take_in_order
 from .ris import PASSIVE
 
 CONSTRAINT_NAMES = (
@@ -95,34 +95,79 @@ def harvested_energy(
     (1 - tau) slice it is not backscattering in, scaled by the conversion
     efficiency.
     """
-    beam = np.abs(np.einsum("ni,ni->i", ch.h1.conj(), dv.w1)) ** 2
     return (
         cfg.energy_conversion_efficiency
         * dv.power
         * (1.0 - dv.eta)
         * (1.0 - dv.tau)
-        * beam
+        * beam_gains(ch.h1, dv.w1)
     )
 
 
-def _ordering_slack(rates: np.ndarray, order: np.ndarray) -> float:
+def _ordering_slack(rates: np.ndarray, order: np.ndarray) -> np.ndarray:
     """Minimum consecutive drop along the decoding order; >= 0 when rates are
     nonincreasing, 0 for a single user."""
-    if len(order) < 2:
-        return 0.0
-    ordered = rates[order]
-    return float(np.min(ordered[:-1] - ordered[1:]))
+    if order.shape[-1] < 2:
+        return np.zeros(order.shape[:-1])
+    ordered = take_in_order(rates, order)
+    return (ordered[..., :-1] - ordered[..., 1:]).min(axis=-1)
 
 
-def _required_sinr(rate_target: float, time_share: np.ndarray, spread: float,
+def _required_sinr(rate_target, time_share: np.ndarray, spread: float,
                    bandwidth: float) -> np.ndarray:
-    """Invert rate = (bandwidth * share / spread) * log2(1 + sinr) for sinr."""
-    share = np.asarray(time_share, dtype=float)
-    if rate_target <= 0.0:
-        return np.zeros_like(share)
-    with np.errstate(divide="ignore"):
-        exponent = np.where(share > 0.0, spread * rate_target / (bandwidth * share), np.inf)
-    return np.exp2(np.minimum(exponent, _MAX_EXP2)) - 1.0
+    """Invert rate = (bandwidth * share / spread) * log2(1 + sinr) for sinr;
+    0 wherever the target is not positive."""
+    target = np.asarray(rate_target, dtype=float)[..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        exponent = np.where(time_share > 0.0, spread * target / (bandwidth * time_share), np.inf)
+    need = np.exp2(np.minimum(exponent, _MAX_EXP2)) - 1.0
+    return np.where(target <= 0.0, 0.0, need)
+
+
+def constraint_slacks(
+    ch: ChannelRealization,
+    dv: DecisionVariables,
+    cfg: SystemConfig,
+    rates: RateReport,
+) -> np.ndarray:
+    """Signed slacks of all eleven constraint families: (11,) for one
+    decision, (B, 11) for a batch."""
+    slacks = np.empty(dv.eta.shape[:-1] + (N_CONSTRAINTS,))
+    coeff = dv.ris
+
+    if coeff.mode == PASSIVE:
+        slacks[..., 0] = -np.abs(coeff.beta_t + coeff.beta_r - 1.0).max(axis=-1)
+        slacks[..., 1] = 0.0
+    else:
+        slacks[..., 0] = 0.0
+        # larger of the two sides' maxima as builtin max() picks it: a NaN on
+        # the beta_r side loses to a number on the beta_t side
+        top_t, top_r = coeff.beta_t.max(axis=-1), coeff.beta_r.max(axis=-1)
+        slacks[..., 1] = cfg.p_asris_watts / 2.0 - np.where(top_r > top_t, top_r, top_t)
+
+    thetas = np.concatenate([coeff.theta_t, coeff.theta_r], axis=-1)
+    slacks[..., 2] = np.minimum(thetas, _TWO_PI - thetas).min(axis=-1)
+    slacks[..., 3] = np.minimum(cfg.p_bs_max_watts - dv.power, dv.power).min(axis=-1)
+    slacks[..., 4] = np.minimum(dv.eta, 1.0 - dv.eta).min(axis=-1)
+    slacks[..., 5] = np.minimum(dv.tau, 1.0 - dv.tau).min(axis=-1)
+    slacks[..., 6] = (harvested_energy(ch, dv, cfg) - cfg.harvest_threshold_joules).min(axis=-1)
+    slacks[..., 7] = _ordering_slack(rates.phase1_rate, rates.phase1_order)
+    # np.minimum propagates NaN from either side
+    slacks[..., 8] = np.minimum(
+        _ordering_slack(rates.phase2_reflect_rate, rates.phase2_reflect_order),
+        _ordering_slack(rates.phase2_transmit_rate, rates.phase2_transmit_order),
+    )
+
+    need1 = _required_sinr(
+        dv.rate_target, dv.tau, float(cfg.symbols_per_bd_symbol), cfg.bandwidth_hz
+    )
+    slacks[..., 9] = (rates.phase1_sinr - need1).min(axis=-1)
+    need2 = _required_sinr(dv.rate_target, 1.0 - dv.tau, 1.0, cfg.bandwidth_hz)
+    slacks[..., 10] = np.minimum(
+        (rates.phase2_reflect_sinr - need2).min(axis=-1),
+        (rates.phase2_transmit_sinr - need2).min(axis=-1),
+    )
+    return slacks
 
 
 def evaluate_constraints(
@@ -131,42 +176,8 @@ def evaluate_constraints(
     cfg: SystemConfig,
     rates: RateReport,
 ) -> ConstraintReport:
-    """Score a decision against all eleven constraint families."""
-    slacks = np.zeros(N_CONSTRAINTS)
-    cap = cfg.p_asris_watts / 2.0
-    coeff = dv.ris
-
-    if coeff.mode == PASSIVE:
-        slacks[0] = -float(np.max(np.abs(coeff.beta_t + coeff.beta_r - 1.0)))
-        slacks[1] = 0.0
-    else:
-        slacks[0] = 0.0
-        slacks[1] = float(cap - max(coeff.beta_t.max(), coeff.beta_r.max()))
-
-    thetas = np.concatenate([coeff.theta_t, coeff.theta_r])
-    slacks[2] = float(np.min(np.minimum(thetas, _TWO_PI - thetas)))
-    slacks[3] = float(np.min(np.minimum(cfg.p_bs_max_watts - dv.power, dv.power)))
-    slacks[4] = float(np.min(np.minimum(dv.eta, 1.0 - dv.eta)))
-    slacks[5] = float(np.min(np.minimum(dv.tau, 1.0 - dv.tau)))
-    slacks[6] = float(np.min(harvested_energy(ch, dv, cfg) - cfg.harvest_threshold_joules))
-    slacks[7] = _ordering_slack(rates.phase1_rate, rates.phase1_order)
-    # np.min propagates NaN from either side; builtin min() would keep or
-    # drop it depending on argument order
-    slacks[8] = float(np.min([
-        _ordering_slack(rates.phase2_reflect_rate, rates.phase2_reflect_order),
-        _ordering_slack(rates.phase2_transmit_rate, rates.phase2_transmit_order),
-    ]))
-
-    need1 = _required_sinr(
-        dv.rate_target, dv.tau, float(cfg.symbols_per_bd_symbol), cfg.bandwidth_hz
-    )
-    slacks[9] = float(np.min(rates.phase1_sinr - need1))
-    need2 = _required_sinr(dv.rate_target, 1.0 - dv.tau, 1.0, cfg.bandwidth_hz)
-    slacks[10] = float(np.min([
-        np.min(rates.phase2_reflect_sinr - need2),
-        np.min(rates.phase2_transmit_sinr - need2),
-    ]))
-
+    """Score one decision against all eleven constraint families."""
+    slacks = constraint_slacks(ch, dv, cfg, rates)
     return ConstraintReport(slacks >= 0.0, slacks)
 
 

@@ -11,6 +11,12 @@ later ones.
 
 All rates are in bits/s/Hz-equivalents for the configured bandwidth; setting
 ``bandwidth_hz`` to 1 gives plain spectral efficiencies.
+
+Batches: every function here also takes B decisions at once, as one
+:class:`DecisionVariables` whose fields carry a leading axis B (rate_target
+(B,), eta/tau/power (B, I), w1/w2 (B, N, I), surface coefficients (B, M)).
+All B rows are scored in one pass, and the results carry the same leading
+axis.  A single decision is the B-less case of the same code.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from .ris import RisCoefficients, response_vector
 
 @dataclasses.dataclass
 class DecisionVariables:
-    """One complete resource-allocation decision.
+    """One complete resource-allocation decision, or a batch of them.
 
     rate_target  common per-user throughput target (bits/s/Hz)
     eta          per-SBD power-split toward backscattering, in [0, 1]
@@ -33,6 +39,8 @@ class DecisionVariables:
     power        per-pair BS transmit power (W)
     w1 / w2      unit-norm BS beamforming columns for phase 1 / phase 2, (N, I)
     ris          surface coefficients for phase 2
+
+    A batch puts a leading axis B on every field (see the module docstring).
     """
 
     rate_target: float
@@ -50,10 +58,21 @@ class DecisionVariables:
         self.w1 = np.asarray(self.w1, dtype=complex)
         self.w2 = np.asarray(self.w2, dtype=complex)
 
+    def row(self, b: int) -> "DecisionVariables":
+        """Decision b of a batch, with arrays of its own."""
+        c = self.ris
+        return DecisionVariables(
+            float(self.rate_target[b]), self.eta[b].copy(), self.tau[b].copy(),
+            self.power[b].copy(), self.w1[b].copy(), self.w2[b].copy(),
+            RisCoefficients(c.beta_t[b].copy(), c.beta_r[b].copy(), c.theta_t[b].copy(),
+                            c.theta_r[b].copy(), mode=c.mode),
+        )
+
 
 @dataclasses.dataclass
 class RateReport:
-    """Rates, SINRs and decoding orders for every user of one decision."""
+    """Rates, SINRs and decoding orders for every user of one decision, each
+    (I,); for a batch, each (B, I)."""
 
     phase1_rate: np.ndarray
     phase2_reflect_rate: np.ndarray
@@ -66,22 +85,34 @@ class RateReport:
     phase2_transmit_order: np.ndarray
 
     @property
-    def min_rate(self) -> float:
-        return float(
-            min(
-                self.phase1_rate.min(),
-                self.phase2_reflect_rate.min(),
-                self.phase2_transmit_rate.min(),
-            )
+    def min_rates(self) -> np.ndarray:
+        """Worst rate over all users of both phases, per decision.
+
+        The three phase minima are combined like builtin ``min()`` over them
+        in phase order: a NaN phase-1 minimum wins, a later NaN never does.
+        """
+        worst = self.phase1_rate.min(axis=-1)
+        for rates in (self.phase2_reflect_rate, self.phase2_transmit_rate):
+            low = rates.min(axis=-1)
+            worst = np.where(low < worst, low, worst)
+        return worst
+
+    @property
+    def sum_rates(self) -> np.ndarray:
+        """Sum of all users' rates of both phases, per decision."""
+        return (
+            self.phase1_rate.sum(axis=-1)
+            + self.phase2_reflect_rate.sum(axis=-1)
+            + self.phase2_transmit_rate.sum(axis=-1)
         )
 
     @property
+    def min_rate(self) -> float:
+        return float(self.min_rates)
+
+    @property
     def sum_rate(self) -> float:
-        return float(
-            self.phase1_rate.sum()
-            + self.phase2_reflect_rate.sum()
-            + self.phase2_transmit_rate.sum()
-        )
+        return float(self.sum_rates)
 
 
 def mrc_vector(g: np.ndarray) -> np.ndarray:
@@ -93,30 +124,33 @@ def mrc_vector(g: np.ndarray) -> np.ndarray:
 
 
 def sic_order(gains: np.ndarray) -> np.ndarray:
-    """Decoding order: indices sorted by effective gain, strongest first.
+    """Decoding order: indices sorted by effective gain, strongest first
+    (along the last axis).
 
     Ties keep the lower user index first, so the order is a deterministic
     function of the gain vector.
     """
     gains = np.asarray(gains, dtype=float)
-    return np.argsort(-gains, kind="stable")
+    return (-gains).argsort(axis=-1, kind="stable")
 
 
-def _interference_prefix(strengths: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Per-user sum of the strengths of users decoded earlier (stronger)."""
-    interference = np.zeros_like(strengths)
-    running = 0.0
-    for idx in order:
-        interference[idx] = running
-        running += strengths[idx]
-    return interference
+def take_in_order(values: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """values[..., order] row by row: np.take_along_axis on the last axis of
+    (I,) or (B, I) arrays, without its per-call overhead."""
+    if order.ndim == 1:
+        return values[order]
+    return values[np.arange(len(order))[:, None], order]
 
 
-def _phase1_strengths(ch: ChannelRealization, dv: DecisionVariables) -> np.ndarray:
-    # P_i eta_i ||g1_i||^2 |h1_i^H w1_i|^2: received backscatter power factor
-    g_norm2 = np.sum(np.abs(ch.g1) ** 2, axis=0)
-    beam = np.abs(np.einsum("ni,ni->i", ch.h1.conj(), dv.w1)) ** 2
-    return dv.power * dv.eta * g_norm2 * beam
+def row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Dot products of matching last-axis vectors, each taken by BLAS as a
+    1-D ``x @ y`` takes it, so results match that to the last bit."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def beam_gains(h: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """|h_i^H w_i|^2 per user, for (N, I) channel columns and beams."""
+    return np.abs(np.einsum("ni,...ni->...i", h.conj(), w)) ** 2
 
 
 def phase1_all(
@@ -124,9 +158,16 @@ def phase1_all(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rates, SINRs and decoding order of the backscatter phase."""
     k = cfg.symbols_per_bd_symbol
-    strengths = _phase1_strengths(ch, dv)
+    # P_i eta_i ||g1_i||^2 |h1_i^H w1_i|^2: received backscatter power factor
+    g_norm2 = (np.abs(ch.g1) ** 2).sum(axis=0)
+    strengths = dv.power * dv.eta * g_norm2 * beam_gains(ch.h1, dv.w1)
     order = sic_order(strengths)
-    interference = _interference_prefix(strengths, order)
+    # each user hears the users decoded before it: an exclusive running sum
+    # along the decoding order, mapped back to user index order
+    ranked = take_in_order(strengths, order)
+    prefix = np.zeros_like(ranked)
+    prefix[..., 1:] = ranked[..., :-1].cumsum(axis=-1)
+    interference = take_in_order(prefix, order.argsort(axis=-1))
     sinr = k * strengths / (interference + cfg.bandwidth_hz * cfg.noise_bs_watts)
     # nonphysical decisions (negative power) give sinr < -1; the rate is then
     # NaN by design rather than a warning, the constraint report carries the
@@ -136,69 +177,31 @@ def phase1_all(
     return rate, sinr, order
 
 
-def _combined_rows(
-    ch: ChannelRealization, dv: DecisionVariables, side: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-user effective downlink rows and the surface-noise weight vector."""
-    response = response_vector(dv.ris, side)
-    if side == "reflect":
-        cascade = (ch.g2r * response[None, :]) @ ch.h2  # (I, N)
-        rows = cascade + ch.h3.conj().T
-        summed = ch.g2r.sum(axis=0) * response
-    else:
-        rows = (ch.g2t * response[None, :]) @ ch.h2
-        summed = ch.g2t.sum(axis=0) * response
-    return rows, summed
-
-
 def _phase2_all(
     ch: ChannelRealization, dv: DecisionVariables, cfg: SystemConfig, side: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    rows, summed = _combined_rows(ch, dv, side)
+    response = response_vector(dv.ris, side)
+    g2 = ch.g2r if side == "reflect" else ch.g2t
+    rows = (g2 * response[..., None, :]) @ ch.h2  # (..., I, N): effective downlink rows
+    if side == "reflect":
+        rows = rows + ch.h3.conj().T
     c = rows @ dv.w2  # c[i, j]: user i's channel applied to beam j
-    strengths = dv.power * np.abs(np.diag(c)) ** 2
+    strengths = dv.power * np.abs(np.diagonal(c, axis1=-2, axis2=-1)) ** 2
     order = sic_order(strengths)
-    cross = dv.power[None, :] * np.abs(c) ** 2  # cross[i, j] = P_j |c_ij|^2
-    interference = np.zeros(len(order))
-    running_mask = np.zeros(len(order))
-    for idx in order:
-        interference[idx] = cross[idx] @ running_mask
-        running_mask[idx] = 1.0
-    surface_noise = np.sum(np.abs(summed) ** 2) * cfg.noise_asris_watts
+    cross = dv.power[..., None, :] * np.abs(c) ** 2  # cross[i, j] = P_j |c_ij|^2
+    # earlier[i, j]: user j is decoded before user i, i.e. the strictly lower
+    # triangle of the cross gains once both axes are put in decoding order
+    rank = order.argsort(axis=-1)
+    earlier = rank[..., None, :] < rank[..., :, None]
+    interference = row_dot(cross, earlier.astype(float))
+    # thermal noise injected by the amplifying surface, as seen by any SUE
+    summed = g2.sum(axis=0) * response
+    surface_noise = (np.abs(summed) ** 2).sum(axis=-1) * cfg.noise_asris_watts
     noise = cfg.bandwidth_hz * (surface_noise + cfg.noise_sue_watts)
-    sinr = strengths / (interference + noise)
+    sinr = strengths / (interference + noise[..., None])
     with np.errstate(invalid="ignore"):
         rate = cfg.bandwidth_hz * (1.0 - dv.tau) * np.log2(1.0 + sinr)
     return rate, sinr, order
-
-
-def phase1_rate(
-    ch: ChannelRealization, dv: DecisionVariables, cfg: SystemConfig, i: int
-) -> tuple[float, float]:
-    rate, sinr, _ = phase1_all(ch, dv, cfg)
-    return float(rate[i]), float(sinr[i])
-
-
-def phase2_reflect_rate(
-    ch: ChannelRealization, dv: DecisionVariables, cfg: SystemConfig, i: int
-) -> tuple[float, float]:
-    rate, sinr, _ = _phase2_all(ch, dv, cfg, "reflect")
-    return float(rate[i]), float(sinr[i])
-
-
-def phase2_transmit_rate(
-    ch: ChannelRealization, dv: DecisionVariables, cfg: SystemConfig, i: int
-) -> tuple[float, float]:
-    rate, sinr, _ = _phase2_all(ch, dv, cfg, "transmit")
-    return float(rate[i]), float(sinr[i])
-
-
-def surface_noise_power(
-    ch: ChannelRealization, dv: DecisionVariables, cfg: SystemConfig, side: str
-) -> float:
-    """Thermal noise injected by the amplifying surface, as seen by any SUE."""
-    _, summed = _combined_rows(ch, dv, side)
-    return float(np.sum(np.abs(summed) ** 2) * cfg.noise_asris_watts)
 
 
 def rate_report(

@@ -20,7 +20,6 @@ from .network import SystemConfig
 
 ACTIVE = "active"
 PASSIVE = "passive"
-_TWO_PI = 2.0 * np.pi
 
 
 @dataclasses.dataclass
@@ -47,75 +46,18 @@ class RisCoefficients:
 
     @property
     def n_elements(self) -> int:
-        return self.beta_t.size
-
-
-@dataclasses.dataclass
-class RisFlags:
-    """Mode-aware validity of the surface coefficients.
-
-    A flag is vacuously true when its constraint does not apply to the mode
-    (the passive split in active mode, the amplification cap in passive mode).
-    """
-
-    passive_split: bool
-    active_gain: bool
-    phase_range: bool
-
-    def all_ok(self) -> bool:
-        return self.passive_split and self.active_gain and self.phase_range
-
-
-def validate(coeff: RisCoefficients, cfg: SystemConfig) -> RisFlags:
-    """Check the surface coefficients against the mode's physical limits."""
-    phase_ok = bool(
-        np.all(coeff.theta_t >= 0.0)
-        and np.all(coeff.theta_t <= _TWO_PI)
-        and np.all(coeff.theta_r >= 0.0)
-        and np.all(coeff.theta_r <= _TWO_PI)
-    )
-    if coeff.mode == PASSIVE:
-        split_ok = bool(np.all(coeff.beta_t + coeff.beta_r == 1.0))
-        gain_ok = True
-    else:
-        split_ok = True
-        cap = cfg.p_asris_watts / 2.0
-        gain_ok = bool(np.all(coeff.beta_t <= cap) and np.all(coeff.beta_r <= cap))
-    nonneg = bool(np.all(coeff.beta_t >= 0.0) and np.all(coeff.beta_r >= 0.0))
-    return RisFlags(split_ok, gain_ok and nonneg, phase_ok)
-
-
-def beamforming_matrix(coeff: RisCoefficients, side: str) -> np.ndarray:
-    """Diagonal response matrix diag(sqrt(beta) * exp(j theta)) for one side.
-
-    Raises ValueError when the coefficients break a structural invariant
-    (negative gain, phase outside [0, 2 pi], broken passive split), naming
-    the offending one.
-    """
-    if side not in ("transmit", "reflect"):
-        raise ValueError(f"side must be 'transmit' or 'reflect', got {side!r}")
-    beta = coeff.beta_t if side == "transmit" else coeff.beta_r
-    theta = coeff.theta_t if side == "transmit" else coeff.theta_r
-    problems = []
-    if np.any(beta < 0.0):
-        problems.append("negative amplitude gain")
-    if np.any(theta < 0.0) or np.any(theta > _TWO_PI):
-        problems.append("phase outside [0, 2*pi]")
-    if coeff.mode == PASSIVE and np.any(coeff.beta_t + coeff.beta_r != 1.0):
-        problems.append("passive split beta_t + beta_r != 1")
-    if problems:
-        raise ValueError("invalid surface coefficients: " + ", ".join(problems))
-    return np.diag(response_vector(coeff, side))
+        return self.beta_t.shape[-1]
 
 
 def response_vector(coeff: RisCoefficients, side: str) -> np.ndarray:
     """Element-wise response sqrt(beta) * exp(j theta) of one side.
 
-    Unlike :func:`beamforming_matrix` this does not enforce the phase-range
-    or passive-split invariants: sqrt(beta) * exp(j theta) is well defined
-    for any theta and any beta >= 0, and the constraint evaluator needs to
-    score decisions that break those invariants rather than crash on them.
-    Only a negative gain is rejected, since it has no physical reading.
+    The diagonal of the side's response matrix.  The phase-range and
+    passive-split invariants are not enforced: sqrt(beta) * exp(j theta) is
+    well defined for any theta and any beta >= 0, and the constraint
+    evaluator (C1..C3) needs to score decisions that break those invariants
+    rather than crash on them.  Only a negative gain is rejected, since it
+    has no physical reading.  Batched coefficients give a batch of vectors.
     """
     if side not in ("transmit", "reflect"):
         raise ValueError(f"side must be 'transmit' or 'reflect', got {side!r}")

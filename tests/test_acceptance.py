@@ -51,14 +51,8 @@ from srnoma.problem import (
     evaluate_constraints,
     reward,
 )
-from srnoma.rates import (
-    DecisionVariables,
-    phase1_rate,
-    phase2_reflect_rate,
-    phase2_transmit_rate,
-    rate_report,
-)
-from srnoma.ris import ACTIVE, PASSIVE, RisCoefficients, beamforming_matrix
+from srnoma.rates import DecisionVariables, rate_report
+from srnoma.ris import ACTIVE, PASSIVE, RisCoefficients, response_vector
 
 
 def _verdict(tag: str, title: str, ok: bool, detail: str) -> None:
@@ -282,9 +276,10 @@ class TestAcceptance:
         want_rr = 0.6 * math.log2(1.0 + 4.5 / 1.72)
         # transmit: row 0.6*2.0 = 1.2, strength 2*1.2^2 = 2.88, same noise
         want_rt = 0.6 * math.log2(1.0 + 2.88 / 1.72)
-        got_r1, got_s1 = phase1_rate(ch, dv, cfg, 0)
-        got_rr, got_sr = phase2_reflect_rate(ch, dv, cfg, 0)
-        got_rt, got_st = phase2_transmit_rate(ch, dv, cfg, 0)
+        got = rate_report(ch, dv, cfg)
+        got_r1, got_s1 = got.phase1_rate[0], got.phase1_sinr[0]
+        got_rr, got_sr = got.phase2_reflect_rate[0], got.phase2_reflect_sinr[0]
+        got_rt, got_st = got.phase2_transmit_rate[0], got.phase2_transmit_sinr[0]
         pairs = [
             (got_r1, want_r1), (got_rr, want_rr), (got_rt, want_rt),
             (got_s1, 450.0), (got_sr, 4.5 / 1.72), (got_st, 2.88 / 1.72),
@@ -387,8 +382,8 @@ class TestAcceptance:
             )
             s = rng.normal(size=m) + 1j * rng.normal(size=m)
             out = (
-                np.linalg.norm(beamforming_matrix(coeff, "transmit") @ s) ** 2
-                + np.linalg.norm(beamforming_matrix(coeff, "reflect") @ s) ** 2
+                np.linalg.norm(np.diag(response_vector(coeff, "transmit")) @ s) ** 2
+                + np.linalg.norm(np.diag(response_vector(coeff, "reflect")) @ s) ** 2
             )
             total = np.linalg.norm(s) ** 2
             worst = max(worst, abs(out - total) / total)

@@ -5,6 +5,7 @@ with a lowered harvest threshold so feasible points exist at bench scale; the
 analytic time-split case cross-checks the grid oracle against a closed form.
 """
 
+import csv
 import math
 import os
 
@@ -352,6 +353,25 @@ class TestSweep:
         assert lines[0].startswith("min_rate_mean over p_bs_max_watts [active]:")
         assert "(2 points)" in lines[0]
         assert ("nondecreasing" in lines[0]) or ("not monotone" in lines[0])
+
+    def test_statuses_and_values_with_commas_round_trip(self, tmp_path):
+        # an unknown surface mode fails with a message that holds a comma;
+        # the sweep keeps the whole message and the report reads the value back
+        out = tmp_path / "sweep"
+        config = sweep_config(sweep={"variable": "ris_mode", "values": ["active", "pass,ive"]},
+                              run={"seeds": [0]})
+        points_path, _ = sweep(config, out)
+        with open(points_path, newline="") as fh:
+            points = list(csv.DictReader(fh))
+        assert [p["status"] for p in points] == [
+            "ok", "error: ValueError: mode must be 'active' or 'passive', got 'pass,ive'"]
+        assert points[1]["value"] == "pass,ive" and points[1]["min_rate"] == "nan"
+        report_path, lines = report(out)
+        with open(report_path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["value"], r["ris_mode"], r["n_points"]) for r in rows] == [
+            ("active", "active", "1"), ("pass,ive", "pass,ive", "0")]
+        assert any("[pass,ive]" in line and "(0 points)" in line for line in lines)
 
     def test_report_without_summaries_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
