@@ -14,7 +14,7 @@ from .network import (
     path_loss,
 )
 from .problem import ConstraintReport, evaluate_constraints, harvested_energy, objective, reward
-from .rates import DecisionVariables, RateReport, mrc_vector, rate_report, sic_order
+from .rates import DecisionVariables, RateReport, rate_report, sic_order
 from .ris import RisCoefficients, equal_energy_split
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "evaluate_constraints",
     "harvested_energy",
     "make_placement",
-    "mrc_vector",
     "objective",
     "path_loss",
     "rate_report",

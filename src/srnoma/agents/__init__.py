@@ -1,6 +1,6 @@
 from .a3c import A3cAgent, kstep_returns
 from .common import ReplayBuffer, TrainingTrace, random_policy_trace
-from .ppo import PpoAgent, advantage_and_target, clipped_surrogate
+from .ppo import PpoAgent, advantage_and_target
 from .td3 import Td3Agent, soft_update, td3_target
 from .train import ALGORITHMS, build_agent, train
 
@@ -13,7 +13,6 @@ __all__ = [
     "TrainingTrace",
     "advantage_and_target",
     "build_agent",
-    "clipped_surrogate",
     "kstep_returns",
     "random_policy_trace",
     "soft_update",

@@ -1,21 +1,23 @@
 """Asynchronous advantage actor-critic.
 
-Several workers hold private environments and private copies of the global
-actor/critic.  Each worker repeatedly syncs its copies from the global store,
-rolls out up to k steps, computes k-step returns and advantages locally, and
-pushes accumulated gradients back; gradient application is serialized by a
-lock, so the global parameters never mix partial updates.  With one worker the
-whole procedure runs inline and is bit-reproducible.
+Several workers hold private environments, private RNG streams and private
+copies of the global actor/critic.  Each worker repeatedly syncs its copies
+from the global store, rolls out up to k steps, computes k-step returns and
+advantages locally, and pushes its gradients to the globals.
+
+Workers take turns on one thread: in every outer episode each worker, in
+fixed worker order, plays its whole episode on the globals the workers
+before it have moved.  No lock is needed, and a run is bit-reproducible for
+every worker count.  (Python threads would only interleave under the
+interpreter lock: slower, and in no fixed order.)
 """
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 from ..nn import GaussianPolicy, Mlp, make_optimizer
-from .common import EpisodeStats, derive_keys, philox
+from .common import EpisodeStats, derive_keys, pack_state, philox, unpack_state
 
 
 def kstep_returns(rewards: np.ndarray, bootstrap: float, discount: float) -> np.ndarray:
@@ -56,19 +58,16 @@ class A3cAgent:
         self.entropy_coef = entropy_coef
         self.actor_opt = make_optimizer(optimizer, actor_lr)
         self.critic_opt = make_optimizer(optimizer, critic_lr)
-        self.lock = threading.Lock()
 
     def snapshot(self, local_policy: GaussianPolicy, local_critic: Mlp) -> None:
-        with self.lock:
-            local_policy.load_from(self.policy)
-            local_critic.load_from(self.critic)
+        local_policy.load_from(self.policy)
+        local_critic.load_from(self.critic)
 
     def apply_gradients(self, actor_grads: list, log_std_grad: np.ndarray,
                         critic_grads: list) -> None:
-        with self.lock:
-            self.actor_opt.step(self.policy.parameters(), actor_grads + [log_std_grad])
-            self.policy.clamp_log_std()
-            self.critic_opt.step(self.critic.parameters(), critic_grads)
+        self.actor_opt.step(self.policy.parameters(), actor_grads + [log_std_grad])
+        self.policy.clamp_log_std()
+        self.critic_opt.step(self.critic.parameters(), critic_grads)
 
     def segment_gradients(
         self,
@@ -122,50 +121,20 @@ class A3cAgent:
             self.apply_gradients(*grads)
         return stats
 
-    def run_episode_round(self, envs: list, episode_seeds: list, rngs: list,
-                          use_threads: bool | None = None) -> list:
-        """One outer episode: every worker plays one episode.  Threaded when
-        more than one worker exists (or when forced for testing)."""
-        if use_threads is None:
-            use_threads = self.workers > 1
-        results: list = [None] * self.workers
-        if not use_threads:
-            for w in range(self.workers):
-                results[w] = self.worker_episode(envs[w], episode_seeds[w], rngs[w])
-            return results
-        threads = []
-        for w in range(self.workers):
-            def job(idx: int = w) -> None:
-                results[idx] = self.worker_episode(envs[idx], episode_seeds[idx], rngs[idx])
-            thread = threading.Thread(target=job, name=f"a3c-worker-{w}")
-            threads.append(thread)
-            thread.start()
-        for thread in threads:
-            thread.join()
-        return results
+    def run_episode_round(self, envs: list, episode_seeds: list, rngs: list) -> list:
+        """One outer episode: every worker plays one episode, in worker order."""
+        return [self.worker_episode(envs[w], episode_seeds[w], rngs[w])
+                for w in range(self.workers)]
+
+    def _checkpoint_parts(self) -> tuple[dict, dict]:
+        return ({"actor": self.policy.net, "critic": self.critic},
+                {"opt_actor": self.actor_opt, "opt_critic": self.critic_opt})
 
     def state_dict(self) -> dict:
-        arrays = {}
-        for prefix, net in (("actor", self.policy.net), ("critic", self.critic)):
-            for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-                arrays[f"{prefix}/w{i}"] = w
-                arrays[f"{prefix}/b{i}"] = b
+        arrays = pack_state(*self._checkpoint_parts())
         arrays["log_std"] = self.policy.log_std
-        for prefix, opt in (("opt_actor", self.actor_opt), ("opt_critic", self.critic_opt)):
-            for key, value in opt.state_arrays().items():
-                arrays[f"{prefix}/{key}"] = value
         return arrays
 
     def load_state_dict(self, arrays: dict) -> None:
-        for prefix, net in (("actor", self.policy.net), ("critic", self.critic)):
-            for i in range(len(net.weights)):
-                net.weights[i][...] = arrays[f"{prefix}/w{i}"]
-                net.biases[i][...] = arrays[f"{prefix}/b{i}"]
+        unpack_state(arrays, *self._checkpoint_parts())
         self.policy.log_std[...] = arrays["log_std"]
-        for prefix, opt in (("opt_actor", self.actor_opt), ("opt_critic", self.critic_opt)):
-            state = {
-                key[len(prefix) + 1 :]: value
-                for key, value in arrays.items()
-                if key.startswith(prefix + "/")
-            }
-            opt.load_state_arrays(state)

@@ -1,4 +1,5 @@
-"""Shared training plumbing: replay storage, episode traces, seed derivation."""
+"""Shared training plumbing: replay storage, episode traces, seed derivation,
+checkpoint arrays."""
 
 from __future__ import annotations
 
@@ -14,6 +15,34 @@ def derive_keys(seed: int, count: int) -> list[int]:
 
 def philox(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
+
+
+def pack_state(nets: dict, optimizers: dict) -> dict:
+    """Checkpoint arrays of named nets (``<name>/w<i>``, ``<name>/b<i>``) and
+    named optimizers (``<name>/<key>``); the live arrays, not copies."""
+    arrays = {}
+    for prefix, net in nets.items():
+        for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+            arrays[f"{prefix}/w{i}"] = w
+            arrays[f"{prefix}/b{i}"] = b
+    for prefix, opt in optimizers.items():
+        for key, value in opt.state_arrays().items():
+            arrays[f"{prefix}/{key}"] = value
+    return arrays
+
+
+def unpack_state(arrays: dict, nets: dict, optimizers: dict) -> None:
+    """Inverse of pack_state: copy into the nets in place, restore optimizers."""
+    for prefix, net in nets.items():
+        for i in range(len(net.weights)):
+            net.weights[i][...] = arrays[f"{prefix}/w{i}"]
+            net.biases[i][...] = arrays[f"{prefix}/b{i}"]
+    for prefix, opt in optimizers.items():
+        opt.load_state_arrays({
+            key[len(prefix) + 1 :]: value
+            for key, value in arrays.items()
+            if key.startswith(prefix + "/")
+        })
 
 
 class ReplayBuffer:

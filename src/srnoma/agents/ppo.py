@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..nn import GaussianPolicy, Mlp, make_optimizer
-from .common import derive_keys, philox
+from .common import derive_keys, pack_state, philox, unpack_state
 
 
 def advantage_and_target(
@@ -26,11 +26,6 @@ def advantage_and_target(
     bootstrap = discount * next_values * (1.0 - dones)
     targets = rewards + bootstrap
     return targets - values, targets
-
-
-def clipped_surrogate(ratio: np.ndarray, advantage: np.ndarray, clip: float) -> np.ndarray:
-    """Per-sample pessimistic surrogate min(r * A, clip(r, 1 +- eps) * A)."""
-    return np.minimum(ratio * advantage, np.clip(ratio, 1.0 - clip, 1.0 + clip) * advantage)
 
 
 class PpoAgent:
@@ -121,30 +116,17 @@ class PpoAgent:
         grads, _ = self.critic.backward(cache, (2.0 * residual / len(targets))[:, None])
         self.critic_opt.step(self.critic.parameters(), grads)
 
+    def _checkpoint_parts(self) -> tuple[dict, dict]:
+        return ({"actor": self.policy.net, "critic": self.critic},
+                {"opt_actor": self.actor_opt, "opt_critic": self.critic_opt})
+
     def state_dict(self) -> dict:
-        arrays = {}
-        for prefix, net in (("actor", self.policy.net), ("critic", self.critic)):
-            for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-                arrays[f"{prefix}/w{i}"] = w
-                arrays[f"{prefix}/b{i}"] = b
+        arrays = pack_state(*self._checkpoint_parts())
         arrays["log_std"] = self.policy.log_std
-        for prefix, opt in (("opt_actor", self.actor_opt), ("opt_critic", self.critic_opt)):
-            for key, value in opt.state_arrays().items():
-                arrays[f"{prefix}/{key}"] = value
         return arrays
 
     def load_state_dict(self, arrays: dict) -> None:
-        for prefix, net in (("actor", self.policy.net), ("critic", self.critic)):
-            for i in range(len(net.weights)):
-                net.weights[i][...] = arrays[f"{prefix}/w{i}"]
-                net.biases[i][...] = arrays[f"{prefix}/b{i}"]
+        unpack_state(arrays, *self._checkpoint_parts())
         self.policy.log_std[...] = arrays["log_std"]
-        for prefix, opt in (("opt_actor", self.actor_opt), ("opt_critic", self.critic_opt)):
-            state = {
-                key[len(prefix) + 1 :]: value
-                for key, value in arrays.items()
-                if key.startswith(prefix + "/")
-            }
-            opt.load_state_arrays(state)
         self.policy_old.load_from(self.policy)
         self.critic_old.load_from(self.critic)

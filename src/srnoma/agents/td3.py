@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..nn import Mlp, make_optimizer
-from .common import ReplayBuffer, derive_keys, philox
+from .common import ReplayBuffer, derive_keys, pack_state, philox, unpack_state
 
 
 def td3_target(reward, discount, q1, q2, done=0.0):
@@ -132,54 +132,27 @@ class Td3Agent:
         grads, _ = self.actor.backward(actor_cache, grad_actions)
         self.actor_opt.step(self.actor.parameters(), grads)
 
+    def _checkpoint_parts(self) -> tuple[dict, dict]:
+        nets = {
+            "actor": self.actor,
+            "critic1": self.critic1,
+            "critic2": self.critic2,
+            "actor_target": self.actor_target,
+            "critic1_target": self.critic1_target,
+            "critic2_target": self.critic2_target,
+        }
+        opts = {
+            "opt_actor": self.actor_opt,
+            "opt_critic1": self.critic1_opt,
+            "opt_critic2": self.critic2_opt,
+        }
+        return nets, opts
+
     def state_dict(self) -> dict:
-        arrays = {}
-        nets = (
-            ("actor", self.actor),
-            ("critic1", self.critic1),
-            ("critic2", self.critic2),
-            ("actor_target", self.actor_target),
-            ("critic1_target", self.critic1_target),
-            ("critic2_target", self.critic2_target),
-        )
-        for prefix, net in nets:
-            for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-                arrays[f"{prefix}/w{i}"] = w
-                arrays[f"{prefix}/b{i}"] = b
-        opts = (
-            ("opt_actor", self.actor_opt),
-            ("opt_critic1", self.critic1_opt),
-            ("opt_critic2", self.critic2_opt),
-        )
-        for prefix, opt in opts:
-            for key, value in opt.state_arrays().items():
-                arrays[f"{prefix}/{key}"] = value
+        arrays = pack_state(*self._checkpoint_parts())
         arrays["update_count"] = np.array(self.update_count)
         return arrays
 
     def load_state_dict(self, arrays: dict) -> None:
-        nets = (
-            ("actor", self.actor),
-            ("critic1", self.critic1),
-            ("critic2", self.critic2),
-            ("actor_target", self.actor_target),
-            ("critic1_target", self.critic1_target),
-            ("critic2_target", self.critic2_target),
-        )
-        for prefix, net in nets:
-            for i in range(len(net.weights)):
-                net.weights[i][...] = arrays[f"{prefix}/w{i}"]
-                net.biases[i][...] = arrays[f"{prefix}/b{i}"]
-        opts = (
-            ("opt_actor", self.actor_opt),
-            ("opt_critic1", self.critic1_opt),
-            ("opt_critic2", self.critic2_opt),
-        )
-        for prefix, opt in opts:
-            state = {
-                key[len(prefix) + 1 :]: value
-                for key, value in arrays.items()
-                if key.startswith(prefix + "/")
-            }
-            opt.load_state_arrays(state)
+        unpack_state(arrays, *self._checkpoint_parts())
         self.update_count = int(arrays["update_count"])

@@ -93,7 +93,6 @@ def train(
     hyper: dict | None = None,
     checkpoint_dir=None,
     checkpoint_every: int = 0,
-    use_threads: bool | None = None,
 ):
     """Train one agent on the environment; returns (agent, TrainingTrace).
 
@@ -123,8 +122,7 @@ def train(
                 means = stats.means()
             else:
                 episode_seeds = [int(s.integers(0, 2**63)) for s in seed_streams]
-                rounds = agent.run_episode_round(envs, episode_seeds, action_rngs,
-                                                 use_threads)
+                rounds = agent.run_episode_round(envs, episode_seeds, action_rngs)
                 per_worker = [s.means() for s in rounds]
                 means = tuple(float(np.mean(col)) for col in zip(*per_worker))
         except NonFiniteGradientError:

@@ -39,10 +39,6 @@ import numpy as np
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
 
-class DegenerateChannelError(ValueError):
-    """Raised when an operation needs a nonzero channel vector and got zeros."""
-
-
 def dbm_to_watts(dbm: float) -> float:
     """Convert a dBm power level to watts (0 dBm = 1 mW)."""
     return 10.0 ** ((dbm - 30.0) / 10.0)

@@ -25,7 +25,7 @@ import dataclasses
 
 import numpy as np
 
-from .network import ChannelRealization, DegenerateChannelError, SystemConfig
+from .network import ChannelRealization, SystemConfig
 from .ris import RisCoefficients, response_vector
 
 
@@ -113,14 +113,6 @@ class RateReport:
     @property
     def sum_rate(self) -> float:
         return float(self.sum_rates)
-
-
-def mrc_vector(g: np.ndarray) -> np.ndarray:
-    """Maximum-ratio combining weights g / ||g||."""
-    norm = np.linalg.norm(g)
-    if norm == 0.0:
-        raise DegenerateChannelError("cannot combine an all-zero channel vector")
-    return np.asarray(g, dtype=complex) / norm
 
 
 def sic_order(gains: np.ndarray) -> np.ndarray:

@@ -523,8 +523,7 @@ class TestAcceptance:
         for algo in ("ppo", "td3", "a3c"):
             paths = []
             for run in range(2):
-                _, trace = train(algo, proto.replicate(), 3, seed=7,
-                                 hyper=hyper[algo], use_threads=False)
+                _, trace = train(algo, proto.replicate(), 3, seed=7, hyper=hyper[algo])
                 path = tmp_path / f"{algo}_run{run}.csv"
                 trace.to_csv(path, config_hash="acceptance", seed=7)
                 paths.append(path)

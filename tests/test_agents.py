@@ -1,7 +1,7 @@
 """Tests for the three learning algorithms and their shared plumbing.
 
-Scalar update rules (advantages, surrogates, bootstrapped targets, soft
-mixing) are pinned by hand arithmetic; the training loops run on a tiny real
+Scalar update rules (advantages, bootstrapped targets, soft mixing, k-step
+returns) are pinned by hand arithmetic; the training loops run on a tiny real
 environment and must be reproducible to the byte.
 """
 
@@ -20,7 +20,6 @@ from srnoma.agents import (
     TrainingTrace,
     advantage_and_target,
     build_agent,
-    clipped_surrogate,
     kstep_returns,
     random_policy_trace,
     soft_update,
@@ -28,13 +27,35 @@ from srnoma.agents import (
     train,
 )
 from srnoma.env import SrEnv
+from srnoma.harness import _greedy_action
 from srnoma.network import SystemConfig
-from srnoma.nn import Mlp
+from srnoma.nn import Mlp, load_checkpoint
 
 
 def tiny_env(steps=5, **over):
     cfg = SystemConfig(n_bs_antennas=1, n_ris_elements=1, n_pairs=1)
     return SrEnv(cfg, episode_steps=steps, rate_cap=2.0, **over)
+
+
+def _net_keys(*names, layers=2):
+    return {f"{name}/{kind}{i}" for name in names for kind in "wb" for i in range(layers)}
+
+
+def _adam_keys(name, params):
+    return {f"{name}/t"} | {f"{name}/{kind}{i}" for kind in "mv" for i in range(params)}
+
+
+# checkpoint key names of agents with one hidden layer after an Adam run; the
+# policy optimizers of PPO and A3C also step log_std, their fifth parameter
+CHECKPOINT_KEYS = {
+    "ppo": (_net_keys("actor", "critic") | {"log_std"}
+            | _adam_keys("opt_actor", 5) | _adam_keys("opt_critic", 4)),
+    "td3": (_net_keys("actor", "critic1", "critic2",
+                      "actor_target", "critic1_target", "critic2_target")
+            | _adam_keys("opt_actor", 4) | _adam_keys("opt_critic1", 4)
+            | _adam_keys("opt_critic2", 4) | {"update_count"}),
+}
+CHECKPOINT_KEYS["a3c"] = CHECKPOINT_KEYS["ppo"]
 
 
 # ===========================================================================
@@ -118,18 +139,6 @@ class TestUpdateRules:
         )
         np.testing.assert_allclose(target, [1.0])
         np.testing.assert_allclose(adv, [-2.0])
-
-    def test_surrogate_clips_optimistic_ratios(self):
-        got = clipped_surrogate(np.array([2.0]), np.array([1.0]), clip=0.2)
-        np.testing.assert_allclose(got, [1.2])
-
-    def test_surrogate_is_pessimistic_for_negative_advantage(self):
-        got = clipped_surrogate(np.array([0.5]), np.array([-1.0]), clip=0.2)
-        np.testing.assert_allclose(got, [-0.8])
-
-    def test_surrogate_identity_region(self):
-        got = clipped_surrogate(np.array([1.1]), np.array([2.0]), clip=0.2)
-        np.testing.assert_allclose(got, [2.2])
 
     def test_td3_target_scalar(self):
         assert math.isclose(td3_target(1.0, 0.99, 2.0, 3.0, 0.0), 2.98)
@@ -221,6 +230,23 @@ class TestPpo:
         agent.update(states, pres, logp_old, np.zeros(2), np.zeros(2))
         assert agent.dropped_samples == 1
         assert np.all(np.isfinite(agent.policy.log_std))
+
+    def test_minibatch_step_clips_optimistic_ratios(self):
+        # positive advantages: at ratio e > 1 + clip the min() takes the
+        # constant clipped branch, so the actor gets no gradient; at ratio
+        # 1/e the unclipped branch is the smaller one and the actor moves
+        states = np.random.default_rng(6).standard_normal((4, 2))
+        pres = np.random.default_rng(7).standard_normal((4, 1))
+        for shift, moves in ((-1.0, False), (1.0, True)):
+            agent = PpoAgent(state_dim=2, action_dim=1, hidden=(4,), actor_lr=0.1, seed=6)
+            log_probs_old = agent.policy.log_prob(states, pres) + shift
+            before = [p.copy() for p in agent.policy.parameters()]
+            agent._minibatch_step(states, pres, log_probs_old, np.ones(4), np.zeros(4))
+            after = agent.policy.parameters()
+            changed = [not np.array_equal(p, q) for p, q in zip(after, before)]
+            assert changed == [moves] * len(before), (
+                f"ratio e^{-shift:+.0f}: actor arrays changed {changed}"
+            )
 
     def test_positive_advantage_moves_policy_toward_sample(self):
         agent = PpoAgent(
@@ -381,26 +407,6 @@ class TestA3c:
         agent.apply_gradients(zero_actor, np.array([1.0]), zero_critic)
         np.testing.assert_allclose(agent.policy.log_std, log_std_before - 0.1)
 
-    def test_single_worker_serial_and_threaded_agree(self):
-        def run(use_threads):
-            env = tiny_env(steps=6)
-            agent = A3cAgent(
-                env.state_dim, env.action_dim, hidden=(8,), workers=1,
-                k_steps=3, seed=7,
-            )
-            rng = np.random.Generator(np.random.Philox(99))
-            agent.run_episode_round([env], [11], [rng], use_threads=use_threads)
-            return agent.state_dict()
-
-        serial = run(False)
-        threaded = run(True)
-        assert set(serial) == set(threaded)
-        for key in serial:
-            np.testing.assert_array_equal(
-                serial[key], threaded[key],
-                err_msg=f"{key} differs between serial and threaded execution",
-            )
-
     def test_multi_worker_round_returns_one_stat_per_worker(self):
         env = tiny_env(steps=4)
         agent = A3cAgent(env.state_dim, env.action_dim, hidden=(4,), workers=3,
@@ -463,9 +469,12 @@ class TestTrain:
         assert (tmp_path / "ckpt_td3_ep000001.npz").exists()
         assert (tmp_path / "ckpt_td3_ep000002.npz").exists()
 
-    @pytest.mark.parametrize("algo", ALGORITHMS)
-    def test_repeat_runs_are_bit_identical(self, algo, tmp_path):
-        hyper = {"hidden": (8,), "minibatch": 4, "workers": 1, "k_steps": 3}
+    @pytest.mark.parametrize("algo, workers", [
+        *(pytest.param(algo, 1, id=algo) for algo in ALGORITHMS),
+        pytest.param("a3c", 3, id="a3c-workers3"),
+    ])
+    def test_repeat_runs_are_bit_identical(self, algo, workers, tmp_path):
+        hyper = {"hidden": (8,), "minibatch": 4, "workers": workers, "k_steps": 3}
         paths = []
         for tag in ("first", "second"):
             env = tiny_env(steps=5)
@@ -476,6 +485,38 @@ class TestTrain:
         assert filecmp.cmp(*paths, shallow=False), (
             f"{algo} training must be reproducible to the byte"
         )
+
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_adam_checkpoint_keys_and_round_trip(self, algo, tmp_path):
+        env = tiny_env(steps=5)
+        hyper = {"hidden": (8,), "minibatch": 4, "workers": 2, "k_steps": 3,
+                 "optimizer": "adam"}
+        agent, _ = train(algo, env, episodes=2, seed=3, hyper=hyper,
+                         checkpoint_dir=tmp_path)
+        arrays, meta = load_checkpoint(tmp_path / f"ckpt_{algo}_final.npz")
+        assert meta["algo"] == algo and meta["episode"] == 2
+        assert set(arrays) == CHECKPOINT_KEYS[algo]
+        assert int(arrays["opt_actor/t"]) > 0 and np.any(arrays["opt_actor/m0"] != 0.0)
+        if algo == "td3":
+            assert int(arrays["update_count"]) > 0
+        written = agent.state_dict()
+        for key, value in arrays.items():
+            np.testing.assert_array_equal(value, written[key], err_msg=key)
+
+        clone = build_agent(algo, env.state_dim, env.action_dim, hyper, seed=99)
+        clone.load_state_dict(arrays)
+        restored = clone.state_dict()
+        assert set(restored) == set(arrays)
+        for key, value in arrays.items():
+            np.testing.assert_array_equal(restored[key], value, err_msg=key)
+        probe = np.random.default_rng(8).standard_normal((5, env.state_dim))
+        np.testing.assert_array_equal(_greedy_action(clone, probe),
+                                      _greedy_action(agent, probe))
+        if algo == "ppo":  # the frozen collection copies follow the loaded nets
+            live = clone.policy.parameters() + clone.critic.parameters()
+            frozen = clone.policy_old.parameters() + clone.critic_old.parameters()
+            for mine, old in zip(live, frozen):
+                np.testing.assert_array_equal(old, mine)
 
 
 if __name__ == "__main__":

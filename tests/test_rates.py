@@ -10,10 +10,9 @@ import math
 import numpy as np
 import pytest
 
-from srnoma.network import ChannelRealization, DegenerateChannelError, SystemConfig
+from srnoma.network import ChannelRealization, SystemConfig
 from srnoma.rates import (
     DecisionVariables,
-    mrc_vector,
     phase1_all,
     rate_report,
     sic_order,
@@ -100,19 +99,11 @@ def random_scene(seed, n=2, m=4, i=3):
 
 
 # ===========================================================================
-# combining and ordering helpers
+# decoding-order helper
 # ===========================================================================
 
 
 class TestHelpers:
-    def test_mrc_normalizes(self):
-        got = mrc_vector(np.array([3.0, 4.0j]))
-        np.testing.assert_allclose(got, np.array([0.6, 0.8j]))
-
-    def test_mrc_rejects_zero_vector(self):
-        with pytest.raises(DegenerateChannelError):
-            mrc_vector(np.zeros(3, dtype=complex))
-
     def test_sic_order_strongest_first(self):
         np.testing.assert_array_equal(sic_order(np.array([1.0, 3.0, 2.0])), [1, 2, 0])
 
