@@ -29,6 +29,7 @@ h2, h3, g2r, g2t in that order.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
 
@@ -199,13 +200,15 @@ class SrEnv:
         self.action_dim = action_dim(cfg)
         self.placement = None
         self._stats = _RunningStats(self.state_dim)
+        self._stats_frozen = False
         self._channel_rng = None
         self._step_count = 0
         self._done = True
         self._current: ChannelRealization | None = None
 
     def replicate(self) -> "SrEnv":
-        """A fresh environment with identical configuration (for worker pools)."""
+        """A fresh environment with identical configuration and fresh
+        observation statistics (for A3C workers)."""
         return SrEnv(
             self.cfg,
             episode_steps=self.episode_steps,
@@ -217,11 +220,21 @@ class SrEnv:
             rate_cap=self.fixed_rate_cap,
         )
 
+    def frozen_replica(self) -> "SrEnv":
+        """A replica that normalizes observations with a frozen copy of this
+        environment's statistics (for evaluating an agent trained here): it
+        feeds the policy the inputs training fed it and never updates them."""
+        twin = self.replicate()
+        twin._stats = copy.deepcopy(self._stats)
+        twin._stats_frozen = True
+        return twin
+
     def _observe(self, ch: ChannelRealization) -> np.ndarray:
         raw = state_vector(ch)
         if not self.normalize_obs:
             return raw
-        self._stats.update(raw)
+        if not self._stats_frozen:
+            self._stats.update(raw)
         return self._stats.normalize(raw)
 
     def reset(self, seed: int) -> np.ndarray:

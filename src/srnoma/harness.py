@@ -414,8 +414,7 @@ def _train_point(config: dict, ris_mode: str, seed: int) -> dict:
     algo = run_cfg["algo"]
     agent, trace = train(algo, env, run_cfg["episodes"], seed,
                          hyper=config["agents"][algo])
-    eval_env = env.replicate()
-    scores = evaluate_policy(agent, eval_env, sweep_cfg["n_channels"], seed + 1)
+    scores = evaluate_policy(agent, env.frozen_replica(), sweep_cfg["n_channels"], seed + 1)
     return {
         "min_rate": scores["min_rate"],
         "sum_rate": scores["sum_rate"],

@@ -27,12 +27,21 @@ Conventions
   response has been applied.
 * All randomness comes from counter-based Philox generators keyed by 64-bit
   seeds, so placements and realizations are reproducible across platforms.
+  One realization takes all its normals from one ``standard_normal`` call, in
+  block order h1, g1, h2, h3, g2r, g2t and, within a block, real parts before
+  imaginary parts.
+* Placements are immutable (frozen fields, read-only arrays).  What a draw
+  needs from the placement alone, namely path losses, line-of-sight vectors
+  and the square roots of the variances, is computed at its first draw and
+  cached on it, keyed by the config values it reads; every later draw only
+  scales fresh normals.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 
 import numpy as np
 
@@ -130,9 +139,14 @@ def path_loss(distance_m: float, carrier_hz: float = 28e9, exponent: float = 3.0
     return reference * distance_m ** (-exponent)
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class Placement:
-    """Node positions for one scene draw.  All arrays are (count, 2) in metres."""
+    """Node positions for one scene draw.  All arrays are (count, 2) in metres.
+
+    A placement is immutable: its fields cannot be reassigned and
+    ``make_placement`` returns read-only arrays, so the channel terms that
+    ``draw_realization`` caches on it never go stale.
+    """
 
     bs: np.ndarray
     asris: np.ndarray
@@ -140,6 +154,9 @@ class Placement:
     sue_reflect: np.ndarray
     sue_transmit: np.ndarray
     seed: int
+    _terms: _ChannelTerms | None = dataclasses.field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def d_bs_sbd(self) -> np.ndarray:
         return np.linalg.norm(self.sbd - self.bs, axis=1)
@@ -193,7 +210,10 @@ def make_placement(cfg: SystemConfig, seed: int) -> Placement:
 
     sue_reflect = np.stack([disc_point(-1) for _ in range(i)])
     sue_transmit = np.stack([disc_point(+1) for _ in range(i)])
-    return Placement(bs, asris, sbd, sue_reflect, sue_transmit, seed)
+    positions = (bs, asris, sbd, sue_reflect, sue_transmit)
+    for array in positions:
+        array.setflags(write=False)
+    return Placement(*positions, seed)
 
 
 @dataclasses.dataclass
@@ -226,46 +246,73 @@ def _sin_toward(origin: np.ndarray, target: np.ndarray) -> float:
     return d[1] / dist
 
 
-def _rayleigh(rng: np.random.Generator, shape: tuple, variance) -> np.ndarray:
-    scale = np.sqrt(np.asarray(variance, dtype=float) / 2.0)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+# The SystemConfig fields the per-placement channel terms depend on: a draw
+# under a config whose values differ here rebuilds the placement's terms.
+_TERM_FIELDS = operator.attrgetter(
+    "n_bs_antennas", "n_ris_elements", "n_pairs", "bs_antenna_gain", "ris_element_gain",
+    "carrier_hz", "path_loss_exponent", "rician_k", "d_bs_sbd_m",
+)
 
 
-def _rician(
-    rng: np.random.Generator, los_unit: np.ndarray, variance, k_factor: float
-) -> np.ndarray:
-    los_gain = math.sqrt(k_factor / (k_factor + 1.0))
-    nlos = _rayleigh(rng, los_unit.shape, 1.0 / (k_factor + 1.0))
-    return np.sqrt(np.asarray(variance, dtype=float)) * (los_gain * los_unit + nlos)
+# Where each block of a draw (numbered in draw order h1, g1, h2, h3, g2r, g2t)
+# sits in the flat array of all entries: the Rayleigh blocks first, then the
+# Rician ones, which need two more operations per draw.
+_FLAT_ORDER = (0, 1, 3, 2, 4, 5)
 
 
-def draw_realization(cfg: SystemConfig, placement: Placement, seed: int) -> ChannelRealization:
-    """Draw one channel realization from the placement.
+@dataclasses.dataclass(frozen=True)
+class _ChannelTerms:
+    """Everything a fading draw needs besides its normals, for one placement
+    and one set of ``_TERM_FIELDS`` values.
 
-    BS-side links (h1, g1, h3) are Rayleigh; surface links (h2, g2r, g2t) are
-    Rician with a deterministic line-of-sight component built from the
-    steering vectors of the two arrays.  Blocks are drawn in the fixed order
-    h1, g1, h2, h3, g2r, g2t so a given seed always yields the same channels.
+    The entries of all six blocks lie in one flat array, the Rayleigh blocks
+    (h1, g1, h3) first and the Rician ones (h2, g2r, g2t) after them.  ``re``
+    and ``im`` index each entry's real and imaginary normal in the stream of
+    one realization, which holds the blocks in draw order.
     """
-    rng = _philox(seed)
+
+    key: tuple
+    n_normals: int
+    re: np.ndarray
+    im: np.ndarray
+    scale: np.ndarray  # sqrt(variance / 2) of the scattered part, per entry
+    n_rayleigh: int
+    los: np.ndarray  # los_gain * line-of-sight unit vector, per Rician entry
+    amp: np.ndarray  # sqrt(link variance), per Rician entry
+    slices: tuple  # (start, stop, shape) of h1, g1, h2, h3, g2r, g2t in the flat array
+
+
+def _fading_scale(variance) -> np.ndarray:
+    return np.sqrt(np.asarray(variance, dtype=float) / 2.0)
+
+
+def _channel_terms(cfg: SystemConfig, placement: Placement) -> _ChannelTerms:
+    """The placement's cached terms, built at its first draw under these
+    config values (path losses, steering vectors, square roots)."""
+    key = _TERM_FIELDS(cfg)
+    terms = placement._terms
+    if terms is not None and terms.key == key:
+        return terms
+
     n, m, i = cfg.n_bs_antennas, cfg.n_ris_elements, cfg.n_pairs
+    if len(placement.sue_reflect) != i or len(placement.sue_transmit) != i:
+        raise ValueError(
+            f"placement has {len(placement.sue_reflect)} reflect and "
+            f"{len(placement.sue_transmit)} transmit users, config n_pairs is {i}"
+        )
     g_bs, g_ris = cfg.bs_antenna_gain, cfg.ris_element_gain
     pl = lambda d: path_loss(d, cfg.carrier_hz, cfg.path_loss_exponent)
+    k_factor = cfg.rician_k
+    los_gain = math.sqrt(k_factor / (k_factor + 1.0))
+    nlos_scale = _fading_scale(1.0 / (k_factor + 1.0))
 
     var_sbd = pl(cfg.d_bs_sbd_m) * g_bs
-    h1 = _rayleigh(rng, (n, i), var_sbd)
-    g1 = _rayleigh(rng, (n, i), var_sbd)
-
     var_h2 = pl(placement.d_bs_asris()) * g_bs * g_ris
     los_h2 = np.outer(
         ula_steering(m, _sin_toward(placement.asris, placement.bs)),
         ula_steering(n, _sin_toward(placement.bs, placement.asris)).conj(),
     )
-    h2 = _rician(rng, los_h2, var_h2, cfg.rician_k)
-
     var_h3 = np.array([pl(d) * g_bs for d in placement.d_bs_sue_reflect()])
-    h3 = _rayleigh(rng, (n, i), var_h3[None, :])
-
     var_g2r = np.array([pl(d) * g_ris for d in placement.d_asris_sue_reflect()])
     los_g2r = np.stack(
         [
@@ -273,8 +320,6 @@ def draw_realization(cfg: SystemConfig, placement: Placement, seed: int) -> Chan
             for k in range(i)
         ]
     )
-    g2r = _rician(rng, los_g2r, var_g2r[:, None], cfg.rician_k)
-
     var_g2t = np.array([pl(d) * g_ris for d in placement.d_asris_sue_transmit()])
     los_g2t = np.stack(
         [
@@ -282,6 +327,72 @@ def draw_realization(cfg: SystemConfig, placement: Placement, seed: int) -> Chan
             for k in range(i)
         ]
     )
-    g2t = _rician(rng, los_g2t, var_g2t[:, None], cfg.rician_k)
 
+    # per block in draw order: shape, scale of the scattered part, and for a
+    # Rician block sqrt(variance) and the line-of-sight unit vector
+    blocks = [
+        ((n, i), _fading_scale(var_sbd), None),
+        ((n, i), _fading_scale(var_sbd), None),
+        ((m, n), nlos_scale, (np.sqrt(np.asarray(var_h2, dtype=float)), los_h2)),
+        ((n, i), _fading_scale(var_h3[None, :]), None),
+        ((i, m), nlos_scale, (np.sqrt(var_g2r[:, None]), los_g2r)),
+        ((i, m), nlos_scale, (np.sqrt(var_g2t[:, None]), los_g2t)),
+    ]
+    sizes = [math.prod(shape) for shape, _, _ in blocks]
+    n_entries, n_rayleigh = sum(sizes), 3 * n * i
+    re = np.empty(n_entries, dtype=np.intp)
+    scale = np.empty(n_entries)
+    amp = np.empty(n_entries - n_rayleigh)
+    los = np.empty(n_entries - n_rayleigh, dtype=complex)
+    slices = [None] * len(blocks)
+    stream_start = np.cumsum([0] + [2 * size for size in sizes[:-1]])
+    start = 0
+    for b in _FLAT_ORDER:
+        shape, block_scale, los_part = blocks[b]
+        stop = start + sizes[b]
+        re[start:stop] = np.arange(stream_start[b], stream_start[b] + sizes[b])
+        scale[start:stop].reshape(shape)[...] = block_scale
+        if los_part is not None:
+            block_amp, los_unit = los_part
+            amp[start - n_rayleigh : stop - n_rayleigh].reshape(shape)[...] = block_amp
+            los[start - n_rayleigh : stop - n_rayleigh] = (los_gain * los_unit).ravel()
+        slices[b] = (start, stop, shape)
+        start = stop
+    flat_sizes = [sizes[b] for b in _FLAT_ORDER]
+    terms = _ChannelTerms(
+        key=key,
+        n_normals=2 * n_entries,
+        re=re,
+        im=re + np.repeat(flat_sizes, flat_sizes),
+        scale=scale,
+        n_rayleigh=n_rayleigh,
+        los=los,
+        amp=amp,
+        slices=tuple(slices),
+    )
+    object.__setattr__(placement, "_terms", terms)
+    return terms
+
+
+def draw_realization(cfg: SystemConfig, placement: Placement, seed: int) -> ChannelRealization:
+    """Draw one channel realization from the placement.
+
+    BS-side links (h1, g1, h3) are Rayleigh, sqrt(var / 2) * (x + jy); surface
+    links (h2, g2r, g2t) are Rician, sqrt(var) * (los_gain * los + nlos), with
+    a deterministic line-of-sight component built from the steering vectors of
+    the two arrays.  All normals of a realization come from one Philox stream
+    keyed by ``seed``, block by block in the fixed order h1, g1, h2, h3, g2r,
+    g2t, each block's real parts before its imaginary parts, so a given seed
+    always yields the same channels.  What depends only on the placement (path
+    losses, line-of-sight vectors, square roots of the variances) is computed
+    at the placement's first draw and cached on it; see ``_channel_terms``.
+    """
+    terms = _channel_terms(cfg, placement)
+    z = _philox(seed).standard_normal(terms.n_normals)
+    w = z[terms.re] + 1j * z[terms.im]
+    np.multiply(terms.scale, w, out=w)
+    rician = w[terms.n_rayleigh :]
+    np.add(terms.los, rician, out=rician)
+    np.multiply(terms.amp, rician, out=rician)
+    h1, g1, h2, h3, g2r, g2t = (w[a:b].reshape(shape) for a, b, shape in terms.slices)
     return ChannelRealization(h1, g1, h2, h3, g2r, g2t, seed)

@@ -4,11 +4,15 @@ batched kernel in ``srnoma.env``, ``srnoma.rates`` and ``srnoma.problem``.
 This is the scalar code those modules ran before they took a leading batch
 axis: per-column beam decoding, running-sum and running-mask SIC
 interference, float-by-float constraint slacks, and the per-candidate loops
-of random search and the grid oracle.  It is not imported by the package;
-``test_batched.py`` compares the kernel against it on fuzzed inputs.
-Only the containers (``DecisionVariables``, ``RateReport``,
-``ConstraintReport``, ``RisCoefficients``) and channel helpers come from the
-package.
+of random search and the grid oracle.  It also keeps the channel draw as
+``srnoma.network`` ran it before it cached per-placement terms: one
+``standard_normal`` call per block part and per-user path-loss and
+steering-vector loops on every draw.  It is not imported by the package;
+``test_batched.py`` and ``test_network.py`` compare the fast code against it
+on fuzzed inputs.  Only the containers (``DecisionVariables``,
+``RateReport``, ``ConstraintReport``, ``RisCoefficients``,
+``ChannelRealization``) and channel helpers (``path_loss``, ``ula_steering``)
+come from the package.
 """
 
 from __future__ import annotations
@@ -21,13 +25,77 @@ import numpy as np
 
 from srnoma.env import action_dim
 from srnoma.harness import SearchResult
-from srnoma.network import ChannelRealization, SystemConfig
+from srnoma.network import ChannelRealization, SystemConfig, path_loss, ula_steering
 from srnoma.problem import CONSTRAINT_NAMES, N_CONSTRAINTS, ConstraintReport
 from srnoma.rates import DecisionVariables, RateReport
 from srnoma.ris import ACTIVE, PASSIVE, RisCoefficients, response_vector
 
 _TWO_PI = 2.0 * np.pi
 _MAX_EXP2 = 1023.0
+
+
+# --------------------------------------------------------------------------
+# channel draw
+
+
+def _sin_toward(origin: np.ndarray, target: np.ndarray) -> float:
+    d = target - origin
+    dist = math.hypot(d[0], d[1])
+    if dist == 0.0:
+        raise ValueError("co-located nodes have no steering direction")
+    return d[1] / dist
+
+
+def _rayleigh(rng: np.random.Generator, shape: tuple, variance) -> np.ndarray:
+    scale = np.sqrt(np.asarray(variance, dtype=float) / 2.0)
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def _rician(rng: np.random.Generator, los_unit: np.ndarray, variance, k_factor: float):
+    los_gain = math.sqrt(k_factor / (k_factor + 1.0))
+    nlos = _rayleigh(rng, los_unit.shape, 1.0 / (k_factor + 1.0))
+    return np.sqrt(np.asarray(variance, dtype=float)) * (los_gain * los_unit + nlos)
+
+
+def draw_realization(cfg: SystemConfig, placement, seed: int) -> ChannelRealization:
+    rng = np.random.Generator(np.random.Philox(seed))
+    n, m, i = cfg.n_bs_antennas, cfg.n_ris_elements, cfg.n_pairs
+    g_bs, g_ris = cfg.bs_antenna_gain, cfg.ris_element_gain
+    pl = lambda d: path_loss(d, cfg.carrier_hz, cfg.path_loss_exponent)
+
+    var_sbd = pl(cfg.d_bs_sbd_m) * g_bs
+    h1 = _rayleigh(rng, (n, i), var_sbd)
+    g1 = _rayleigh(rng, (n, i), var_sbd)
+
+    var_h2 = pl(placement.d_bs_asris()) * g_bs * g_ris
+    los_h2 = np.outer(
+        ula_steering(m, _sin_toward(placement.asris, placement.bs)),
+        ula_steering(n, _sin_toward(placement.bs, placement.asris)).conj(),
+    )
+    h2 = _rician(rng, los_h2, var_h2, cfg.rician_k)
+
+    var_h3 = np.array([pl(d) * g_bs for d in placement.d_bs_sue_reflect()])
+    h3 = _rayleigh(rng, (n, i), var_h3[None, :])
+
+    var_g2r = np.array([pl(d) * g_ris for d in placement.d_asris_sue_reflect()])
+    los_g2r = np.stack(
+        [
+            ula_steering(m, _sin_toward(placement.asris, placement.sue_reflect[k])).conj()
+            for k in range(i)
+        ]
+    )
+    g2r = _rician(rng, los_g2r, var_g2r[:, None], cfg.rician_k)
+
+    var_g2t = np.array([pl(d) * g_ris for d in placement.d_asris_sue_transmit()])
+    los_g2t = np.stack(
+        [
+            ula_steering(m, _sin_toward(placement.asris, placement.sue_transmit[k])).conj()
+            for k in range(i)
+        ]
+    )
+    g2t = _rician(rng, los_g2t, var_g2t[:, None], cfg.rician_k)
+
+    return ChannelRealization(h1, g1, h2, h3, g2r, g2t, seed)
 
 
 # --------------------------------------------------------------------------

@@ -466,6 +466,7 @@ class TestAcceptance:
             f"{elapsed:.1f} s (budget 300 s)",
         )
 
+    @pytest.mark.slow
     def test_a7_agents_beat_random_policy_on_tiny_instance(self):
         started = time.perf_counter()
         cfg = SystemConfig(

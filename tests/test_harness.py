@@ -8,11 +8,13 @@ analytic time-split case cross-checks the grid oracle against a closed form.
 import csv
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+from srnoma import harness
 from srnoma.cli import main
 from srnoma.env import SrEnv
 from srnoma.harness import (
@@ -390,6 +392,47 @@ class TestEvaluatePolicy:
         assert a == b
         assert set(a) == {"reward", "min_rate", "sum_rate"}
         assert all(np.isfinite(v) for v in a.values())
+
+    def test_train_point_evaluates_with_frozen_training_statistics(self, monkeypatch):
+        # smoke scene, PPO, 4 episodes of 25 steps: the training env has
+        # normalized 4 x 26 = 104 states, and evaluation must see exactly
+        # those statistics and leave them as they are
+        config = load_config(Path(__file__).resolve().parents[1] / "configs" / "smoke.yaml")
+        config["run"].update(algo="ppo", episodes=4)
+        assert config["env"]["normalize_obs"] is True
+        seen = {}
+        real_train = harness.train
+
+        def spy_train(algo, env, episodes, seed, hyper):
+            seen["train_env"] = env
+            return real_train(algo, env, episodes, seed, hyper=hyper)
+
+        def spy_evaluate(agent, env, episodes, seed):
+            stats = env._stats
+            seen["before"] = (stats.count, stats.mean.copy(), stats._m2.copy())
+            scores = evaluate_policy(agent, env, episodes, seed)
+            seen["after"] = (stats.count, stats.mean.copy(), stats._m2.copy())
+            return scores
+
+        monkeypatch.setattr(harness, "train", spy_train)
+        monkeypatch.setattr(harness, "evaluate_policy", spy_evaluate)
+        point = harness._train_point(config, ACTIVE, seed=0)
+        assert np.isfinite(point["min_rate"])
+        trained = seen["train_env"]._stats
+        assert trained.count == 104
+        for got in (seen["before"], seen["after"]):
+            assert got[0] == trained.count
+            np.testing.assert_array_equal(got[1], trained.mean)
+            np.testing.assert_array_equal(got[2], trained._m2)
+
+    def test_replicate_starts_fresh_statistics(self):
+        env = SrEnv(scalar_cfg(), episode_steps=2, normalize_obs=True, rate_cap=2.0)
+        env.reset(1)
+        assert env._stats.count == 1
+        assert env.replicate()._stats.count == 0
+        frozen = env.frozen_replica()
+        frozen.reset(2)
+        assert frozen._stats.count == 1 and env._stats.count == 1
 
 
 # ===========================================================================

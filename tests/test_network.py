@@ -4,12 +4,16 @@ Groups:
   * dBm conversion and the free-space path-loss curve (hand oracles)
   * node placement invariants and reproducibility
   * channel realization shapes, reproducibility and calibrated moments
+  * the cached-term draw against the frozen per-block draw in
+    ``scalar_reference``, bit for bit, and the safety of its per-placement
+    cache
 """
 
 import math
 
 import numpy as np
 import pytest
+import scalar_reference as ref
 
 from srnoma.network import (
     ChannelRealization,
@@ -151,6 +155,14 @@ class TestPlacement:
         b = make_placement(small_cfg, seed=2)
         assert not np.allclose(a.sbd, b.sbd)
 
+    def test_positions_are_read_only(self, small_cfg):
+        pl = make_placement(small_cfg, seed=4)
+        for name in ("bs", "asris", "sbd", "sue_reflect", "sue_transmit"):
+            with pytest.raises(ValueError):
+                getattr(pl, name)[0] = 1.0
+            with pytest.raises(AttributeError):
+                setattr(pl, name, np.zeros(2))
+
 
 # ===========================================================================
 # channel realizations
@@ -225,6 +237,82 @@ class TestChannels:
         one = np.ones((1, 1), dtype=complex)
         ch = ChannelRealization(one, one, one, one, one, one, seed=9)
         assert ch.seed == 9
+
+
+# ===========================================================================
+# cached-term draw against the frozen per-block draw
+# ===========================================================================
+
+
+def assert_bit_equal(got: ChannelRealization, want: ChannelRealization) -> None:
+    assert got.seed == want.seed
+    for name, a, b in zip(("h1", "g1", "h2", "h3", "g2r", "g2t"), got.blocks(), want.blocks()):
+        assert a.shape == b.shape and a.dtype == b.dtype, name
+        assert np.array_equal(a.view(float), b.view(float)), f"{name} values differ"
+        assert np.array_equal(np.signbit(a.view(float)), np.signbit(b.view(float))), (
+            f"{name} signs of zero differ"
+        )
+
+
+def fuzzed_config(rng: np.random.Generator) -> SystemConfig:
+    return SystemConfig(
+        n_bs_antennas=int(rng.integers(1, 9)),
+        n_ris_elements=int(rng.integers(1, 17)),
+        n_pairs=int(rng.integers(1, 5)),
+        bs_antenna_gain=float(rng.uniform(0.5, 30.0)),
+        ris_element_gain=float(rng.uniform(0.5, 30.0)),
+        carrier_hz=float(rng.uniform(1e9, 60e9)),
+        path_loss_exponent=float(rng.uniform(0.0, 4.0)),
+        rician_k=float(rng.choice([0.0, rng.uniform(0.01, 20.0)])),
+        d_bs_sbd_m=float(rng.uniform(1.0, 500.0)),
+        d_bs_sue_max_m=float(rng.uniform(5.0, 200.0)),
+    )
+
+
+class TestCachedDraw:
+    def test_fuzzed_scenes_match_reference_bit_for_bit(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(60):
+            cfg = fuzzed_config(rng)
+            pl = make_placement(cfg, seed=int(rng.integers(2**63)))
+            for _ in range(4):
+                seed = int(rng.integers(2**63))
+                assert_bit_equal(draw_realization(cfg, pl, seed),
+                                 ref.draw_realization(cfg, pl, seed))
+
+    @pytest.mark.parametrize("rician_k", [0.0, 10.0])
+    @pytest.mark.parametrize("counts", [(1, 1, 1), (8, 16, 4), (2, 4, 2), (3, 2, 4)])
+    def test_edge_scenes_match_reference(self, counts, rician_k):
+        n, m, i = counts
+        cfg = SystemConfig(n_bs_antennas=n, n_ris_elements=m, n_pairs=i, rician_k=rician_k)
+        pl = make_placement(cfg, seed=n * 100 + m * 10 + i)
+        for seed in (0, 1, 2**63 - 1):
+            assert_bit_equal(draw_realization(cfg, pl, seed), ref.draw_realization(cfg, pl, seed))
+
+    def test_cache_follows_the_config(self):
+        # one placement drawn under A, then B, then A again: B changes every
+        # field the cached terms read, and each draw must be its config's own.
+        # The placement fixes the number of pairs, so another n_pairs is an
+        # error (the reference returned blocks of mismatched shapes).
+        base = dict(n_bs_antennas=2, n_ris_elements=4, n_pairs=2)
+        cfg_a = SystemConfig(**base)
+        pl = make_placement(cfg_a, seed=21)
+        changes = dict(
+            n_bs_antennas=3, n_ris_elements=5, bs_antenna_gain=4.0,
+            ris_element_gain=2.0, carrier_hz=3.5e9, path_loss_exponent=2.2,
+            rician_k=0.0, d_bs_sbd_m=50.0,
+        )
+        variants = [SystemConfig(**{**base, name: value}) for name, value in changes.items()]
+        variants.append(SystemConfig(**{**base, **changes}))
+        for cfg_b in variants:
+            for cfg in (cfg_a, cfg_b, cfg_a):
+                for seed in (5, 6):
+                    assert_bit_equal(draw_realization(cfg, pl, seed),
+                                     ref.draw_realization(cfg, pl, seed))
+        for n_pairs in (1, 3):
+            with pytest.raises(ValueError, match="n_pairs"):
+                draw_realization(SystemConfig(**{**base, "n_pairs": n_pairs}), pl, 5)
+        assert_bit_equal(draw_realization(cfg_a, pl, 5), ref.draw_realization(cfg_a, pl, 5))
 
 
 if __name__ == "__main__":
