@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..nn import GaussianPolicy, Mlp, make_optimizer
-from .common import EpisodeStats, derive_keys, pack_state, philox, unpack_state
+from .common import Checkpointed, EpisodeStats, check_learning_rates, derive_keys, philox
 
 
 def kstep_returns(rewards: np.ndarray, bootstrap: float, discount: float) -> np.ndarray:
@@ -31,7 +31,7 @@ def kstep_returns(rewards: np.ndarray, bootstrap: float, discount: float) -> np.
     return returns
 
 
-class A3cAgent:
+class A3cAgent(Checkpointed):
     def __init__(
         self,
         state_dim: int,
@@ -47,6 +47,7 @@ class A3cAgent:
         init_log_std: float = -0.5,
         seed: int = 0,
     ) -> None:
+        check_learning_rates(actor_lr=actor_lr, critic_lr=critic_lr)
         (init_key,) = derive_keys(seed, 1)
         init_rng = philox(init_key)
         self.policy = GaussianPolicy(Mlp((state_dim, *hidden, action_dim), init_rng),
@@ -56,18 +57,19 @@ class A3cAgent:
         self.k_steps = int(k_steps)
         self.discount = discount
         self.entropy_coef = entropy_coef
-        self.actor_opt = make_optimizer(optimizer, actor_lr)
-        self.critic_opt = make_optimizer(optimizer, critic_lr)
+        self.actor_opt = make_optimizer(optimizer, actor_lr, self.policy.shapes)
+        self.critic_opt = make_optimizer(optimizer, critic_lr, self.critic.shapes)
 
     def snapshot(self, local_policy: GaussianPolicy, local_critic: Mlp) -> None:
         local_policy.load_from(self.policy)
         local_critic.load_from(self.critic)
 
-    def apply_gradients(self, actor_grads: list, log_std_grad: np.ndarray,
-                        critic_grads: list) -> None:
-        self.actor_opt.step(self.policy.parameters(), actor_grads + [log_std_grad])
+    def apply_gradients(self, actor_grad: np.ndarray, log_std_grad: np.ndarray,
+                        critic_grad: np.ndarray) -> None:
+        self.actor_opt.step([self.policy.net.flat, self.policy.log_std],
+                            [actor_grad, log_std_grad])
         self.policy.clamp_log_std()
-        self.critic_opt.step(self.critic.parameters(), critic_grads)
+        self.critic_opt.step([self.critic.flat], [critic_grad])
 
     def segment_gradients(
         self,
@@ -76,8 +78,9 @@ class A3cAgent:
         states: np.ndarray,
         pres: np.ndarray,
         returns: np.ndarray,
-    ) -> tuple[list, np.ndarray, list]:
-        """Descent-direction gradients for one k-step segment.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Descent-direction gradients for one k-step segment, the nets' as
+        flat buffers laid out like their ``flat``, which apply_gradients takes.
 
         The actor ascends sum_t log pi(a_t|s_t) * A_t + beta * H per step; the
         critic descends sum_t (G_t - V(s_t))^2.  Both are accumulated over the
@@ -85,14 +88,12 @@ class A3cAgent:
         """
         values, value_cache = local_critic.forward_cached(states)
         advantages = returns - values[:, 0]
-        actor_grads, log_std_grad = local_policy.grad_weighted_log_prob(
-            states, pres, -advantages
-        )
+        actor_grads, log_std_grad = local_policy.grad_weighted_log_prob(states, pres, -advantages)
         log_std_grad = log_std_grad - self.entropy_coef * len(states)
         critic_grads, _ = local_critic.backward(
             value_cache, (2.0 * (values[:, 0] - returns))[:, None]
         )
-        return actor_grads, log_std_grad, critic_grads
+        return actor_grads.flat, log_std_grad, critic_grads.flat
 
     def worker_episode(self, env, episode_seed: int, rng: np.random.Generator) -> EpisodeStats:
         """One full episode of collect-k / push-gradients cycles."""
@@ -126,15 +127,7 @@ class A3cAgent:
         return [self.worker_episode(envs[w], episode_seeds[w], rngs[w])
                 for w in range(self.workers)]
 
-    def _checkpoint_parts(self) -> tuple[dict, dict]:
+    def _checkpoint_parts(self) -> tuple[dict, dict, dict]:
         return ({"actor": self.policy.net, "critic": self.critic},
-                {"opt_actor": self.actor_opt, "opt_critic": self.critic_opt})
-
-    def state_dict(self) -> dict:
-        arrays = pack_state(*self._checkpoint_parts())
-        arrays["log_std"] = self.policy.log_std
-        return arrays
-
-    def load_state_dict(self, arrays: dict) -> None:
-        unpack_state(arrays, *self._checkpoint_parts())
-        self.policy.log_std[...] = arrays["log_std"]
+                {"opt_actor": self.actor_opt, "opt_critic": self.critic_opt},
+                {"log_std": self.policy.log_std})

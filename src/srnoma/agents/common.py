@@ -4,6 +4,7 @@ checkpoint arrays."""
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -17,32 +18,39 @@ def philox(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def pack_state(nets: dict, optimizers: dict) -> dict:
-    """Checkpoint arrays of named nets (``<name>/w<i>``, ``<name>/b<i>``) and
-    named optimizers (``<name>/<key>``); the live arrays, not copies."""
-    arrays = {}
-    for prefix, net in nets.items():
-        for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-            arrays[f"{prefix}/w{i}"] = w
-            arrays[f"{prefix}/b{i}"] = b
-    for prefix, opt in optimizers.items():
-        for key, value in opt.state_arrays().items():
-            arrays[f"{prefix}/{key}"] = value
-    return arrays
+def check_learning_rates(**rates) -> None:
+    for name, lr in rates.items():
+        if not (math.isfinite(lr) and lr > 0.0):
+            raise ValueError(f"{name} must be finite and > 0, got {lr!r}")
 
 
-def unpack_state(arrays: dict, nets: dict, optimizers: dict) -> None:
-    """Inverse of pack_state: copy into the nets in place, restore optimizers."""
-    for prefix, net in nets.items():
-        for i in range(len(net.weights)):
-            net.weights[i][...] = arrays[f"{prefix}/w{i}"]
-            net.biases[i][...] = arrays[f"{prefix}/b{i}"]
-    for prefix, opt in optimizers.items():
-        opt.load_state_arrays({
-            key[len(prefix) + 1 :]: value
-            for key, value in arrays.items()
-            if key.startswith(prefix + "/")
-        })
+class Checkpointed:
+    """Checkpoint of the nets (``<name>/w<i>``, ``<name>/b<i>``), optimizers (``<name>/<key>``)
+    and arrays ``_checkpoint_parts()`` names, as live arrays; loading writes in place."""
+
+    def state_dict(self) -> dict:
+        nets, optimizers, arrays = self._checkpoint_parts()
+        state = {}
+        for prefix, net in nets.items():
+            for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+                state[f"{prefix}/w{i}"] = w
+                state[f"{prefix}/b{i}"] = b
+        for prefix, opt in optimizers.items():
+            for key, value in opt.state_arrays().items():
+                state[f"{prefix}/{key}"] = value
+        return {**state, **arrays}
+
+    def load_state_dict(self, state: dict) -> None:
+        nets, optimizers, arrays = self._checkpoint_parts()
+        for prefix, net in nets.items():
+            for i in range(len(net.weights)):
+                net.weights[i][...] = state[f"{prefix}/w{i}"]
+                net.biases[i][...] = state[f"{prefix}/b{i}"]
+        for prefix, opt in optimizers.items():
+            opt.load_state_arrays({key[len(prefix) + 1 :]: value for key, value in state.items()
+                                   if key.startswith(prefix + "/")})
+        for key, live in arrays.items():
+            live[...] = state[key]
 
 
 class ReplayBuffer:

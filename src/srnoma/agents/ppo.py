@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..nn import GaussianPolicy, Mlp, make_optimizer
-from .common import derive_keys, pack_state, philox, unpack_state
+from .common import Checkpointed, check_learning_rates, derive_keys, philox
 
 
 def advantage_and_target(
@@ -28,7 +28,7 @@ def advantage_and_target(
     return targets - values, targets
 
 
-class PpoAgent:
+class PpoAgent(Checkpointed):
     def __init__(
         self,
         state_dim: int,
@@ -44,6 +44,7 @@ class PpoAgent:
         init_log_std: float = -0.5,
         seed: int = 0,
     ) -> None:
+        check_learning_rates(actor_lr=actor_lr, critic_lr=critic_lr)
         init_key, sample_key = derive_keys(seed, 2)
         init_rng = philox(init_key)
         sizes = (state_dim, *hidden)
@@ -56,8 +57,8 @@ class PpoAgent:
         self.discount = discount
         self.minibatch = int(minibatch)
         self.update_epochs = int(update_epochs)
-        self.actor_opt = make_optimizer(optimizer, actor_lr)
-        self.critic_opt = make_optimizer(optimizer, critic_lr)
+        self.actor_opt = make_optimizer(optimizer, actor_lr, self.policy.shapes)
+        self.critic_opt = make_optimizer(optimizer, critic_lr, self.critic.shapes)
         self.dropped_samples = 0
 
     def act(self, state: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -108,25 +109,21 @@ class PpoAgent:
         flows = finite & (unclipped <= clipped)
         coeff = np.where(flows, ratio * advantages, 0.0) / used
         net_grads, log_std_grad = self.policy.grad_weighted_log_prob(states, pres, -coeff)
-        self.actor_opt.step(self.policy.parameters(), net_grads + [log_std_grad])
+        self.actor_opt.step([self.policy.net.flat, self.policy.log_std],
+                            [net_grads.flat, log_std_grad])
         self.policy.clamp_log_std()
 
         values, cache = self.critic.forward_cached(states)
         residual = values[:, 0] - targets
         grads, _ = self.critic.backward(cache, (2.0 * residual / len(targets))[:, None])
-        self.critic_opt.step(self.critic.parameters(), grads)
+        self.critic_opt.step([self.critic.flat], [grads.flat])
 
-    def _checkpoint_parts(self) -> tuple[dict, dict]:
+    def _checkpoint_parts(self) -> tuple[dict, dict, dict]:
         return ({"actor": self.policy.net, "critic": self.critic},
-                {"opt_actor": self.actor_opt, "opt_critic": self.critic_opt})
+                {"opt_actor": self.actor_opt, "opt_critic": self.critic_opt},
+                {"log_std": self.policy.log_std})
 
-    def state_dict(self) -> dict:
-        arrays = pack_state(*self._checkpoint_parts())
-        arrays["log_std"] = self.policy.log_std
-        return arrays
-
-    def load_state_dict(self, arrays: dict) -> None:
-        unpack_state(arrays, *self._checkpoint_parts())
-        self.policy.log_std[...] = arrays["log_std"]
+    def load_state_dict(self, state: dict) -> None:
+        super().load_state_dict(state)
         self.policy_old.load_from(self.policy)
         self.critic_old.load_from(self.critic)

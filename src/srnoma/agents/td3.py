@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..nn import Mlp, make_optimizer
-from .common import ReplayBuffer, derive_keys, pack_state, philox, unpack_state
+from .common import Checkpointed, ReplayBuffer, check_learning_rates, derive_keys, philox
 
 
 def td3_target(reward, discount, q1, q2, done=0.0):
@@ -20,13 +20,12 @@ def td3_target(reward, discount, q1, q2, done=0.0):
 
 
 def soft_update(target: Mlp, online: Mlp, mix: float) -> None:
-    """target <- (1 - mix) * target + mix * online, parameter-wise."""
-    for t, o in zip(target.parameters(), online.parameters()):
-        t *= 1.0 - mix
-        t += mix * o
+    """target <- (1 - mix) * target + mix * online over the whole buffer."""
+    target.flat *= 1.0 - mix
+    target.flat += mix * online.flat
 
 
-class Td3Agent:
+class Td3Agent(Checkpointed):
     def __init__(
         self,
         state_dim: int,
@@ -45,6 +44,11 @@ class Td3Agent:
         optimizer: str = "sgd",
         seed: int = 0,
     ) -> None:
+        check_learning_rates(actor_lr=actor_lr, critic_lr=critic_lr)
+        for name, value, least in (("policy_delay", policy_delay, 1), ("minibatch", minibatch, 1),
+                                   ("buffer_size", buffer_size, minibatch)):
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value!r}")
         init_key, noise_key = derive_keys(seed, 2)
         init_rng = philox(init_key)
         self.state_dim = state_dim
@@ -64,9 +68,9 @@ class Td3Agent:
         self.explore_noise = explore_noise
         self.minibatch = int(minibatch)
         self.buffer = ReplayBuffer(buffer_size, state_dim, action_dim)
-        self.actor_opt = make_optimizer(optimizer, actor_lr)
-        self.critic1_opt = make_optimizer(optimizer, critic_lr)
-        self.critic2_opt = make_optimizer(optimizer, critic_lr)
+        self.actor_opt = make_optimizer(optimizer, actor_lr, self.actor.shapes)
+        self.critic1_opt = make_optimizer(optimizer, critic_lr, self.critic1.shapes)
+        self.critic2_opt = make_optimizer(optimizer, critic_lr, self.critic2.shapes)
         self.update_count = 0
 
     def act(self, state: np.ndarray, explore: bool = True) -> np.ndarray:
@@ -92,11 +96,11 @@ class Td3Agent:
         q2 = self.critic2_target.forward(sa)[:, 0]
         return td3_target(batch["rewards"], self.discount, q1, q2, batch["dones"])
 
-    def _critic_gradients(self, critic: Mlp, sa: np.ndarray, targets: np.ndarray) -> list:
+    def _critic_gradients(self, critic: Mlp, sa: np.ndarray, targets: np.ndarray) -> np.ndarray:
         q, cache = critic.forward_cached(sa)
         residual = q[:, 0] - targets
         grads, _ = critic.backward(cache, (2.0 * residual / len(targets))[:, None])
-        return grads
+        return grads.flat
 
     def update(self) -> bool:
         """One gradient step from replay; no-op until a minibatch is buffered."""
@@ -106,10 +110,10 @@ class Td3Agent:
         targets = self._targets(batch)
         sa = np.concatenate([batch["states"], batch["actions"]], axis=1)
         self.critic1_opt.step(
-            self.critic1.parameters(), self._critic_gradients(self.critic1, sa, targets)
+            [self.critic1.flat], [self._critic_gradients(self.critic1, sa, targets)]
         )
         self.critic2_opt.step(
-            self.critic2.parameters(), self._critic_gradients(self.critic2, sa, targets)
+            [self.critic2.flat], [self._critic_gradients(self.critic2, sa, targets)]
         )
         self.update_count += 1
         if self.update_count % self.policy_delay == 0:
@@ -130,29 +134,17 @@ class Td3Agent:
         _, grad_sa = self.critic1.backward(critic_cache, grad_q)
         grad_actions = grad_sa[:, self.state_dim :] * (1.0 - actions**2)
         grads, _ = self.actor.backward(actor_cache, grad_actions)
-        self.actor_opt.step(self.actor.parameters(), grads)
+        self.actor_opt.step([self.actor.flat], [grads.flat])
 
-    def _checkpoint_parts(self) -> tuple[dict, dict]:
-        nets = {
-            "actor": self.actor,
-            "critic1": self.critic1,
-            "critic2": self.critic2,
-            "actor_target": self.actor_target,
-            "critic1_target": self.critic1_target,
-            "critic2_target": self.critic2_target,
-        }
-        opts = {
-            "opt_actor": self.actor_opt,
-            "opt_critic1": self.critic1_opt,
-            "opt_critic2": self.critic2_opt,
-        }
-        return nets, opts
+    def _checkpoint_parts(self) -> tuple[dict, dict, dict]:
+        names = ("actor", "critic1", "critic2")
+        nets = {name: getattr(self, name) for name in names}
+        nets.update({f"{name}_target": getattr(self, f"{name}_target") for name in names})
+        return nets, {f"opt_{name}": getattr(self, f"{name}_opt") for name in names}, {}
 
     def state_dict(self) -> dict:
-        arrays = pack_state(*self._checkpoint_parts())
-        arrays["update_count"] = np.array(self.update_count)
-        return arrays
+        return {**super().state_dict(), "update_count": np.array(self.update_count)}
 
-    def load_state_dict(self, arrays: dict) -> None:
-        unpack_state(arrays, *self._checkpoint_parts())
-        self.update_count = int(arrays["update_count"])
+    def load_state_dict(self, state: dict) -> None:
+        super().load_state_dict(state)
+        self.update_count = int(state["update_count"])

@@ -53,12 +53,6 @@ def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
-def watts_to_dbm(watts: float) -> float:
-    if watts <= 0.0:
-        raise ValueError(f"power must be positive, got {watts}")
-    return 10.0 * math.log10(watts) + 30.0
-
-
 @dataclasses.dataclass
 class SystemConfig:
     """Static scene parameters shared by every module.

@@ -5,11 +5,16 @@ and linear heads, exact analytic backpropagation (including gradients with
 respect to the input, needed to chain critics into actors), two first-order
 optimizers, a tanh-squashed Gaussian policy head, and an exact checkpoint
 round-trip.  No autograd framework is involved; gradients are spelled out so
-they can be validated against finite differences.
+they can be validated against finite differences.  Each net keeps its
+parameters in one flat buffer; ``weights`` and ``biases`` are views into it,
+to be written in place and never rebound.  The optimizers update whole
+buffers in place, and each step is atomic: it checks every gradient before
+it writes, so a non-finite one raises with parameters and state untouched.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
@@ -25,41 +30,62 @@ class NonFiniteGradientError(RuntimeError):
     """A gradient or parameter update stopped being finite."""
 
 
+def _layout(shapes) -> list:
+    """(slice, shape) of each parameter, laid end to end in a flat buffer."""
+    stops = itertools.accumulate(math.prod(shape) for shape in shapes)
+    return [(slice(stop - math.prod(shape), stop), shape) for stop, shape in zip(stops, shapes)]
+
+
+def _views(flat: np.ndarray, layout: list) -> list:
+    return [flat[part].reshape(shape) for part, shape in layout]
+
+
+class Gradients(list):
+    """Per-parameter gradients, aligned with parameters(): views into one flat
+    buffer ``flat`` laid out like the net's ``flat``, which optimizers take."""
+
+    def __init__(self, flat: np.ndarray, layout: list) -> None:
+        super().__init__(_views(flat, layout))
+        self.flat = flat
+
+
 class Mlp:
     """Fully connected net: tanh on hidden layers, identity on the head.
 
     Weights W have shape (fan_out, fan_in) and act as x @ W.T + b; they are
-    initialized uniformly in +-1/sqrt(fan_in).
+    initialized uniformly in +-1/sqrt(fan_in).  ``flat`` holds parameters().
     """
 
     def __init__(self, sizes: tuple, rng: np.random.Generator) -> None:
         if len(sizes) < 2:
             raise ValueError("need at least input and output sizes")
         self.sizes = tuple(int(s) for s in sizes)
-        self.weights = []
-        self.biases = []
-        for fan_in, fan_out in zip(self.sizes[:-1], self.sizes[1:]):
-            bound = 1.0 / math.sqrt(fan_in)
-            self.weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-            self.biases.append(rng.uniform(-bound, bound, size=fan_out))
+        self.shapes = tuple(shape for fan_in, fan_out in zip(self.sizes[:-1], self.sizes[1:])
+                            for shape in ((fan_out, fan_in), (fan_out,)))
+        self._layout = _layout(self.shapes)
+        self._bind(np.empty(self._layout[-1][0].stop))
+        for w, b in zip(self.weights, self.biases):
+            bound = 1.0 / math.sqrt(w.shape[1])
+            w[...] = rng.uniform(-bound, bound, size=w.shape)
+            b[...] = rng.uniform(-bound, bound, size=b.shape)
+
+    def _bind(self, flat: np.ndarray) -> None:
+        self.flat = flat
+        self._params = _views(flat, self._layout)
+        self.weights = self._params[0::2]
+        self.biases = self._params[1::2]
 
     def parameters(self) -> list:
-        params = []
-        for w, b in zip(self.weights, self.biases):
-            params.append(w)
-            params.append(b)
-        return params
+        return list(self._params)
 
     def copy(self) -> "Mlp":
         dup = Mlp.__new__(Mlp)
-        dup.sizes = self.sizes
-        dup.weights = [w.copy() for w in self.weights]
-        dup.biases = [b.copy() for b in self.biases]
+        dup.sizes, dup.shapes, dup._layout = self.sizes, self.shapes, self._layout
+        dup._bind(self.flat.copy())
         return dup
 
     def load_from(self, other: "Mlp") -> None:
-        for mine, theirs in zip(self.parameters(), other.parameters()):
-            mine[...] = theirs
+        np.copyto(self.flat, other.flat)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         single = np.ndim(x) == 1
@@ -81,18 +107,17 @@ class Mlp:
         out = a @ self.weights[-1].T + self.biases[-1]
         return out, cache
 
-    def backward(self, cache: list, grad_out: np.ndarray) -> tuple[list, np.ndarray]:
+    def backward(self, cache: list, grad_out: np.ndarray) -> tuple[Gradients, np.ndarray]:
         """Backpropagate an upstream gradient on the head output.
 
-        Returns (parameter gradients aligned with parameters(), gradient with
-        respect to the input batch).
+        Returns (parameter gradients aligned with parameters(), in one new
+        flat buffer, gradient with respect to the input batch).
         """
-        grads = [None] * (2 * len(self.weights))
+        grads = Gradients(np.empty(self.flat.size), self._layout)
         g = np.asarray(grad_out, dtype=float)
         for layer in range(len(self.weights) - 1, -1, -1):
-            a_in = cache[layer]
-            grads[2 * layer] = g.T @ a_in
-            grads[2 * layer + 1] = g.sum(axis=0)
+            np.matmul(g.T, cache[layer], out=grads[2 * layer])
+            g.sum(axis=0, out=grads[2 * layer + 1])
             g = g @ self.weights[layer]
             if layer > 0:
                 g = g * (1.0 - cache[layer] ** 2)
@@ -100,15 +125,16 @@ class Mlp:
 
 
 class Sgd:
-    """Plain stochastic gradient descent, the default update rule."""
+    """Plain stochastic gradient descent, the default update rule, over lists
+    of parameter buffers (a net's ``flat``, or any array) and their gradients."""
 
     def __init__(self, lr: float) -> None:
         self.lr = float(lr)
 
     def step(self, params: list, grads: list) -> None:
+        if not all(np.isfinite(g).all() for g in grads):
+            raise NonFiniteGradientError("non-finite gradient in SGD step")
         for p, g in zip(params, grads):
-            if not np.all(np.isfinite(g)):
-                raise NonFiniteGradientError("non-finite gradient in SGD step")
             p -= self.lr * g
 
     def state_arrays(self) -> dict:
@@ -119,53 +145,65 @@ class Sgd:
 
 
 class Adam:
-    """Adam with bias correction; state is positional over the params list."""
+    """Adam with bias correction, over buffers as Sgd.  Checkpoints name its flat
+    moments per parameter (``m<i>``, ``v<i>``) of ``shapes`` (default: buffers)."""
 
     def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8) -> None:
+                 eps: float = 1e-8, shapes=None) -> None:
         self.lr = float(lr)
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
+        self.shapes = shapes
         self.t = 0
-        self._m: list | None = None
-        self._v: list | None = None
+        self._m = self._v = None
 
     def step(self, params: list, grads: list) -> None:
+        if not all(np.isfinite(g).all() for g in grads):
+            raise NonFiniteGradientError("non-finite gradient in Adam step")
         if self._m is None:
-            self._m = [np.zeros_like(p) for p in params]
-            self._v = [np.zeros_like(p) for p in params]
+            self.shapes = self.shapes or [p.shape for p in params]
+            self._m, self._v = np.zeros((2, sum(p.size for p in params)))
         self.t += 1
         correction1 = 1.0 - self.beta1 ** self.t
         correction2 = 1.0 - self.beta2 ** self.t
-        for p, g, m, v in zip(params, grads, self._m, self._v):
-            if not np.all(np.isfinite(g)):
-                raise NonFiniteGradientError("non-finite gradient in Adam step")
-            m[...] = self.beta1 * m + (1.0 - self.beta1) * g
-            v[...] = self.beta2 * v + (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / correction1) / (np.sqrt(v / correction2) + self.eps)
+        layout = _layout([p.shape for p in params])
+        moments = zip(_views(self._m, layout), _views(self._v, layout))
+        # two scratch arrays per buffer keep the elementwise order of
+        # lr * (m / c1) / (sqrt(v / c2) + eps), so results stay bit-identical
+        for p, g, (m, v) in zip(params, grads, moments):
+            a, b = np.empty_like(p), np.empty_like(p)
+            m *= self.beta1
+            m += np.multiply(1.0 - self.beta1, g, out=a)
+            v *= self.beta2
+            v += np.multiply(np.multiply(1.0 - self.beta2, g, out=b), g, out=b)
+            a = np.multiply(self.lr, np.divide(m, correction1, out=a), out=a)
+            b = np.add(np.sqrt(np.divide(v, correction2, out=b), out=b), self.eps, out=b)
+            p -= np.divide(a, b, out=a)
 
     def state_arrays(self) -> dict:
         arrays = {"t": np.array(self.t)}
         if self._m is not None:
-            for idx, (m, v) in enumerate(zip(self._m, self._v)):
+            layout = _layout(self.shapes)
+            for idx, (m, v) in enumerate(zip(_views(self._m, layout), _views(self._v, layout))):
                 arrays[f"m{idx}"] = m
                 arrays[f"v{idx}"] = v
         return arrays
 
     def load_state_arrays(self, arrays: dict) -> None:
         self.t = int(arrays["t"])
-        moments = sorted(int(k[1:]) for k in arrays if k.startswith("m"))
-        if moments:
-            self._m = [arrays[f"m{i}"].copy() for i in moments]
-            self._v = [arrays[f"v{i}"].copy() for i in moments]
+        count = sum(key.startswith("m") for key in arrays)
+        if count:
+            self.shapes = [arrays[f"m{i}"].shape for i in range(count)]
+            self._m, self._v = (np.concatenate([arrays[f"{k}{i}"].ravel() for i in range(count)])
+                                for k in "mv")
 
 
-def make_optimizer(kind: str, lr: float):
+def make_optimizer(kind: str, lr: float, shapes=None):
     if kind == "sgd":
         return Sgd(lr)
     if kind == "adam":
-        return Adam(lr)
+        return Adam(lr, shapes=shapes)
     raise ValueError(f"unknown optimizer {kind!r}")
 
 
@@ -181,6 +219,7 @@ class GaussianPolicy:
         self.net = net
         self.action_dim = net.sizes[-1]
         self.log_std = np.full(net.sizes[-1], float(init_log_std))
+        self.shapes = net.shapes + (self.log_std.shape,)
 
     def parameters(self) -> list:
         return self.net.parameters() + [self.log_std]
@@ -219,17 +258,6 @@ class GaussianPolicy:
         current parameters (batched)."""
         mu = self.net.forward(states)
         return self._log_prob_given(mu, pres)
-
-    def log_prob_of_action(self, state: np.ndarray, action: np.ndarray) -> float:
-        """Density evaluation for an already squashed action in (-1, 1)."""
-        a = np.clip(np.asarray(action, dtype=float), -1.0 + 1e-9, 1.0 - 1e-9)
-        pre = np.arctanh(a)
-        mu = self.net.forward(state)
-        return float(self._log_prob_given(mu, pre))
-
-    def entropy(self) -> float:
-        """Entropy of the pre-squash Gaussian (state independent)."""
-        return float(np.sum(0.5 * math.log(2.0 * math.pi * math.e) + self.log_std))
 
     def grad_weighted_log_prob(
         self, states: np.ndarray, pres: np.ndarray, coeff: np.ndarray

@@ -73,18 +73,6 @@ class ConstraintReport:
     def satisfied_count(self) -> int:
         return int(self.flags.sum())
 
-    @property
-    def all_satisfied(self) -> bool:
-        return bool(self.flags.all())
-
-    def as_record(self) -> dict:
-        """Flat mapping for CSV rows: one flag and one slack per constraint."""
-        record: dict = {}
-        for idx, name in enumerate(CONSTRAINT_NAMES):
-            record[f"{name}_ok"] = int(self.flags[idx])
-            record[f"{name}_slack"] = float(self.slacks[idx])
-        return record
-
 
 def harvested_energy(
     ch: ChannelRealization, dv: DecisionVariables, cfg: SystemConfig

@@ -13,6 +13,12 @@ on fuzzed inputs.  Only the containers (``DecisionVariables``,
 ``RateReport``, ``ConstraintReport``, ``RisCoefficients``,
 ``ChannelRealization``) and channel helpers (``path_loss``, ``ula_steering``)
 come from the package.
+
+Last, it keeps the per-array network updates ``srnoma.nn`` and
+``srnoma.agents.td3`` ran before each net got one flat parameter buffer:
+backpropagation into freshly allocated gradient arrays, SGD and Adam steps
+that loop over the parameter arrays, and the per-array soft update.
+``test_nn.py`` compares the flat engine against them bit for bit.
 """
 
 from __future__ import annotations
@@ -326,3 +332,65 @@ def grid_oracle(cfg, ch, ris_mode: str, axes: dict) -> SearchResult:
                                np.array([value["power"]]), one, one, coeff)
         _keep_best(best, dv, evaluate_decision(cfg, ch, dv))
     return best
+
+
+# --------------------------------------------------------------------------
+# per-array network updates
+
+
+def mlp_backward(net, cache: list, grad_out: np.ndarray) -> tuple[list, np.ndarray]:
+    """Mlp.backward over ``net.weights``, each gradient a new array."""
+    grads = [None] * (2 * len(net.weights))
+    g = np.asarray(grad_out, dtype=float)
+    for layer in range(len(net.weights) - 1, -1, -1):
+        a_in = cache[layer]
+        grads[2 * layer] = g.T @ a_in
+        grads[2 * layer + 1] = g.sum(axis=0)
+        g = g @ net.weights[layer]
+        if layer > 0:
+            g = g * (1.0 - cache[layer] ** 2)
+    return grads, g
+
+
+class Sgd:
+    def __init__(self, lr: float) -> None:
+        self.lr = float(lr)
+
+    def step(self, params: list, grads: list) -> None:
+        for p, g in zip(params, grads):
+            if not np.all(np.isfinite(g)):
+                raise RuntimeError("non-finite gradient in SGD step")
+            p -= self.lr * g
+
+
+class Adam:
+    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
+                 eps: float = 1e-8) -> None:
+        self.lr = float(lr)
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.t = 0
+        self._m: list | None = None
+        self._v: list | None = None
+
+    def step(self, params: list, grads: list) -> None:
+        if self._m is None:
+            self._m = [np.zeros_like(p) for p in params]
+            self._v = [np.zeros_like(p) for p in params]
+        self.t += 1
+        correction1 = 1.0 - self.beta1 ** self.t
+        correction2 = 1.0 - self.beta2 ** self.t
+        for p, g, m, v in zip(params, grads, self._m, self._v):
+            if not np.all(np.isfinite(g)):
+                raise RuntimeError("non-finite gradient in Adam step")
+            m[...] = self.beta1 * m + (1.0 - self.beta1) * g
+            v[...] = self.beta2 * v + (1.0 - self.beta2) * g * g
+            p -= self.lr * (m / correction1) / (np.sqrt(v / correction2) + self.eps)
+
+
+def soft_update(target_params: list, online_params: list, mix: float) -> None:
+    """target <- (1 - mix) * target + mix * online, parameter-wise."""
+    for t, o in zip(target_params, online_params):
+        t *= 1.0 - mix
+        t += mix * o

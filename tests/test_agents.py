@@ -29,7 +29,7 @@ from srnoma.agents import (
 from srnoma.env import SrEnv
 from srnoma.harness import _greedy_action
 from srnoma.network import SystemConfig
-from srnoma.nn import Mlp, load_checkpoint
+from srnoma.nn import GaussianPolicy, Mlp, load_checkpoint
 
 
 def tiny_env(steps=5, **over):
@@ -430,8 +430,8 @@ class TestA3c:
         agent = A3cAgent(state_dim=1, action_dim=1, hidden=(), actor_lr=0.1,
                          critic_lr=0.1, seed=1)
         log_std_before = agent.policy.log_std.copy()
-        zero_actor = [np.zeros_like(p) for p in agent.policy.net.parameters()]
-        zero_critic = [np.zeros_like(p) for p in agent.critic.parameters()]
+        zero_actor = np.zeros_like(agent.policy.net.flat)
+        zero_critic = np.zeros_like(agent.critic.flat)
         agent.apply_gradients(zero_actor, np.array([1.0]), zero_critic)
         np.testing.assert_allclose(agent.policy.log_std, log_std_before - 0.1)
 
@@ -545,6 +545,90 @@ class TestTrain:
             frozen = clone.policy_old.parameters() + clone.critic_old.parameters()
             for mine, old in zip(live, frozen):
                 np.testing.assert_array_equal(old, mine)
+
+
+# ===========================================================================
+# flat parameter buffers and hyperparameter checks
+# ===========================================================================
+
+
+def _all_nets(agent):
+    """Every net an agent holds, the policies' nets included."""
+    held = vars(agent).values()
+    return ([v for v in held if isinstance(v, Mlp)]
+            + [v.net for v in held if isinstance(v, GaussianPolicy)])
+
+
+def _assert_views_share_buffers(agent):
+    for net in _all_nets(agent):
+        for p in net.weights + net.biases + net.parameters():
+            assert np.shares_memory(p, net.flat)
+
+
+class TestFlatBuffers:
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_views_stay_views(self, algo):
+        # after training (every update kind), a state-dict load and copy()
+        env = tiny_env(steps=5)
+        hyper = {"hidden": (8,), "minibatch": 4, "workers": 2, "k_steps": 3,
+                 "optimizer": "adam"}
+        agent, _ = train(algo, env, episodes=2, seed=3, hyper=hyper)
+        assert len(_all_nets(agent)) == {"ppo": 4, "td3": 6, "a3c": 2}[algo]
+        _assert_views_share_buffers(agent)
+        clone = build_agent(algo, env.state_dim, env.action_dim, hyper, seed=99)
+        clone.load_state_dict(agent.state_dict())
+        _assert_views_share_buffers(clone)
+        for net in _all_nets(clone):
+            dup = net.copy()
+            np.testing.assert_array_equal(dup.flat, net.flat)
+            assert all(np.shares_memory(p, dup.flat) for p in dup.weights + dup.biases)
+
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_adam_moments_are_saved_per_parameter(self, algo):
+        # the per-parameter shapes older checkpoints were written with
+        env = tiny_env(steps=5)
+        hyper = {"hidden": (8,), "minibatch": 4, "k_steps": 3, "optimizer": "adam"}
+        agent, _ = train(algo, env, episodes=2, seed=3, hyper=hyper)
+        nets, optimizers, _ = agent._checkpoint_parts()
+        arrays = agent.state_dict()
+        for name in optimizers:
+            owner = nets[name[len("opt_"):]]
+            with_log_std = algo != "td3" and name == "opt_actor"
+            params = owner.parameters() + ([agent.policy.log_std] if with_log_std else [])
+            for i, p in enumerate(params):
+                assert arrays[f"{name}/m{i}"].shape == p.shape
+                assert arrays[f"{name}/v{i}"].shape == p.shape
+            assert f"{name}/m{len(params)}" not in arrays
+
+
+class TestHyperparameterChecks:
+    @pytest.mark.parametrize("over, field", [
+        ({"policy_delay": 0}, "policy_delay"),
+        ({"minibatch": 0}, "minibatch"),
+        ({"buffer_size": 5, "minibatch": 16}, "buffer_size"),
+        ({"actor_lr": -1.0}, "actor_lr"),
+        ({"actor_lr": 0.0}, "actor_lr"),
+        ({"critic_lr": float("nan")}, "critic_lr"),
+        ({"critic_lr": float("inf")}, "critic_lr"),
+    ])
+    def test_td3_rejects(self, over, field):
+        with pytest.raises(ValueError, match=field):
+            Td3Agent(state_dim=2, action_dim=1, hidden=(4,), **over)
+
+    @pytest.mark.parametrize("cls", [PpoAgent, A3cAgent])
+    @pytest.mark.parametrize("over, field", [
+        ({"actor_lr": -1.0}, "actor_lr"),
+        ({"critic_lr": float("nan")}, "critic_lr"),
+    ])
+    def test_policy_agents_reject_bad_learning_rates(self, cls, over, field):
+        with pytest.raises(ValueError, match=field):
+            cls(state_dim=2, action_dim=1, hidden=(4,), **over)
+
+    def test_smallest_valid_td3_settings_are_accepted(self):
+        agent = Td3Agent(state_dim=2, action_dim=1, hidden=(4,), policy_delay=1,
+                         minibatch=1, buffer_size=1, actor_lr=1e-12)
+        agent.observe(np.zeros(2), np.zeros(1), 1.0, np.zeros(2), 0.0)
+        assert agent.update() is True
 
 
 if __name__ == "__main__":

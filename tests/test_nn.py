@@ -2,14 +2,18 @@
 
 The backward pass is checked against central finite differences, the policy
 head against quadrature of its own density, the optimizers against single-step
-arithmetic, and checkpoints against exact array round-trips.
+arithmetic, and checkpoints against exact array round-trips.  The flat
+parameter buffers, the whole-buffer optimizer steps and soft update are
+checked bit for bit against the per-array code in ``scalar_reference``.
 """
 
 import math
 
 import numpy as np
 import pytest
+import scalar_reference as ref
 
+from srnoma.agents import soft_update
 from srnoma.nn import (
     LOG_STD_MAX,
     LOG_STD_MIN,
@@ -199,6 +203,135 @@ class TestOptimizers:
             make_optimizer("rmsprop", 0.1)
 
 
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    def test_nonfinite_last_buffer_leaves_everything_unchanged(self, kind):
+        params = [np.array([1.0, -2.0, 0.5]), np.array([0.25, 4.0])]
+        opt = make_optimizer(kind, 0.1)
+        opt.step(params, [np.array([0.5, -1.0, 2.0]), np.array([1.0, -3.0])])
+        kept = [p.copy() for p in params]
+        state = {key: np.copy(value) for key, value in opt.state_arrays().items()}
+        with pytest.raises(NonFiniteGradientError):
+            opt.step(params, [np.array([0.5, 0.5, 0.5]), np.array([0.0, np.inf])])
+        for p, q in zip(params, kept):
+            np.testing.assert_array_equal(p, q)
+        after = opt.state_arrays()
+        assert set(after) == set(state)
+        for key, value in state.items():
+            np.testing.assert_array_equal(after[key], value, err_msg=key)
+
+
+# ===========================================================================
+# flat engine against the per-array reference
+# ===========================================================================
+
+
+def assert_same_bits(got, want, what=""):
+    got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+    assert got.shape == want.shape, what
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64), err_msg=what)
+
+
+def make_optimizers(kind, shapes):
+    lr = 0.01 if kind == "sgd" else 0.001
+    return make_optimizer(kind, lr, shapes), ref.Sgd(lr) if kind == "sgd" else ref.Adam(lr)
+
+
+def assert_same_moments(opt, ref_opt):
+    """Adam's checkpointed moments equal the reference's per-parameter arrays."""
+    state = opt.state_arrays()
+    if isinstance(ref_opt, ref.Sgd):
+        assert state == {}
+        return
+    assert int(state["t"]) == ref_opt.t
+    assert len(state) == 1 + 2 * len(ref_opt._m)
+    for i, (m, v) in enumerate(zip(ref_opt._m, ref_opt._v)):
+        assert_same_bits(state[f"m{i}"], m, f"m{i}")
+        assert_same_bits(state[f"v{i}"], v, f"v{i}")
+
+
+class TestFlatEngine:
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    @pytest.mark.parametrize("sizes, steps", [
+        ((5, 3), 50), ((6, 8, 2), 50), ((111, 32, 32, 1), 50), ((20, 64, 64, 4), 50),
+        ((111, 400, 300, 1), 3),
+    ])
+    def test_training_matches_per_array_reference(self, sizes, steps, kind):
+        rng = np.random.default_rng(len(sizes) * 1000 + sizes[1])
+        net = Mlp(sizes, rng)
+        twin = net.copy()
+        opt, ref_opt = make_optimizers(kind, net.shapes)
+        for step in range(steps):
+            x = rng.standard_normal((16, sizes[0]))
+            grad_out = rng.standard_normal((16, sizes[-1]))
+            grads, grad_in = net.backward(net.forward_cached(x)[1], grad_out)
+            ref_grads, ref_grad_in = ref.mlp_backward(twin, twin.forward_cached(x)[1], grad_out)
+            for i, (g, r) in enumerate(zip(grads, ref_grads)):
+                assert_same_bits(g, r, f"step {step} gradient {i}")
+            assert_same_bits(grad_in, ref_grad_in, f"step {step} input gradient")
+            opt.step([net.flat], [grads.flat])
+            ref_opt.step(twin.parameters(), ref_grads)
+            assert_same_bits(net.flat, twin.flat, f"step {step} parameters")
+        assert_same_moments(opt, ref_opt)
+
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    def test_policy_step_with_log_std_matches_reference(self, kind):
+        rng = np.random.default_rng(3)
+        pol = GaussianPolicy(Mlp((5, 16, 16, 3), rng), init_log_std=-0.3)
+        twin = pol.copy()
+        opt, ref_opt = make_optimizers(kind, pol.shapes)
+        for step in range(50):
+            states = rng.standard_normal((8, 5))
+            pres = rng.standard_normal((8, 3))
+            coeff = rng.standard_normal(8)
+            net_grads, log_std_grad = pol.grad_weighted_log_prob(states, pres, coeff)
+            ref_net_grads, ref_log_std_grad = twin.grad_weighted_log_prob(states, pres, coeff)
+            ref_grads = list(ref_net_grads) + [ref_log_std_grad]
+            opt.step([pol.net.flat, pol.log_std], [net_grads.flat, log_std_grad])
+            ref_opt.step(twin.parameters(), ref_grads)
+            pol.clamp_log_std()
+            twin.clamp_log_std()
+            for i, (p, q) in enumerate(zip(pol.parameters(), twin.parameters())):
+                assert_same_bits(p, q, f"step {step} parameter {i}")
+        assert_same_moments(opt, ref_opt)
+
+    def test_soft_update_matches_reference(self):
+        rng = np.random.default_rng(4)
+        online = Mlp((7, 32, 32, 2), rng)
+        target = Mlp((7, 32, 32, 2), rng)
+        twin = target.copy()
+        for _ in range(20):
+            online.flat += 0.01 * rng.standard_normal(online.flat.size)
+            soft_update(target, online, 0.005)
+            ref.soft_update(twin.parameters(), online.parameters(), 0.005)
+            assert_same_bits(target.flat, twin.flat)
+
+    def test_copy_and_load_from_are_exact(self):
+        rng = np.random.default_rng(5)
+        net = Mlp((4, 8, 8, 2), rng)
+        dup = net.copy()
+        assert_same_bits(dup.flat, net.flat)
+        assert not np.shares_memory(dup.flat, net.flat)
+        other = Mlp((4, 8, 8, 2), rng)
+        net.load_from(other)
+        for p, q in zip(net.parameters(), other.parameters()):
+            assert_same_bits(p, q)
+        for n in (net, dup):
+            for p in n.weights + n.biases:
+                assert np.shares_memory(p, n.flat)
+
+    def test_backward_gradients_are_views_of_one_flat_buffer(self):
+        net = Mlp((3, 5, 2), np.random.default_rng(6))
+        grads, _ = net.backward(net.forward_cached(np.ones((2, 3)))[1], np.ones((2, 2)))
+        offset = 0
+        for g, p in zip(grads, net.parameters()):
+            assert g.shape == p.shape and np.shares_memory(g, grads.flat)
+            assert_same_bits(g.ravel(), grads.flat[offset : offset + g.size])
+            offset += g.size
+        assert offset == grads.flat.size == net.flat.size
+        again, _ = net.backward(net.forward_cached(np.ones((2, 3)))[1], np.ones((2, 2)))
+        assert not np.shares_memory(again.flat, grads.flat)  # each call owns its buffer
+
+
 # ===========================================================================
 # Gaussian policy head
 # ===========================================================================
@@ -223,9 +356,8 @@ class TestGaussianPolicy:
         state = np.array([0.3, -0.7])
         grid = np.linspace(-1 + 1e-6, 1 - 1e-6, 20001)
         dx = grid[1] - grid[0]
-        dens = np.array(
-            [math.exp(pol.log_prob_of_action(state, np.array([a]))) for a in grid]
-        )
+        states = np.tile(state, (grid.size, 1))
+        dens = np.exp(pol.log_prob(states, np.arctanh(grid)[:, None]))
         integral = float(np.sum(dens) * dx)
         assert abs(integral - 1.0) < 1e-3, f"density integrates to {integral}"
 
@@ -240,13 +372,6 @@ class TestGaussianPolicy:
             logps.append(logp)
         batch = pol.log_prob(states, np.stack(pres))
         np.testing.assert_allclose(batch, logps, rtol=1e-12)
-
-    def test_entropy_closed_form(self):
-        pol = self.make_policy(action_dim=2, init_log_std=0.0)
-        expected = 2 * 0.5 * math.log(2 * math.pi * math.e)
-        assert math.isclose(pol.entropy(), expected, rel_tol=1e-12)
-        pol.log_std[...] = [1.0, -1.0]
-        assert math.isclose(pol.entropy(), expected, rel_tol=1e-12)
 
     def test_log_std_clamp(self):
         pol = self.make_policy()

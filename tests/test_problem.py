@@ -128,7 +128,7 @@ class TestConstraints:
     def test_clean_scene_satisfies_everything(self):
         cfg = make_cfg(harvest_threshold_joules=1e-3)
         report = evaluate(make_decision(), cfg=cfg)
-        assert report.all_satisfied, (
+        assert report.flags.all(), (
             f"violated: {[n for n, f in zip(CONSTRAINT_NAMES, report.flags) if not f]}"
         )
         assert report.satisfied_count == N_CONSTRAINTS
@@ -261,14 +261,6 @@ class TestReportAndReward:
     def test_report_length_enforced(self):
         with pytest.raises(ValueError):
             ConstraintReport(np.ones(5, dtype=bool), np.zeros(5))
-
-    def test_record_has_flag_and_slack_per_constraint(self):
-        report = evaluate(make_decision())
-        record = report.as_record()
-        assert len(record) == 2 * N_CONSTRAINTS
-        for name in CONSTRAINT_NAMES:
-            assert f"{name}_ok" in record and f"{name}_slack" in record
-        assert all(isinstance(v, (int, float)) for v in record.values())
 
     def test_literal_reward_counts_bonuses(self):
         full = ConstraintReport(np.ones(N_CONSTRAINTS, bool), np.zeros(N_CONSTRAINTS))
