@@ -15,7 +15,7 @@ from .network import (
 )
 from .problem import ConstraintReport, evaluate_constraints, harvested_energy, objective, reward
 from .rates import DecisionVariables, RateReport, rate_report, sic_order
-from .ris import RisCoefficients, equal_energy_split
+from .ris import RisCoefficients
 
 __all__ = [
     "ChannelRealization",
@@ -30,7 +30,6 @@ __all__ = [
     "dbm_to_watts",
     "decode_action",
     "draw_realization",
-    "equal_energy_split",
     "evaluate_constraints",
     "harvested_energy",
     "make_placement",

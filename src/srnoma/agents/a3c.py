@@ -1,9 +1,12 @@
 """Asynchronous advantage actor-critic.
 
 Several workers hold private environments, private RNG streams and private
-copies of the global actor/critic.  Each worker repeatedly syncs its copies
-from the global store, rolls out up to k steps, computes k-step returns and
-advantages locally, and pushes its gradients to the globals.
+copies of the global actor/critic.  A worker plays its episode through the
+shared ``rollout`` driver and cuts it into segments of k steps (the last one
+may be shorter).  Before each segment it syncs its copies from the global
+store; after it, it computes the k-step returns and advantages locally,
+bootstrapping from its critic copy (from 0 at the episode's end), and pushes
+its gradients to the globals.
 
 Workers take turns on one thread: in every outer episode each worker, in
 fixed worker order, plays its whole episode on the globals the workers
@@ -16,8 +19,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..network import derive_keys, philox
 from ..nn import GaussianPolicy, Mlp, make_optimizer
-from .common import Checkpointed, EpisodeStats, check_learning_rates, derive_keys, philox
+from .common import Checkpointed, EpisodeStats, check_at_least, check_learning_rates, rollout
 
 
 def kstep_returns(rewards: np.ndarray, bootstrap: float, discount: float) -> np.ndarray:
@@ -48,6 +52,7 @@ class A3cAgent(Checkpointed):
         seed: int = 0,
     ) -> None:
         check_learning_rates(actor_lr=actor_lr, critic_lr=critic_lr)
+        check_at_least(workers=(workers, 1), k_steps=(k_steps, 1))
         (init_key,) = derive_keys(seed, 1)
         init_rng = philox(init_key)
         self.policy = GaussianPolicy(Mlp((state_dim, *hidden, action_dim), init_rng),
@@ -96,30 +101,29 @@ class A3cAgent(Checkpointed):
         return actor_grads.flat, log_std_grad, critic_grads.flat
 
     def worker_episode(self, env, episode_seed: int, rng: np.random.Generator) -> EpisodeStats:
-        """One full episode of collect-k / push-gradients cycles."""
+        """One full episode of collect-k / push-gradients cycles.
+
+        A segment ends after k steps or at the episode's end, whichever comes
+        first; it bootstraps from the local critic, or from 0 at the end.
+        """
         local_policy = self.policy.copy()
         local_critic = self.critic.copy()
-        state = env.reset(episode_seed)
         stats = EpisodeStats()
-        done = False
-        while not done:
-            self.snapshot(local_policy, local_critic)
-            states, pres, rewards = [], [], []
-            while len(rewards) < self.k_steps and not done:
-                action, pre, _ = local_policy.sample(state, rng)
-                result = env.step(action)
-                states.append(state)
-                pres.append(pre)
-                rewards.append(result.reward)
-                stats.add(result.reward, result.info.min_rate, result.info.satisfied_count)
-                state = result.state
-                done = result.done
-            bootstrap = 0.0 if done else float(local_critic.forward(state)[0])
-            returns = kstep_returns(np.asarray(rewards), bootstrap, self.discount)
-            grads = self.segment_gradients(
-                local_policy, local_critic, np.stack(states), np.stack(pres), returns
-            )
-            self.apply_gradients(*grads)
+        segment = []
+        self.snapshot(local_policy, local_critic)
+        for state, (_, pre, _), result in rollout(
+                env, episode_seed, lambda s: local_policy.sample(s, rng), stats):
+            segment.append((state, pre, result.reward))
+            if len(segment) < self.k_steps and not result.done:
+                continue
+            bootstrap = 0.0 if result.done else float(local_critic.forward(result.state)[0])
+            states, pres, rewards = (np.asarray(c) for c in zip(*segment))
+            returns = kstep_returns(rewards, bootstrap, self.discount)
+            self.apply_gradients(
+                *self.segment_gradients(local_policy, local_critic, states, pres, returns))
+            segment = []
+            if not result.done:
+                self.snapshot(local_policy, local_critic)
         return stats
 
     def run_episode_round(self, envs: list, episode_seeds: list, rngs: list) -> list:

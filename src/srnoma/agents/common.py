@@ -1,5 +1,5 @@
-"""Shared training plumbing: replay storage, episode traces, seed derivation,
-checkpoint arrays."""
+"""Shared training plumbing: the episode driver, replay storage, episode
+traces, hyperparameter checks, checkpoint arrays."""
 
 from __future__ import annotations
 
@@ -8,20 +8,20 @@ import math
 
 import numpy as np
 
-
-def derive_keys(seed: int, count: int) -> list[int]:
-    """Independent 64-bit generator keys fanned out from one master seed."""
-    return [int(k) for k in np.random.SeedSequence(seed).generate_state(count, np.uint64)]
-
-
-def philox(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(seed))
+from ..network import derive_keys, next_seed, philox
 
 
 def check_learning_rates(**rates) -> None:
     for name, lr in rates.items():
         if not (math.isfinite(lr) and lr > 0.0):
             raise ValueError(f"{name} must be finite and > 0, got {lr!r}")
+
+
+def check_at_least(**bounds) -> None:
+    """Raise unless every ``name=(value, least)`` has value >= least."""
+    for name, (value, least) in bounds.items():
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value!r}")
 
 
 class Checkpointed:
@@ -140,19 +140,35 @@ class EpisodeStats:
         return self.reward_sum / n, self.min_rate_sum / n, self.satisfied_sum / n
 
 
+def rollout(env, seed: int, act, stats: EpisodeStats):
+    """Play one episode of ``env`` from ``reset(seed)``; the only place the
+    package resets or steps an environment.
+
+    Each step calls ``act(state)``, which returns a tuple whose first item is
+    the action, steps that action, adds the step to ``stats`` and yields
+    ``(state, choice, result)``: the state acted on, act's tuple and the
+    StepResult.  The generator resumes, and so calls ``act`` again, only
+    after the consumer has handled the step.
+    """
+    state = env.reset(seed)
+    done = False
+    while not done:
+        choice = act(state)
+        result = env.step(choice[0])
+        stats.add(result.reward, result.info.min_rate, result.info.satisfied_count)
+        yield state, choice, result
+        state, done = result.state, result.done
+
+
 def random_policy_trace(env, episodes: int, seed: int) -> TrainingTrace:
     """Uniform-action rollouts; the reference noise floor for learning curves."""
     env_key, act_key = derive_keys(seed, 2)
-    env_seeds = philox(env_key)
-    act_rng = philox(act_key)
+    env_seeds, act_rng = philox(env_key), philox(act_key)
+    act = lambda _state: (act_rng.uniform(-1.0, 1.0, env.action_dim),)
     trace = TrainingTrace()
     for ep in range(episodes):
-        env.reset(int(env_seeds.integers(0, 2**63)))
         stats = EpisodeStats()
-        done = False
-        while not done:
-            result = env.step(act_rng.uniform(-1.0, 1.0, env.action_dim))
-            stats.add(result.reward, result.info.min_rate, result.info.satisfied_count)
-            done = result.done
+        for _ in rollout(env, next_seed(env_seeds), act, stats):
+            pass
         trace.append(ep, *stats.means())
     return trace

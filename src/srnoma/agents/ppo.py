@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..network import derive_keys, philox
 from ..nn import GaussianPolicy, Mlp, make_optimizer
-from .common import Checkpointed, check_learning_rates, derive_keys, philox
+from .common import Checkpointed, check_at_least, check_learning_rates
 
 
 def advantage_and_target(
@@ -45,6 +46,7 @@ class PpoAgent(Checkpointed):
         seed: int = 0,
     ) -> None:
         check_learning_rates(actor_lr=actor_lr, critic_lr=critic_lr)
+        check_at_least(minibatch=(minibatch, 1), update_epochs=(update_epochs, 1))
         init_key, sample_key = derive_keys(seed, 2)
         init_rng = philox(init_key)
         sizes = (state_dim, *hidden)

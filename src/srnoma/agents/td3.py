@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..network import derive_keys, philox
 from ..nn import Mlp, make_optimizer
-from .common import Checkpointed, ReplayBuffer, check_learning_rates, derive_keys, philox
+from .common import Checkpointed, ReplayBuffer, check_at_least, check_learning_rates
 
 
 def td3_target(reward, discount, q1, q2, done=0.0):
@@ -45,10 +46,8 @@ class Td3Agent(Checkpointed):
         seed: int = 0,
     ) -> None:
         check_learning_rates(actor_lr=actor_lr, critic_lr=critic_lr)
-        for name, value, least in (("policy_delay", policy_delay, 1), ("minibatch", minibatch, 1),
-                                   ("buffer_size", buffer_size, minibatch)):
-            if value < least:
-                raise ValueError(f"{name} must be >= {least}, got {value!r}")
+        check_at_least(policy_delay=(policy_delay, 1), minibatch=(minibatch, 1),
+                       buffer_size=(buffer_size, minibatch))
         init_key, noise_key = derive_keys(seed, 2)
         init_rng = philox(init_key)
         self.state_dim = state_dim

@@ -7,9 +7,10 @@ import os
 
 import numpy as np
 
+from ..network import derive_keys, next_seed, philox
 from ..nn import NonFiniteGradientError, save_checkpoint
 from .a3c import A3cAgent, kstep_returns
-from .common import EpisodeStats, TrainingTrace, derive_keys, philox
+from .common import EpisodeStats, TrainingTrace, rollout
 from .ppo import PpoAgent, advantage_and_target
 from .td3 import Td3Agent
 
@@ -44,44 +45,22 @@ def _checkpoint(agent, algo: str, directory, episode: int, final: bool) -> None:
 
 
 def _ppo_episode(agent: PpoAgent, env, episode_seed: int) -> EpisodeStats:
-    state = env.reset(episode_seed)
-    states, pres, log_probs, rewards, next_states, dones = [], [], [], [], [], []
     stats = EpisodeStats()
-    done = False
-    while not done:
-        action, pre, log_prob = agent.act(state)
-        result = env.step(action)
-        states.append(state)
-        pres.append(pre)
-        log_probs.append(log_prob)
-        rewards.append(result.reward)
-        next_states.append(result.state)
-        dones.append(float(result.done))
-        stats.add(result.reward, result.info.min_rate, result.info.satisfied_count)
-        state = result.state
-        done = result.done
-    batch_states = np.stack(states)
-    values = agent.old_values(batch_states)
-    next_values = agent.old_values(np.stack(next_states))
+    steps = [(state, pre, log_prob, result.reward, result.state, float(result.done))
+             for state, (_, pre, log_prob), result in rollout(env, episode_seed, agent.act, stats)]
+    states, pres, log_probs, rewards, next_states, dones = (np.asarray(c) for c in zip(*steps))
     advantages, targets = advantage_and_target(
-        np.asarray(rewards), values, next_values, np.asarray(dones), agent.discount
+        rewards, agent.old_values(states), agent.old_values(next_states), dones, agent.discount
     )
-    agent.update(batch_states, np.stack(pres), np.asarray(log_probs), advantages, targets)
+    agent.update(states, pres, log_probs, advantages, targets)
     return stats
 
 
 def _td3_episode(agent: Td3Agent, env, episode_seed: int) -> EpisodeStats:
-    state = env.reset(episode_seed)
     stats = EpisodeStats()
-    done = False
-    while not done:
-        action = agent.act(state)
-        result = env.step(action)
+    for state, (action,), result in rollout(env, episode_seed, lambda s: (agent.act(s),), stats):
         agent.observe(state, action, result.reward, result.state, float(result.done))
         agent.update()
-        stats.add(result.reward, result.info.min_rate, result.info.satisfied_count)
-        state = result.state
-        done = result.done
     return stats
 
 
@@ -107,24 +86,20 @@ def train(
     if algo == "a3c":
         envs = [env] + [env.replicate() for _ in range(agent.workers - 1)]
         worker_keys = derive_keys(env_key, 2 * agent.workers)
-        seed_streams = [philox(worker_keys[2 * w]) for w in range(agent.workers)]
-        action_rngs = [philox(worker_keys[2 * w + 1]) for w in range(agent.workers)]
+        seed_streams = [philox(key) for key in worker_keys[0::2]]
+        action_rngs = [philox(key) for key in worker_keys[1::2]]
     else:
         seed_stream = philox(env_key)
+        play = _ppo_episode if algo == "ppo" else _td3_episode
 
     for episode in range(episodes):
         try:
-            if algo == "ppo":
-                stats = _ppo_episode(agent, env, int(seed_stream.integers(0, 2**63)))
-                means = stats.means()
-            elif algo == "td3":
-                stats = _td3_episode(agent, env, int(seed_stream.integers(0, 2**63)))
-                means = stats.means()
+            if algo == "a3c":
+                rounds = agent.run_episode_round(
+                    envs, [next_seed(s) for s in seed_streams], action_rngs)
+                means = tuple(float(np.mean(col)) for col in zip(*(s.means() for s in rounds)))
             else:
-                episode_seeds = [int(s.integers(0, 2**63)) for s in seed_streams]
-                rounds = agent.run_episode_round(envs, episode_seeds, action_rngs)
-                per_worker = [s.means() for s in rounds]
-                means = tuple(float(np.mean(col)) for col in zip(*per_worker))
+                means = play(agent, env, next_seed(seed_stream)).means()
         except NonFiniteGradientError:
             trace.aborted = True
             break

@@ -10,11 +10,9 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import __version__, harness
 from .agents import ALGORITHMS, train
-from .network import draw_realization, make_placement
+from .network import derive_keys, draw_realization, make_placement
 
 
 def _add_config_arg(parser: argparse.ArgumentParser) -> None:
@@ -64,10 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _scene_from(config: dict, seed: int):
     cfg = harness.system_from(config)
-    keys = np.random.SeedSequence(seed).generate_state(2, np.uint64)
-    placement = make_placement(cfg, int(keys[0]))
-    ch = draw_realization(cfg, placement, int(keys[1]))
-    return cfg, ch
+    placement_key, draw_key = derive_keys(seed, 2)
+    return cfg, draw_realization(cfg, make_placement(cfg, placement_key), draw_key)
 
 
 def _cmd_train(args) -> int:

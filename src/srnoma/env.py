@@ -36,7 +36,8 @@ import math
 import numpy as np
 
 from . import problem, ris
-from .network import ChannelRealization, SystemConfig, draw_realization, make_placement
+from .network import (ChannelRealization, SystemConfig, derive_keys, draw_realization,
+                      make_placement, next_seed, philox)
 from .rates import DecisionVariables, RateReport, rate_report, row_dot
 
 
@@ -188,6 +189,8 @@ class SrEnv:
             raise ValueError(f"unknown surface mode {ris_mode!r}")
         if r_mode not in ("literal", "derived"):
             raise ValueError(f"r_mode must be 'literal' or 'derived', got {r_mode!r}")
+        if episode_steps < 1:
+            raise ValueError(f"episode_steps must be >= 1, got {episode_steps!r}")
         self.cfg = cfg
         self.episode_steps = int(episode_steps)
         self.ris_mode = ris_mode
@@ -238,17 +241,16 @@ class SrEnv:
         return self._stats.normalize(raw)
 
     def reset(self, seed: int) -> np.ndarray:
-        keys = np.random.SeedSequence(seed).generate_state(2, np.uint64)
-        self.placement = make_placement(self.cfg, int(keys[0]))
-        self._channel_rng = np.random.Generator(np.random.Philox(int(keys[1])))
+        placement_key, channel_key = derive_keys(seed, 2)
+        self.placement = make_placement(self.cfg, placement_key)
+        self._channel_rng = philox(channel_key)
         self._current = self._draw()
         self._step_count = 0
         self._done = False
         return self._observe(self._current)
 
     def _draw(self) -> ChannelRealization:
-        seed = int(self._channel_rng.integers(0, 2**63))
-        return draw_realization(self.cfg, self.placement, seed)
+        return draw_realization(self.cfg, self.placement, next_seed(self._channel_rng))
 
     def rate_cap(self) -> float:
         if self.fixed_rate_cap is not None:

@@ -23,13 +23,17 @@ import yaml
 
 from . import problem
 from .agents import A3cAgent, PpoAgent, Td3Agent, random_policy_trace, train
+from .agents.common import EpisodeStats, rollout
 from .env import SrEnv, action_dim, decode_action
 from .network import (
     ChannelRealization,
     SystemConfig,
     dbm_to_watts,
+    derive_keys,
     draw_realization,
     make_placement,
+    next_seed,
+    philox,
 )
 from .rates import DecisionVariables, rate_report
 from .ris import ACTIVE, PASSIVE, RisCoefficients
@@ -61,7 +65,6 @@ def default_config() -> dict:
             "episodes": 2000,
             "seeds": [0, 1, 2],
             "algo": "ppo",
-            "n_eval_channels": 100,
             "checkpoint_every": 0,
         },
         "agents": {
@@ -197,12 +200,7 @@ class SearchResult:
     feasible: bool
     feasible_count: int
     evaluated: int
-
-    @property
-    def sum_rate(self) -> float:
-        return self._sum_rate if self.feasible else float("nan")
-
-    _sum_rate: float = float("nan")
+    sum_rate: float = float("nan")
 
 
 # candidates scored per kernel call by the search baselines
@@ -248,7 +246,7 @@ def _best_feasible(cfg: SystemConfig, ch: ChannelRealization, batches,
             best.objective = float(score[b])
             best.decision = batch.row(b)
             best.feasible = True
-            best._sum_rate = float(sum_rate[b])
+            best.sum_rate = float(sum_rate[b])
     return best
 
 
@@ -264,7 +262,7 @@ def random_search(
     Samples are drawn sequentially from one Philox stream, so a larger budget
     with the same seed evaluates a superset of the candidates.
     """
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = philox(seed)
     budget, dim = int(budget), action_dim(cfg)
     batches = (
         decode_action(rng.uniform(-1.0, 1.0, (min(CHUNK, budget - start), dim)),
@@ -356,17 +354,14 @@ def _baseline_point(config: dict, ris_mode: str, seed: int) -> dict:
     """Average the random-search optimum over fresh channel draws."""
     cfg = system_from(config)
     sweep_cfg = config["sweep"]
-    keys = np.random.SeedSequence(seed).generate_state(3, np.uint64)
-    placement = make_placement(cfg, int(keys[0]))
-    draw_rng = np.random.Generator(np.random.Philox(int(keys[1])))
-    search_rng = np.random.Generator(np.random.Philox(int(keys[2])))
+    placement_key, draw_key, search_key = derive_keys(seed, 3)
+    placement = make_placement(cfg, placement_key)
+    draw_rng, search_rng = philox(draw_key), philox(search_key)
     min_rates, sum_rates = [], []
     feasible_channels = 0
     for _ in range(int(sweep_cfg["n_channels"])):
-        ch = draw_realization(cfg, placement, int(draw_rng.integers(0, 2**63)))
-        result = random_search(
-            cfg, ch, ris_mode, sweep_cfg["budget"], int(search_rng.integers(0, 2**63))
-        )
+        ch = draw_realization(cfg, placement, next_seed(draw_rng))
+        result = random_search(cfg, ch, ris_mode, sweep_cfg["budget"], next_seed(search_rng))
         if result.feasible:
             feasible_channels += 1
             min_rates.append(result.objective)
@@ -388,23 +383,14 @@ def _greedy_action(agent, state: np.ndarray) -> np.ndarray:
 
 def evaluate_policy(agent, env: SrEnv, episodes: int, seed: int) -> dict:
     """Greedy rollouts; means over all steps of all episodes."""
-    seeds = np.random.Generator(np.random.Philox(seed))
-    rewards, min_rates, sum_rates = [], [], []
-    for _ in range(int(episodes)):
-        state = env.reset(int(seeds.integers(0, 2**63)))
-        done = False
-        while not done:
-            result = env.step(_greedy_action(agent, state))
-            rewards.append(result.reward)
-            min_rates.append(result.info.min_rate)
-            sum_rates.append(result.info.rates.sum_rate)
-            state = result.state
-            done = result.done
-    return {
-        "reward": float(np.mean(rewards)),
-        "min_rate": float(np.mean(min_rates)),
-        "sum_rate": float(np.mean(sum_rates)),
-    }
+    seeds = philox(seed)
+    act = lambda state: (_greedy_action(agent, state),)
+    steps = [(result.reward, result.info.min_rate, result.info.rates.sum_rate)
+             for _ in range(int(episodes))
+             for _, _, result in rollout(env, next_seed(seeds), act, EpisodeStats())]
+    columns = np.array(steps).reshape(-1, 3).T
+    return {name: float(np.mean(col))
+            for name, col in zip(("reward", "min_rate", "sum_rate"), columns)}
 
 
 def _train_point(config: dict, ris_mode: str, seed: int) -> dict:
@@ -498,32 +484,16 @@ def sweep(config: dict, out_dir) -> tuple[str, str]:
 
     summary_rows = []
     for value, effective_mode in series:
-        picked = [
-            r["min_rate"]
-            for r in rows
-            if r["value"] == value and r["ris_mode"] == effective_mode
-            and r["status"] == "ok" and not math.isnan(r["min_rate"])
-        ]
-        picked_sum = [
-            r["sum_rate"]
-            for r in rows
-            if r["value"] == value and r["ris_mode"] == effective_mode
-            and r["status"] == "ok" and not math.isnan(r["sum_rate"])
-        ]
-        summary_rows.append(
-            {
-                "config_hash": digest,
-                "variable": variable,
-                "value": value,
-                "ris_mode": effective_mode,
-                "seed": "all",
-                "n_points": len(picked),
-                "min_rate_mean": float(np.mean(picked)) if picked else float("nan"),
-                "min_rate_std": float(np.std(picked)) if picked else float("nan"),
-                "sum_rate_mean": float(np.mean(picked_sum)) if picked_sum else float("nan"),
-                "sum_rate_std": float(np.std(picked_sum)) if picked_sum else float("nan"),
-            }
-        )
+        row = {"config_hash": digest, "variable": variable, "value": value,
+               "ris_mode": effective_mode, "seed": "all"}
+        ok = [r for r in rows if r["value"] == value and r["ris_mode"] == effective_mode
+              and r["status"] == "ok"]
+        row["n_points"] = sum(not math.isnan(r["min_rate"]) for r in ok)
+        for name in ("min_rate", "sum_rate"):
+            picked = [r[name] for r in ok if not math.isnan(r[name])]
+            row[f"{name}_mean"] = float(np.mean(picked)) if picked else float("nan")
+            row[f"{name}_std"] = float(np.std(picked)) if picked else float("nan")
+        summary_rows.append(row)
     summary_path = os.path.join(out_dir, "sweep_summary.csv")
     write_csv(summary_path, _SUMMARY_HEADER, summary_rows)
     return points_path, summary_path

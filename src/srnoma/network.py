@@ -25,8 +25,11 @@ Conventions
   h2 stores the surface-side view of the BS->surface link, i.e. the matrix
   that left-multiplies a BS beamforming vector after the element-wise surface
   response has been applied.
-* All randomness comes from counter-based Philox generators keyed by 64-bit
-  seeds, so placements and realizations are reproducible across platforms.
+* All randomness in the package comes from counter-based Philox generators
+  keyed by 64-bit seeds, so placements and realizations are reproducible
+  across platforms.  The seeding rules live here: ``philox`` builds a
+  generator, ``derive_keys`` fans one seed out into independent keys and
+  ``next_seed`` draws the next seed of a seed stream.
   One realization takes all its normals from one ``standard_normal`` call, in
   block order h1, g1, h2, h3, g2r, g2t and, within a block, real parts before
   imaginary parts.
@@ -168,8 +171,19 @@ class Placement:
         return np.linalg.norm(self.sue_transmit - self.asris, axis=1)
 
 
-def _philox(seed: int) -> np.random.Generator:
+def philox(seed: int) -> np.random.Generator:
+    """The package's one generator kind: counter-based Philox keyed by ``seed``."""
     return np.random.Generator(np.random.Philox(seed))
+
+
+def derive_keys(seed: int, count: int) -> list[int]:
+    """Independent 64-bit generator keys fanned out from one master seed."""
+    return [int(k) for k in np.random.SeedSequence(seed).generate_state(count, np.uint64)]
+
+
+def next_seed(rng: np.random.Generator) -> int:
+    """The next seed a seed stream hands out, uniform on [0, 2**63)."""
+    return int(rng.integers(0, 2**63))
 
 
 def make_placement(cfg: SystemConfig, seed: int) -> Placement:
@@ -184,7 +198,7 @@ def make_placement(cfg: SystemConfig, seed: int) -> Placement:
     (0.6 * d_bs_sue_max_m, capped by d_bs_asris_max_m) so that the transmit
     half of the disc is nonempty.
     """
-    rng = _philox(seed)
+    rng = philox(seed)
     i = cfg.n_pairs
     bs = np.zeros(2)
     d_asris = min(cfg.d_bs_asris_max_m, 0.6 * cfg.d_bs_sue_max_m)
@@ -382,7 +396,7 @@ def draw_realization(cfg: SystemConfig, placement: Placement, seed: int) -> Chan
     at the placement's first draw and cached on it; see ``_channel_terms``.
     """
     terms = _channel_terms(cfg, placement)
-    z = _philox(seed).standard_normal(terms.n_normals)
+    z = philox(seed).standard_normal(terms.n_normals)
     w = z[terms.re] + 1j * z[terms.im]
     np.multiply(terms.scale, w, out=w)
     rician = w[terms.n_rayleigh :]

@@ -16,8 +16,6 @@ import dataclasses
 
 import numpy as np
 
-from .network import SystemConfig
-
 ACTIVE = "active"
 PASSIVE = "passive"
 
@@ -44,10 +42,6 @@ class RisCoefficients:
             if getattr(self, name).shape != m:
                 raise ValueError("coefficient arrays must share one shape per element")
 
-    @property
-    def n_elements(self) -> int:
-        return self.beta_t.shape[-1]
-
 
 def response_vector(coeff: RisCoefficients, side: str) -> np.ndarray:
     """Element-wise response sqrt(beta) * exp(j theta) of one side.
@@ -66,20 +60,3 @@ def response_vector(coeff: RisCoefficients, side: str) -> np.ndarray:
     if np.any(beta < 0.0):
         raise ValueError("invalid surface coefficients: negative amplitude gain")
     return np.sqrt(beta) * np.exp(1j * theta)
-
-
-def equal_energy_split(
-    cfg: SystemConfig,
-    theta_t: np.ndarray | None = None,
-    theta_r: np.ndarray | None = None,
-) -> RisCoefficients:
-    """Active-surface protocol that spreads the amplification budget evenly:
-    every element gets beta = p_asris / 2 on both sides."""
-    m = cfg.n_ris_elements
-    beta = np.full(m, cfg.p_asris_watts / 2.0)
-    if theta_t is None:
-        theta_t = np.zeros(m)
-    if theta_r is None:
-        theta_r = np.zeros(m)
-    return RisCoefficients(beta.copy(), beta.copy(), np.asarray(theta_t, dtype=float),
-                           np.asarray(theta_r, dtype=float), mode=ACTIVE)

@@ -303,7 +303,7 @@ def _keep_best(best: SearchResult, dv, scored) -> None:
             best.objective = min_rate_value
             best.decision = dv
             best.feasible = True
-            best._sum_rate = sum_rate_value
+            best.sum_rate = sum_rate_value
 
 
 def random_search(cfg, ch, ris_mode: str, budget: int, seed: int) -> SearchResult:

@@ -26,6 +26,8 @@ from srnoma.agents import (
     td3_target,
     train,
 )
+from srnoma.agents import a3c as a3c_module
+from srnoma.agents.common import EpisodeStats, rollout
 from srnoma.env import SrEnv
 from srnoma.harness import _greedy_action
 from srnoma.network import SystemConfig
@@ -116,6 +118,42 @@ class TestTrace:
         random_policy_trace(env, episodes=3, seed=5).to_csv(a, "h", 5)
         random_policy_trace(env, episodes=3, seed=5).to_csv(b, "h", 5)
         assert filecmp.cmp(a, b, shallow=False), "identical runs must dump identical bytes"
+
+
+class TestRollout:
+    def test_act_sees_each_state_once_and_stats_sum_every_step(self):
+        env = tiny_env(steps=4)
+        seen = []
+
+        def act(state):
+            seen.append(state)
+            return np.full(env.action_dim, 0.25), "tag"
+
+        stats = EpisodeStats()
+        steps = list(rollout(env, 9, act, stats))
+        assert len(seen) == len(steps) == 4
+        np.testing.assert_array_equal(seen[0], tiny_env(steps=4).reset(9))
+        for k, (state, choice, result) in enumerate(steps):
+            assert state is seen[k] and choice[1] == "tag"
+            if k:
+                assert state is steps[k - 1][2].state
+        assert [r.done for _, _, r in steps] == [False, False, False, True]
+        assert stats.steps == 4
+        assert stats.reward_sum == sum(r.reward for _, _, r in steps)
+        assert stats.min_rate_sum == sum(r.info.min_rate for _, _, r in steps)
+        assert stats.satisfied_sum == sum(r.info.satisfied_count for _, _, r in steps)
+
+    def test_act_runs_only_after_the_consumer_handled_the_step(self):
+        env = tiny_env(steps=3)
+        log = []
+
+        def act(state):
+            log.append("act")
+            return (np.zeros(env.action_dim),)
+
+        for _ in rollout(env, 2, act, EpisodeStats()):
+            log.append("body")
+        assert log == ["act", "body"] * 3
 
 
 # ===========================================================================
@@ -445,6 +483,39 @@ class TestA3c:
         assert len(results) == 3
         assert all(r.steps == 4 for r in results)
 
+    def test_segments_cut_at_k_steps_and_bootstrap_until_the_end(self, monkeypatch):
+        # a 7-step episode with k = 3 gives batches of 3, 3 and 1; the first
+        # two bootstrap from the local critic at the next state, the last from 0
+        env = tiny_env(steps=7)
+        agent = A3cAgent(env.state_dim, env.action_dim, hidden=(4,), workers=1, k_steps=3,
+                         seed=5)
+        real_step, real_gradients = env.step, agent.segment_gradients
+        real_returns = a3c_module.kstep_returns
+        next_states, sizes, critic_values, bootstraps = [], [], [], []
+
+        def step(action):
+            result = real_step(action)
+            next_states.append(result.state)
+            return result
+
+        def segment_gradients(local_policy, local_critic, states, pres, returns):
+            sizes.append(len(states))
+            critic_values.append(float(local_critic.forward(next_states[-1])[0]))
+            return real_gradients(local_policy, local_critic, states, pres, returns)
+
+        def kstep_returns(rewards, bootstrap, discount):
+            bootstraps.append(bootstrap)
+            return real_returns(rewards, bootstrap, discount)
+
+        monkeypatch.setattr(env, "step", step)
+        monkeypatch.setattr(agent, "segment_gradients", segment_gradients)
+        monkeypatch.setattr(a3c_module, "kstep_returns", kstep_returns)
+        stats = agent.worker_episode(env, 4, np.random.Generator(np.random.Philox(0)))
+        assert stats.steps == 7
+        assert sizes == [3, 3, 1]
+        assert bootstraps == [*critic_values[:2], 0.0]
+        assert critic_values[0] != critic_values[1], "each segment bootstraps afresh"
+
     def test_state_dict_round_trip(self):
         agent = A3cAgent(state_dim=2, action_dim=1, hidden=(4,), seed=4)
         clone = A3cAgent(state_dim=2, action_dim=1, hidden=(4,), seed=50)
@@ -623,6 +694,19 @@ class TestHyperparameterChecks:
     def test_policy_agents_reject_bad_learning_rates(self, cls, over, field):
         with pytest.raises(ValueError, match=field):
             cls(state_dim=2, action_dim=1, hidden=(4,), **over)
+
+    @pytest.mark.parametrize("build, field", [
+        (lambda: PpoAgent(state_dim=2, action_dim=1, hidden=(4,), minibatch=0), "minibatch"),
+        (lambda: PpoAgent(state_dim=2, action_dim=1, hidden=(4,), update_epochs=0),
+         "update_epochs"),
+        (lambda: A3cAgent(state_dim=2, action_dim=1, hidden=(4,), workers=0), "workers"),
+        (lambda: A3cAgent(state_dim=2, action_dim=1, hidden=(4,), k_steps=0), "k_steps"),
+        (lambda: tiny_env(steps=0), "episode_steps"),
+    ], ids=["ppo-minibatch", "ppo-update_epochs", "a3c-workers", "a3c-k_steps",
+            "env-episode_steps"])
+    def test_loop_counts_below_one_are_rejected(self, build, field):
+        with pytest.raises(ValueError, match=field):
+            build()
 
     def test_smallest_valid_td3_settings_are_accepted(self):
         agent = Td3Agent(state_dim=2, action_dim=1, hidden=(4,), policy_delay=1,

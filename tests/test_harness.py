@@ -65,7 +65,7 @@ def tiny_yaml(tmp_path, **patches):
             "harvest_threshold_joules": 1e-15,
         },
         "env": {"episode_steps": 4, "rate_cap": 2.0, "normalize_obs": False},
-        "run": {"episodes": 2, "seeds": [0], "algo": "ppo", "n_eval_channels": 2},
+        "run": {"episodes": 2, "seeds": [0], "algo": "ppo"},
         "agents": {"ppo": {"hidden": [8], "minibatch": 4}},
         "sweep": {"values": [4.0, 8.0], "budget": 20, "n_channels": 1},
     }

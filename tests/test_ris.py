@@ -2,7 +2,7 @@
 
 Covers the element-wise surface response, the split/gain/phase invariants of
 both operating modes as the constraint evaluator scores them (C1..C3), and
-the equal-energy-split helper.
+the energy a passive surface conserves or an active one adds.
 """
 
 import numpy as np
@@ -15,7 +15,6 @@ from srnoma.ris import (
     ACTIVE,
     PASSIVE,
     RisCoefficients,
-    equal_energy_split,
     response_vector,
 )
 
@@ -84,11 +83,11 @@ class TestBeamformingMatrix:
 def surface_flags(c, cfg):
     """The C1..C3 verdicts (passive_split, active_gain, phase_range) of a
     decision that uses surface c."""
-    n, i = cfg.n_bs_antennas, cfg.n_pairs
+    n, m, i = cfg.n_bs_antennas, cfg.n_ris_elements, cfg.n_pairs
     ones = np.ones((n, i), dtype=complex)
-    ch = ChannelRealization(ones, ones, np.ones((c.n_elements, n), dtype=complex), ones,
-                            np.ones((i, c.n_elements), dtype=complex),
-                            np.ones((i, c.n_elements), dtype=complex), seed=0)
+    ch = ChannelRealization(ones, ones, np.ones((m, n), dtype=complex), ones,
+                            np.ones((i, m), dtype=complex), np.ones((i, m), dtype=complex),
+                            seed=0)
     dv = DecisionVariables(0.0, np.full(i, 0.5), np.full(i, 0.5), np.ones(i),
                            ones / np.sqrt(n), ones / np.sqrt(n), c)
     flags = evaluate_constraints(ch, dv, cfg, rate_report(ch, dv, cfg)).flags
@@ -138,18 +137,6 @@ class TestValidate:
 
 
 class TestEnergySplit:
-    def test_equal_split_halves_supply(self, cfg):
-        c = equal_energy_split(cfg, theta_t=np.zeros(2), theta_r=np.zeros(2))
-        np.testing.assert_allclose(c.beta_t, 5.0)
-        np.testing.assert_allclose(c.beta_r, 5.0)
-        assert c.mode == ACTIVE
-
-    def test_equal_split_scales_with_supply(self):
-        cfg = SystemConfig(n_ris_elements=3, p_asris_watts=2.0)
-        c = equal_energy_split(cfg, theta_t=np.zeros(3), theta_r=np.zeros(3))
-        np.testing.assert_allclose(c.beta_t, 1.0)
-        np.testing.assert_allclose(c.beta_r, 1.0)
-
     def test_passive_surface_conserves_energy(self):
         # |theta_t s|^2 + |theta_r s|^2 == |s|^2 whenever beta_t + beta_r == 1
         rng = np.random.default_rng(3)
@@ -169,7 +156,8 @@ class TestEnergySplit:
             np.testing.assert_allclose(total, np.linalg.norm(s) ** 2, rtol=1e-12)
 
     def test_active_surface_amplifies(self, cfg):
-        c = equal_energy_split(cfg, theta_t=np.zeros(2), theta_r=np.zeros(2))
+        half = cfg.p_asris_watts / 2.0  # the budget spread evenly over both sides
+        c = coeff([half, half], [half, half], [0.0, 0.0], [0.0, 0.0])
         s = np.array([1.0 + 0j, 1.0 + 0j])
         out = response_matrix(c, "transmit") @ s
         assert np.linalg.norm(out) ** 2 > np.linalg.norm(s) ** 2, (
