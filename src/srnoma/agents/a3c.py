@@ -20,8 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..network import derive_keys, philox
-from ..nn import GaussianPolicy, Mlp, make_optimizer
-from .common import Checkpointed, EpisodeStats, check_at_least, check_learning_rates, rollout
+from ..nn import GaussianPolicy, Mlp
+from .common import ActorCritic, EpisodeStats, check_in, critic_gradient, rollout
 
 
 def kstep_returns(rewards: np.ndarray, bootstrap: float, discount: float) -> np.ndarray:
@@ -35,7 +35,7 @@ def kstep_returns(rewards: np.ndarray, bootstrap: float, discount: float) -> np.
     return returns
 
 
-class A3cAgent(Checkpointed):
+class A3cAgent(ActorCritic):
     def __init__(
         self,
         state_dim: int,
@@ -51,19 +51,15 @@ class A3cAgent(Checkpointed):
         init_log_std: float = -0.5,
         seed: int = 0,
     ) -> None:
-        check_learning_rates(actor_lr=actor_lr, critic_lr=critic_lr)
-        check_at_least(workers=(workers, 1), k_steps=(k_steps, 1))
+        check_in("[0, 1]", discount=discount)
+        check_in("[1, inf]", workers=workers, k_steps=k_steps)
         (init_key,) = derive_keys(seed, 1)
-        init_rng = philox(init_key)
-        self.policy = GaussianPolicy(Mlp((state_dim, *hidden, action_dim), init_rng),
-                                     init_log_std)
-        self.critic = Mlp((state_dim, *hidden, 1), init_rng)
+        super().__init__(state_dim, action_dim, hidden, actor_lr, critic_lr, optimizer,
+                         init_log_std, philox(init_key))
         self.workers = int(workers)
         self.k_steps = int(k_steps)
         self.discount = discount
         self.entropy_coef = entropy_coef
-        self.actor_opt = make_optimizer(optimizer, actor_lr, self.policy.shapes)
-        self.critic_opt = make_optimizer(optimizer, critic_lr, self.critic.shapes)
 
     def snapshot(self, local_policy: GaussianPolicy, local_critic: Mlp) -> None:
         local_policy.load_from(self.policy)
@@ -71,10 +67,8 @@ class A3cAgent(Checkpointed):
 
     def apply_gradients(self, actor_grad: np.ndarray, log_std_grad: np.ndarray,
                         critic_grad: np.ndarray) -> None:
-        self.actor_opt.step([self.policy.net.flat, self.policy.log_std],
-                            [actor_grad, log_std_grad])
-        self.policy.clamp_log_std()
-        self.critic_opt.step([self.critic.flat], [critic_grad])
+        # kept on this class: bench/tracer.py times A3cAgent's own methods
+        super().apply_gradients(actor_grad, log_std_grad, critic_grad)
 
     def segment_gradients(
         self,
@@ -91,14 +85,11 @@ class A3cAgent(Checkpointed):
         critic descends sum_t (G_t - V(s_t))^2.  Both are accumulated over the
         segment, not averaged.
         """
-        values, value_cache = local_critic.forward_cached(states)
-        advantages = returns - values[:, 0]
+        critic_grad, values = critic_gradient(local_critic, states, returns)
+        advantages = returns - values
         actor_grads, log_std_grad = local_policy.grad_weighted_log_prob(states, pres, -advantages)
         log_std_grad = log_std_grad - self.entropy_coef * len(states)
-        critic_grads, _ = local_critic.backward(
-            value_cache, (2.0 * (values[:, 0] - returns))[:, None]
-        )
-        return actor_grads.flat, log_std_grad, critic_grads.flat
+        return actor_grads.flat, log_std_grad, critic_grad
 
     def worker_episode(self, env, episode_seed: int, rng: np.random.Generator) -> EpisodeStats:
         """One full episode of collect-k / push-gradients cycles.
@@ -130,8 +121,3 @@ class A3cAgent(Checkpointed):
         """One outer episode: every worker plays one episode, in worker order."""
         return [self.worker_episode(envs[w], episode_seeds[w], rngs[w])
                 for w in range(self.workers)]
-
-    def _checkpoint_parts(self) -> tuple[dict, dict, dict]:
-        return ({"actor": self.policy.net, "critic": self.critic},
-                {"opt_actor": self.actor_opt, "opt_critic": self.critic_opt},
-                {"log_std": self.policy.log_std})

@@ -1,27 +1,25 @@
-"""Shared training plumbing: the episode driver, replay storage, episode
-traces, hyperparameter checks, checkpoint arrays."""
+"""Shared training plumbing: the episode driver, replay storage, episode traces,
+hyperparameter checks, checkpoints, the PPO/A3C core, the critic gradient."""
 
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 
 from ..network import derive_keys, next_seed, philox
+from ..nn import GaussianPolicy, Mlp, make_optimizer
 
 
-def check_learning_rates(**rates) -> None:
-    for name, lr in rates.items():
-        if not (math.isfinite(lr) and lr > 0.0):
-            raise ValueError(f"{name} must be finite and > 0, got {lr!r}")
-
-
-def check_at_least(**bounds) -> None:
-    """Raise unless every ``name=(value, least)`` has value >= least."""
-    for name, (value, least) in bounds.items():
-        if value < least:
-            raise ValueError(f"{name} must be >= {least}, got {value!r}")
+def check_in(interval: str, **values) -> None:
+    """Raise unless every value lies in ``interval``, written like "[0, 1]",
+    "(0, inf)" or "[1, inf]"; NaN lies in none."""
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    for name, value in values.items():
+        above = value > low if interval[0] == "(" else value >= low
+        below = value < high if interval[-1] == ")" else value <= high
+        if not (above and below):
+            raise ValueError(f"{name} must be in {interval}, got {value!r}")
 
 
 class Checkpointed:
@@ -51,6 +49,44 @@ class Checkpointed:
                                    if key.startswith(prefix + "/")})
         for key, live in arrays.items():
             live[...] = state[key]
+
+
+def critic_gradient(critic: Mlp, inputs: np.ndarray, targets: np.ndarray,
+                    divisor: float = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Flat gradient of sum (V(x) - target)^2 / divisor over the batch, and
+    the values V(x) it was taken at."""
+    values, cache = critic.forward_cached(inputs)
+    residual = values[:, 0] - targets
+    grads, _ = critic.backward(cache, (2.0 * residual / divisor)[:, None])
+    return grads.flat, values[:, 0]
+
+
+class ActorCritic(Checkpointed):
+    """Gaussian policy and state-value critic over the same hidden sizes, each
+    with its own optimizer: the core of PPO and A3C."""
+
+    def __init__(self, state_dim: int, action_dim: int, hidden: tuple, actor_lr: float,
+                 critic_lr: float, optimizer: str, init_log_std: float,
+                 init_rng: np.random.Generator) -> None:
+        check_in("(0, inf)", actor_lr=actor_lr, critic_lr=critic_lr)
+        sizes = (state_dim, *hidden)
+        self.policy = GaussianPolicy(Mlp((*sizes, action_dim), init_rng), init_log_std)
+        self.critic = Mlp((*sizes, 1), init_rng)
+        self.actor_opt = make_optimizer(optimizer, actor_lr, self.policy.shapes)
+        self.critic_opt = make_optimizer(optimizer, critic_lr, self.critic.shapes)
+
+    def apply_gradients(self, actor_grad: np.ndarray, log_std_grad: np.ndarray,
+                        critic_grad: np.ndarray) -> None:
+        """Descend the flat gradients: actor net and log-std, then the critic."""
+        self.actor_opt.step([self.policy.net.flat, self.policy.log_std],
+                            [actor_grad, log_std_grad])
+        self.policy.clamp_log_std()
+        self.critic_opt.step([self.critic.flat], [critic_grad])
+
+    def _checkpoint_parts(self) -> tuple[dict, dict, dict]:
+        return ({"actor": self.policy.net, "critic": self.critic},
+                {"opt_actor": self.actor_opt, "opt_critic": self.critic_opt},
+                {"log_std": self.policy.log_std})
 
 
 class ReplayBuffer:

@@ -1,9 +1,9 @@
 """Proximal policy optimization with a clipped surrogate.
 
-On-policy: one episode is collected with the frozen pre-update policy, scored
-with one-step advantages against the frozen critic, then both networks take
-several minibatch passes over the episode buffer.  The frozen copies are
-refreshed once per episode, after the update phase.
+On-policy: one episode is collected with the policy and scored with one-step
+advantages against the critic, then both networks take several minibatch
+passes over the episode buffer.  The update runs only after the whole episode
+is collected, so every step was drawn from the nets it is scored against.
 """
 
 from __future__ import annotations
@@ -11,8 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..network import derive_keys, philox
-from ..nn import GaussianPolicy, Mlp, make_optimizer
-from .common import Checkpointed, check_at_least, check_learning_rates
+from .common import ActorCritic, check_in, critic_gradient
 
 
 def advantage_and_target(
@@ -29,7 +28,7 @@ def advantage_and_target(
     return targets - values, targets
 
 
-class PpoAgent(Checkpointed):
+class PpoAgent(ActorCritic):
     def __init__(
         self,
         state_dim: int,
@@ -45,31 +44,23 @@ class PpoAgent(Checkpointed):
         init_log_std: float = -0.5,
         seed: int = 0,
     ) -> None:
-        check_learning_rates(actor_lr=actor_lr, critic_lr=critic_lr)
-        check_at_least(minibatch=(minibatch, 1), update_epochs=(update_epochs, 1))
+        check_in("[0, 1]", discount=discount)
+        check_in("(0, inf)", clip=clip)
+        check_in("[1, inf]", minibatch=minibatch, update_epochs=update_epochs)
         init_key, sample_key = derive_keys(seed, 2)
-        init_rng = philox(init_key)
-        sizes = (state_dim, *hidden)
-        self.policy = GaussianPolicy(Mlp((*sizes, action_dim), init_rng), init_log_std)
-        self.critic = Mlp((*sizes, 1), init_rng)
-        self.policy_old = self.policy.copy()
-        self.critic_old = self.critic.copy()
+        super().__init__(state_dim, action_dim, hidden, actor_lr, critic_lr, optimizer,
+                         init_log_std, philox(init_key))
         self.rng = philox(sample_key)
         self.clip = clip
         self.discount = discount
         self.minibatch = int(minibatch)
         self.update_epochs = int(update_epochs)
-        self.actor_opt = make_optimizer(optimizer, actor_lr, self.policy.shapes)
-        self.critic_opt = make_optimizer(optimizer, critic_lr, self.critic.shapes)
         self.dropped_samples = 0
 
     def act(self, state: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        """Sample from the frozen collection policy; returns (action,
-        pre-squash sample, behavior log-density)."""
-        return self.policy_old.sample(state, self.rng)
-
-    def old_values(self, states: np.ndarray) -> np.ndarray:
-        return self.critic_old.forward(states)[:, 0]
+        """Sample the collection policy; returns (action, pre-squash sample,
+        behavior log-density)."""
+        return self.policy.sample(state, self.rng)
 
     def update(
         self,
@@ -87,8 +78,6 @@ class PpoAgent(Checkpointed):
                 self._minibatch_step(
                     states[idx], pres[idx], log_probs_old[idx], advantages[idx], targets[idx]
                 )
-        self.policy_old.load_from(self.policy)
-        self.critic_old.load_from(self.critic)
 
     def _minibatch_step(self, states, pres, log_probs_old, advantages, targets) -> None:
         log_probs = self.policy.log_prob(states, pres)
@@ -111,21 +100,5 @@ class PpoAgent(Checkpointed):
         flows = finite & (unclipped <= clipped)
         coeff = np.where(flows, ratio * advantages, 0.0) / used
         net_grads, log_std_grad = self.policy.grad_weighted_log_prob(states, pres, -coeff)
-        self.actor_opt.step([self.policy.net.flat, self.policy.log_std],
-                            [net_grads.flat, log_std_grad])
-        self.policy.clamp_log_std()
-
-        values, cache = self.critic.forward_cached(states)
-        residual = values[:, 0] - targets
-        grads, _ = self.critic.backward(cache, (2.0 * residual / len(targets))[:, None])
-        self.critic_opt.step([self.critic.flat], [grads.flat])
-
-    def _checkpoint_parts(self) -> tuple[dict, dict, dict]:
-        return ({"actor": self.policy.net, "critic": self.critic},
-                {"opt_actor": self.actor_opt, "opt_critic": self.critic_opt},
-                {"log_std": self.policy.log_std})
-
-    def load_state_dict(self, state: dict) -> None:
-        super().load_state_dict(state)
-        self.policy_old.load_from(self.policy)
-        self.critic_old.load_from(self.critic)
+        critic_grad, _ = critic_gradient(self.critic, states, targets, len(targets))
+        self.apply_gradients(net_grads.flat, log_std_grad, critic_grad)

@@ -12,7 +12,7 @@ import numpy as np
 
 from ..network import derive_keys, philox
 from ..nn import Mlp, make_optimizer
-from .common import Checkpointed, ReplayBuffer, check_at_least, check_learning_rates
+from .common import Checkpointed, ReplayBuffer, check_in, critic_gradient
 
 
 def td3_target(reward, discount, q1, q2, done=0.0):
@@ -45,9 +45,11 @@ class Td3Agent(Checkpointed):
         optimizer: str = "sgd",
         seed: int = 0,
     ) -> None:
-        check_learning_rates(actor_lr=actor_lr, critic_lr=critic_lr)
-        check_at_least(policy_delay=(policy_delay, 1), minibatch=(minibatch, 1),
-                       buffer_size=(buffer_size, minibatch))
+        check_in("(0, inf)", actor_lr=actor_lr, critic_lr=critic_lr)
+        check_in("[0, 1]", discount=discount)
+        check_in("(0, 1]", target_update=target_update)
+        check_in("[1, inf]", policy_delay=policy_delay, minibatch=minibatch)
+        check_in(f"[{minibatch}, inf]", buffer_size=buffer_size)
         init_key, noise_key = derive_keys(seed, 2)
         init_rng = philox(init_key)
         self.state_dim = state_dim
@@ -95,12 +97,6 @@ class Td3Agent(Checkpointed):
         q2 = self.critic2_target.forward(sa)[:, 0]
         return td3_target(batch["rewards"], self.discount, q1, q2, batch["dones"])
 
-    def _critic_gradients(self, critic: Mlp, sa: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        q, cache = critic.forward_cached(sa)
-        residual = q[:, 0] - targets
-        grads, _ = critic.backward(cache, (2.0 * residual / len(targets))[:, None])
-        return grads.flat
-
     def update(self) -> bool:
         """One gradient step from replay; no-op until a minibatch is buffered."""
         if len(self.buffer) < self.minibatch:
@@ -108,12 +104,8 @@ class Td3Agent(Checkpointed):
         batch = self.buffer.sample(self.rng, self.minibatch)
         targets = self._targets(batch)
         sa = np.concatenate([batch["states"], batch["actions"]], axis=1)
-        self.critic1_opt.step(
-            [self.critic1.flat], [self._critic_gradients(self.critic1, sa, targets)]
-        )
-        self.critic2_opt.step(
-            [self.critic2.flat], [self._critic_gradients(self.critic2, sa, targets)]
-        )
+        for critic, opt in ((self.critic1, self.critic1_opt), (self.critic2, self.critic2_opt)):
+            opt.step([critic.flat], [critic_gradient(critic, sa, targets, len(targets))[0]])
         self.update_count += 1
         if self.update_count % self.policy_delay == 0:
             self._actor_step(batch["states"])

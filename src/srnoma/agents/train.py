@@ -18,10 +18,17 @@ ALGORITHMS = ("ppo", "td3", "a3c")
 
 _AGENT_CLASSES = {"ppo": PpoAgent, "td3": Td3Agent, "a3c": A3cAgent}
 
+# keys of the paper's hyperparameter table that an agent may not take: every
+# agent section of a config lists them, so they are skipped, not rejected
+REFERENCE_ONLY = frozenset({"episodes", "steps", "target_update", "entropy_coef", "minibatch"})
+
 
 def _filtered(cls, hyper: dict) -> dict:
-    accepted = set(inspect.signature(cls.__init__).parameters)
-    picked = {k: v for k, v in (hyper or {}).items() if k in accepted and k != "self"}
+    accepted = set(inspect.signature(cls.__init__).parameters) - {"self"}
+    unknown = sorted(set(hyper) - accepted - REFERENCE_ONLY)
+    if unknown:
+        raise ValueError(f"{cls.__name__} takes no hyperparameter {', '.join(unknown)}")
+    picked = {k: v for k, v in hyper.items() if k in accepted}
     if "hidden" in picked:
         picked["hidden"] = tuple(picked["hidden"])
     return picked
@@ -49,8 +56,9 @@ def _ppo_episode(agent: PpoAgent, env, episode_seed: int) -> EpisodeStats:
     steps = [(state, pre, log_prob, result.reward, result.state, float(result.done))
              for state, (_, pre, log_prob), result in rollout(env, episode_seed, agent.act, stats)]
     states, pres, log_probs, rewards, next_states, dones = (np.asarray(c) for c in zip(*steps))
+    values = lambda x: agent.critic.forward(x)[:, 0]
     advantages, targets = advantage_and_target(
-        rewards, agent.old_values(states), agent.old_values(next_states), dones, agent.discount
+        rewards, values(states), values(next_states), dones, agent.discount
     )
     agent.update(states, pres, log_probs, advantages, targets)
     return stats

@@ -191,6 +191,8 @@ class SrEnv:
             raise ValueError(f"r_mode must be 'literal' or 'derived', got {r_mode!r}")
         if episode_steps < 1:
             raise ValueError(f"episode_steps must be >= 1, got {episode_steps!r}")
+        if rate_cap is not None and not 0.0 <= rate_cap < math.inf:
+            raise ValueError(f"rate_cap must be finite and >= 0 (or None), got {rate_cap!r}")
         self.cfg = cfg
         self.episode_steps = int(episode_steps)
         self.ris_mode = ris_mode

@@ -7,6 +7,7 @@ environment and must be reproducible to the byte.
 
 import filecmp
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,16 +28,25 @@ from srnoma.agents import (
     train,
 )
 from srnoma.agents import a3c as a3c_module
-from srnoma.agents.common import EpisodeStats, rollout
+from srnoma.agents.common import EpisodeStats, critic_gradient, rollout
 from srnoma.env import SrEnv
-from srnoma.harness import _greedy_action
+from srnoma.harness import _greedy_action, load_config
 from srnoma.network import SystemConfig
 from srnoma.nn import GaussianPolicy, Mlp, load_checkpoint
 
 
+TINY_SYSTEM = SystemConfig(n_bs_antennas=1, n_ris_elements=1, n_pairs=1)
+
+
 def tiny_env(steps=5, **over):
-    cfg = SystemConfig(n_bs_antennas=1, n_ris_elements=1, n_pairs=1)
-    return SrEnv(cfg, episode_steps=steps, rate_cap=2.0, **over)
+    return SrEnv(TINY_SYSTEM, episode_steps=steps, rate_cap=2.0, **over)
+
+
+def small_hyper(algo, workers=2, **over):
+    """Small nets for the tiny env, with only the keys each agent takes."""
+    own = {"ppo": {"minibatch": 4}, "td3": {"minibatch": 4},
+           "a3c": {"workers": workers, "k_steps": 3}}[algo]
+    return {"hidden": (8,), **own, **over}
 
 
 def _net_keys(*names, layers=2):
@@ -223,6 +233,18 @@ class TestUpdateRules:
         before, _ = self._ppo_actor_after_step(ratio=1.1, advantage=2.0)
         assert all(not np.array_equal(p, q) for p, q in zip(clipped, before))
 
+    @pytest.mark.parametrize("divisor", [1, 2], ids=["a3c-sum", "ppo-td3-mean"])
+    def test_critic_gradient_divides_the_summed_regression(self, divisor):
+        # critic (1 -> 1) all zeros at x = 1, 2 with targets 1, 3: residuals
+        # -1, -3, so d/db is 2 (-1 - 3) = -8 and d/dw is 2 (-1 - 6) = -14,
+        # summed (A3C) or divided by the batch size (PPO and TD3)
+        critic = Mlp((1, 1), np.random.default_rng(0))
+        critic.flat[...] = 0.0
+        grad, values = critic_gradient(critic, np.array([[1.0], [2.0]]),
+                                       np.array([1.0, 3.0]), divisor)
+        np.testing.assert_array_equal(values, [0.0, 0.0])
+        np.testing.assert_array_equal(grad, np.array([-14.0, -8.0]) / divisor)
+
     def test_td3_target_scalar(self):
         assert math.isclose(td3_target(1.0, 0.99, 2.0, 3.0, 0.0), 2.98)
 
@@ -272,7 +294,7 @@ class TestPpo:
         fresh = agent.policy.log_prob(np.stack(states), np.stack(pres))
         np.testing.assert_allclose(
             np.exp(fresh - np.asarray(logps)), np.ones(5), rtol=1e-12,
-            err_msg="policy and its frozen copy must agree before updates",
+            err_msg="act must report the policy's own log-density",
         )
 
     def test_critic_regression_arithmetic(self):
@@ -284,23 +306,11 @@ class TestPpo:
         )
         for arr in agent.critic.parameters():
             arr[...] = 0.0
-        agent.critic_old.load_from(agent.critic)
         states = np.zeros((1, 1))
         pres = np.zeros((1, 1))
         logp_old = agent.policy.log_prob(states, pres)
         agent.update(states, pres, logp_old, np.zeros(1), targets=np.ones(1))
         assert math.isclose(agent.critic.biases[0][0], 0.5, rel_tol=1e-12)
-
-    def test_update_refreshes_frozen_copies(self):
-        agent = PpoAgent(state_dim=2, action_dim=1, hidden=(4,), seed=1)
-        states = np.random.default_rng(1).standard_normal((8, 2))
-        pres = np.random.default_rng(2).standard_normal((8, 1))
-        logp_old = agent.policy.log_prob(states, pres)
-        agent.update(states, pres, logp_old, np.ones(8), np.ones(8))
-        for mine, frozen in zip(agent.policy.parameters(), agent.policy_old.parameters()):
-            np.testing.assert_array_equal(mine, frozen)
-        for mine, frozen in zip(agent.critic.parameters(), agent.critic_old.parameters()):
-            np.testing.assert_array_equal(mine, frozen)
 
     def test_nonfinite_ratios_are_dropped_and_counted(self):
         agent = PpoAgent(
@@ -390,9 +400,9 @@ class TestTd3:
         agent = self.make_agent()
         sa = np.random.default_rng(11).standard_normal((4, 3))
         q = agent.critic1.forward(sa)[:, 0]
-        grads = agent._critic_gradients(agent.critic1, sa, q)
-        for g in grads:
-            np.testing.assert_allclose(g, np.zeros_like(g), atol=1e-15)
+        grad, values = critic_gradient(agent.critic1, sa, q, len(q))
+        np.testing.assert_array_equal(values, q)
+        np.testing.assert_allclose(grad, np.zeros_like(grad), atol=1e-15)
 
     def test_actor_updates_are_delayed(self):
         agent = self.make_agent(policy_delay=2)
@@ -537,17 +547,34 @@ class TestTrain:
             build_agent("dqn", 4, 2, None, seed=0)
 
     def test_build_agent_filters_foreign_hypers(self):
+        # reference-table keys a PPO agent does not take are skipped
         agent = build_agent(
-            "ppo", 4, 2, {"clip": 0.1, "buffer_size": 999, "hidden": [8, 8]}, seed=0
+            "ppo", 4, 2, {"clip": 0.1, "target_update": 0.5, "episodes": 9, "hidden": [8, 8]},
+            seed=0,
         )
         assert agent.clip == 0.1
         assert agent.policy.net.sizes == (4, 8, 8, 2)
 
+    @pytest.mark.parametrize("algo, hyper, field", [
+        ("ppo", {"clipp": 0.1}, "clipp"),
+        ("ppo", {"buffer_size": 999}, "buffer_size"),
+        ("td3", {"workers": 2}, "workers"),
+        ("a3c", {"update_epochs": 5}, "update_epochs"),
+    ], ids=["ppo-clipp", "ppo-buffer_size", "td3-workers", "a3c-update_epochs"])
+    def test_build_agent_rejects_unknown_hypers(self, algo, hyper, field):
+        with pytest.raises(ValueError, match=field):
+            build_agent(algo, 4, 2, hyper, seed=0)
+
+    @pytest.mark.parametrize("name", ["default", "scalar", "smoke"])
+    def test_shipped_configs_build_every_agent(self, name):
+        config = load_config(Path(__file__).resolve().parents[1] / "configs" / f"{name}.yaml")
+        for algo in ALGORITHMS:
+            build_agent(algo, 4, 2, config["agents"][algo], seed=0)
+
     @pytest.mark.parametrize("algo", ALGORITHMS)
     def test_short_run_completes(self, algo):
         env = tiny_env(steps=5)
-        hyper = {"hidden": (8,), "minibatch": 4, "workers": 2, "k_steps": 3}
-        agent, trace = train(algo, env, episodes=2, seed=0, hyper=hyper)
+        agent, trace = train(algo, env, episodes=2, seed=0, hyper=small_hyper(algo))
         assert len(trace) == 2
         assert not trace.aborted
         assert all(np.isfinite(r) for r in trace.mean_rewards)
@@ -573,7 +600,7 @@ class TestTrain:
         pytest.param("a3c", 3, id="a3c-workers3"),
     ])
     def test_repeat_runs_are_bit_identical(self, algo, workers, tmp_path):
-        hyper = {"hidden": (8,), "minibatch": 4, "workers": workers, "k_steps": 3}
+        hyper = small_hyper(algo, workers)
         paths = []
         for tag in ("first", "second"):
             env = tiny_env(steps=5)
@@ -588,8 +615,7 @@ class TestTrain:
     @pytest.mark.parametrize("algo", ALGORITHMS)
     def test_adam_checkpoint_keys_and_round_trip(self, algo, tmp_path):
         env = tiny_env(steps=5)
-        hyper = {"hidden": (8,), "minibatch": 4, "workers": 2, "k_steps": 3,
-                 "optimizer": "adam"}
+        hyper = small_hyper(algo, optimizer="adam")
         agent, _ = train(algo, env, episodes=2, seed=3, hyper=hyper,
                          checkpoint_dir=tmp_path)
         arrays, meta = load_checkpoint(tmp_path / f"ckpt_{algo}_final.npz")
@@ -611,11 +637,10 @@ class TestTrain:
         probe = np.random.default_rng(8).standard_normal((5, env.state_dim))
         np.testing.assert_array_equal(_greedy_action(clone, probe),
                                       _greedy_action(agent, probe))
-        if algo == "ppo":  # the frozen collection copies follow the loaded nets
-            live = clone.policy.parameters() + clone.critic.parameters()
-            frozen = clone.policy_old.parameters() + clone.critic_old.parameters()
-            for mine, old in zip(live, frozen):
-                np.testing.assert_array_equal(old, mine)
+        if algo == "ppo":  # collection samples the loaded nets
+            clone.rng.bit_generator.state = agent.rng.bit_generator.state
+            for loaded, saved in zip(clone.act(probe[0]), agent.act(probe[0])):
+                np.testing.assert_array_equal(loaded, saved)
 
 
 # ===========================================================================
@@ -641,10 +666,9 @@ class TestFlatBuffers:
     def test_views_stay_views(self, algo):
         # after training (every update kind), a state-dict load and copy()
         env = tiny_env(steps=5)
-        hyper = {"hidden": (8,), "minibatch": 4, "workers": 2, "k_steps": 3,
-                 "optimizer": "adam"}
+        hyper = small_hyper(algo, optimizer="adam")
         agent, _ = train(algo, env, episodes=2, seed=3, hyper=hyper)
-        assert len(_all_nets(agent)) == {"ppo": 4, "td3": 6, "a3c": 2}[algo]
+        assert len(_all_nets(agent)) == {"ppo": 2, "td3": 6, "a3c": 2}[algo]
         _assert_views_share_buffers(agent)
         clone = build_agent(algo, env.state_dim, env.action_dim, hyper, seed=99)
         clone.load_state_dict(agent.state_dict())
@@ -658,8 +682,8 @@ class TestFlatBuffers:
     def test_adam_moments_are_saved_per_parameter(self, algo):
         # the per-parameter shapes older checkpoints were written with
         env = tiny_env(steps=5)
-        hyper = {"hidden": (8,), "minibatch": 4, "k_steps": 3, "optimizer": "adam"}
-        agent, _ = train(algo, env, episodes=2, seed=3, hyper=hyper)
+        agent, _ = train(algo, env, episodes=2, seed=3,
+                         hyper=small_hyper(algo, workers=3, optimizer="adam"))
         nets, optimizers, _ = agent._checkpoint_parts()
         arrays = agent.state_dict()
         for name in optimizers:
@@ -707,6 +731,36 @@ class TestHyperparameterChecks:
     def test_loop_counts_below_one_are_rejected(self, build, field):
         with pytest.raises(ValueError, match=field):
             build()
+
+    @pytest.mark.parametrize("build, field", [
+        (lambda: PpoAgent(state_dim=2, action_dim=1, hidden=(4,), discount=1.5), "discount"),
+        (lambda: A3cAgent(state_dim=2, action_dim=1, hidden=(4,), discount=-0.1), "discount"),
+        (lambda: Td3Agent(state_dim=2, action_dim=1, hidden=(4,), discount=float("nan")),
+         "discount"),
+        (lambda: PpoAgent(state_dim=2, action_dim=1, hidden=(4,), clip=-0.2), "clip"),
+        (lambda: PpoAgent(state_dim=2, action_dim=1, hidden=(4,), clip=0.0), "clip"),
+        (lambda: Td3Agent(state_dim=2, action_dim=1, hidden=(4,), target_update=0.0),
+         "target_update"),
+        (lambda: Td3Agent(state_dim=2, action_dim=1, hidden=(4,), target_update=1.5),
+         "target_update"),
+        (lambda: SrEnv(TINY_SYSTEM, rate_cap=-1.0), "rate_cap"),
+        (lambda: SrEnv(TINY_SYSTEM, rate_cap=float("inf")), "rate_cap"),
+        (lambda: SrEnv(TINY_SYSTEM, rate_cap=float("nan")), "rate_cap"),
+    ], ids=["ppo-discount", "a3c-discount", "td3-discount-nan", "ppo-clip", "ppo-clip-zero",
+            "td3-target_update-zero", "td3-target_update", "env-rate_cap", "env-rate_cap-inf",
+            "env-rate_cap-nan"])
+    def test_out_of_range_settings_are_rejected(self, build, field):
+        with pytest.raises(ValueError, match=field):
+            build()
+
+    def test_interval_ends_are_accepted(self):
+        for discount in (0.0, 1.0):
+            PpoAgent(state_dim=2, action_dim=1, hidden=(4,), discount=discount)
+            A3cAgent(state_dim=2, action_dim=1, hidden=(4,), discount=discount)
+            Td3Agent(state_dim=2, action_dim=1, hidden=(4,), discount=discount)
+        Td3Agent(state_dim=2, action_dim=1, hidden=(4,), target_update=1.0)
+        assert SrEnv(TINY_SYSTEM, rate_cap=0.0).fixed_rate_cap == 0.0
+        assert SrEnv(TINY_SYSTEM).fixed_rate_cap is None
 
     def test_smallest_valid_td3_settings_are_accepted(self):
         agent = Td3Agent(state_dim=2, action_dim=1, hidden=(4,), policy_delay=1,
