@@ -8,7 +8,7 @@ import dataclasses
 import numpy as np
 
 from ..network import derive_keys, next_seed, philox
-from ..nn import GaussianPolicy, Mlp, make_optimizer
+from ..nn import LOG_STD_MAX, LOG_STD_MIN, GaussianPolicy, Mlp, make_optimizer
 
 
 def check_in(interval: str, **values) -> None:
@@ -57,7 +57,7 @@ def critic_gradient(critic: Mlp, inputs: np.ndarray, targets: np.ndarray,
     the values V(x) it was taken at."""
     values, cache = critic.forward_cached(inputs)
     residual = values[:, 0] - targets
-    grads, _ = critic.backward(cache, (2.0 * residual / divisor)[:, None])
+    grads, _ = critic.backward(cache, (2.0 * residual / divisor)[:, None], inputs=False)
     return grads.flat, values[:, 0]
 
 
@@ -69,6 +69,7 @@ class ActorCritic(Checkpointed):
                  critic_lr: float, optimizer: str, init_log_std: float,
                  init_rng: np.random.Generator) -> None:
         check_in("(0, inf)", actor_lr=actor_lr, critic_lr=critic_lr)
+        check_in(f"[{LOG_STD_MIN}, {LOG_STD_MAX}]", init_log_std=init_log_std)
         sizes = (state_dim, *hidden)
         self.policy = GaussianPolicy(Mlp((*sizes, action_dim), init_rng), init_log_std)
         self.critic = Mlp((*sizes, 1), init_rng)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..network import derive_keys, philox
-from ..nn import Mlp, make_optimizer
+from ..nn import Mlp, blocks, make_optimizer
 from .common import Checkpointed, ReplayBuffer, check_in, critic_gradient
 
 
@@ -21,9 +21,11 @@ def td3_target(reward, discount, q1, q2, done=0.0):
 
 
 def soft_update(target: Mlp, online: Mlp, mix: float) -> None:
-    """target <- (1 - mix) * target + mix * online over the whole buffer."""
-    target.flat *= 1.0 - mix
-    target.flat += mix * online.flat
+    """target <- (1 - mix) * target + mix * online over the whole buffer,
+    block by block."""
+    for t, o in blocks(target.flat, online.flat):
+        t *= 1.0 - mix
+        t += mix * o
 
 
 class Td3Agent(Checkpointed):
@@ -48,6 +50,8 @@ class Td3Agent(Checkpointed):
         check_in("(0, inf)", actor_lr=actor_lr, critic_lr=critic_lr)
         check_in("[0, 1]", discount=discount)
         check_in("(0, 1]", target_update=target_update)
+        check_in("[0, inf)", smoothing_noise=smoothing_noise, noise_clip=noise_clip,
+                 explore_noise=explore_noise)
         check_in("[1, inf]", policy_delay=policy_delay, minibatch=minibatch)
         check_in(f"[{minibatch}, inf]", buffer_size=buffer_size)
         init_key, noise_key = derive_keys(seed, 2)
@@ -122,9 +126,9 @@ class Td3Agent(Checkpointed):
         sa = np.concatenate([states, actions], axis=1)
         _, critic_cache = self.critic1.forward_cached(sa)
         grad_q = -np.ones((len(states), 1)) / len(states)
-        _, grad_sa = self.critic1.backward(critic_cache, grad_q)
+        _, grad_sa = self.critic1.backward(critic_cache, grad_q, params=False)
         grad_actions = grad_sa[:, self.state_dim :] * (1.0 - actions**2)
-        grads, _ = self.actor.backward(actor_cache, grad_actions)
+        grads, _ = self.actor.backward(actor_cache, grad_actions, inputs=False)
         self.actor_opt.step([self.actor.flat], [grads.flat])
 
     def _checkpoint_parts(self) -> tuple[dict, dict, dict]:

@@ -1,15 +1,17 @@
 """Minimal dense-network engine used by all agents.
 
 Everything is float64 numpy: multilayer perceptrons with tanh hidden layers
-and linear heads, exact analytic backpropagation (including gradients with
-respect to the input, needed to chain critics into actors), two first-order
-optimizers, a tanh-squashed Gaussian policy head, and an exact checkpoint
-round-trip.  No autograd framework is involved; gradients are spelled out so
-they can be validated against finite differences.  Each net keeps its
-parameters in one flat buffer; ``weights`` and ``biases`` are views into it,
-to be written in place and never rebound.  The optimizers update whole
-buffers in place, and each step is atomic: it checks every gradient before
-it writes, so a non-finite one raises with parameters and state untouched.
+and linear heads, exact analytic backpropagation (parameter gradients, the
+gradient with respect to the input that chains a critic into an actor, or
+both; each caller asks for what it reads), two first-order optimizers, a
+tanh-squashed Gaussian policy head, and an exact checkpoint round-trip.  No
+autograd framework is involved; gradients are spelled out so they can be
+validated against finite differences.  Each net keeps its parameters in one
+flat buffer; ``weights`` and ``biases`` are views into it, to be written in
+place and never rebound.  The optimizers update whole buffers in place, a
+long one in blocks of ``BLOCK`` items so that no temporary is as large as the
+buffer, and each step is atomic: it checks every gradient before it writes,
+so a non-finite one raises with parameters and state untouched.
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ LOG_STD_MIN = -5.0
 LOG_STD_MAX = 2.0
 _SQUASH_EPS = 1e-12
 CHECKPOINT_VERSION = 1
+# items per block of elementwise buffer updates: 256 KiB of float64, so the
+# (at most six) arrays one block of an Adam step touches fit a 2 MiB L2 cache
+BLOCK = 32768
 
 
 class NonFiniteGradientError(RuntimeError):
@@ -38,6 +43,26 @@ def _layout(shapes) -> list:
 
 def _views(flat: np.ndarray, layout: list) -> list:
     return [flat[part].reshape(shape) for part, shape in layout]
+
+
+def blocks(*arrays: np.ndarray):
+    """Aligned pieces of equally shaped arrays, BLOCK rows (items of a flat
+    buffer) at a time: the arrays themselves when they hold at most BLOCK
+    items."""
+    if arrays[0].size <= BLOCK:
+        yield arrays
+        return
+    for start in range(0, len(arrays[0]), BLOCK):
+        yield tuple(a[start : start + BLOCK] for a in arrays)
+
+
+def _check_step(params: list, grads: list, name: str) -> None:
+    """Reject a step before it writes anything: unpaired buffers or a
+    non-finite gradient."""
+    if len(params) != len(grads):
+        raise ValueError(f"{name} step got {len(params)} buffers and {len(grads)} gradients")
+    if not all(np.isfinite(piece).all() for g in grads for (piece,) in blocks(g)):
+        raise NonFiniteGradientError(f"non-finite gradient in {name} step")
 
 
 class Gradients(list):
@@ -107,21 +132,26 @@ class Mlp:
         out = a @ self.weights[-1].T + self.biases[-1]
         return out, cache
 
-    def backward(self, cache: list, grad_out: np.ndarray) -> tuple[Gradients, np.ndarray]:
+    def backward(self, cache: list, grad_out: np.ndarray, params: bool = True,
+                 inputs: bool = True) -> tuple[Gradients | None, np.ndarray | None]:
         """Backpropagate an upstream gradient on the head output.
 
         Returns (parameter gradients aligned with parameters(), in one new
-        flat buffer, gradient with respect to the input batch).
+        flat buffer, gradient with respect to the input batch); a part the
+        caller turns off with ``params`` or ``inputs`` is not computed and
+        comes back as None.
         """
-        grads = Gradients(np.empty(self.flat.size), self._layout)
+        grads = Gradients(np.empty(self.flat.size), self._layout) if params else None
         g = np.asarray(grad_out, dtype=float)
         for layer in range(len(self.weights) - 1, -1, -1):
-            np.matmul(g.T, cache[layer], out=grads[2 * layer])
-            g.sum(axis=0, out=grads[2 * layer + 1])
-            g = g @ self.weights[layer]
+            if params:
+                np.matmul(g.T, cache[layer], out=grads[2 * layer])
+                g.sum(axis=0, out=grads[2 * layer + 1])
             if layer > 0:
-                g = g * (1.0 - cache[layer] ** 2)
-        return grads, g
+                g = (g @ self.weights[layer]) * (1.0 - cache[layer] ** 2)
+            elif inputs:
+                g = g @ self.weights[0]
+        return grads, g if inputs else None
 
 
 class Sgd:
@@ -132,10 +162,10 @@ class Sgd:
         self.lr = float(lr)
 
     def step(self, params: list, grads: list) -> None:
-        if not all(np.isfinite(g).all() for g in grads):
-            raise NonFiniteGradientError("non-finite gradient in SGD step")
-        for p, g in zip(params, grads):
-            p -= self.lr * g
+        _check_step(params, grads, "SGD")
+        for buffers in zip(params, grads):
+            for p, g in blocks(*buffers):
+                p -= self.lr * g
 
     def state_arrays(self) -> dict:
         return {}
@@ -146,7 +176,9 @@ class Sgd:
 
 class Adam:
     """Adam with bias correction, over buffers as Sgd.  Checkpoints name its flat
-    moments per parameter (``m<i>``, ``v<i>``) of ``shapes`` (default: buffers)."""
+    moments per parameter (``m<i>``, ``v<i>``) of ``shapes`` (default: buffers).
+    The moments are cut into views per buffer at the first step after
+    construction or a load; later steps must pass buffers of the same shapes."""
 
     def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8, shapes=None) -> None:
@@ -157,29 +189,31 @@ class Adam:
         self.shapes = shapes
         self.t = 0
         self._m = self._v = None
+        self._moments = None
 
     def step(self, params: list, grads: list) -> None:
-        if not all(np.isfinite(g).all() for g in grads):
-            raise NonFiniteGradientError("non-finite gradient in Adam step")
+        _check_step(params, grads, "Adam")
         if self._m is None:
             self.shapes = self.shapes or [p.shape for p in params]
             self._m, self._v = np.zeros((2, sum(p.size for p in params)))
+        if self._moments is None:
+            layout = _layout([p.shape for p in params])
+            self._moments = list(zip(_views(self._m, layout), _views(self._v, layout)))
         self.t += 1
         correction1 = 1.0 - self.beta1 ** self.t
         correction2 = 1.0 - self.beta2 ** self.t
-        layout = _layout([p.shape for p in params])
-        moments = zip(_views(self._m, layout), _views(self._v, layout))
-        # two scratch arrays per buffer keep the elementwise order of
+        # two scratch arrays per block keep the elementwise order of
         # lr * (m / c1) / (sqrt(v / c2) + eps), so results stay bit-identical
-        for p, g, (m, v) in zip(params, grads, moments):
-            a, b = np.empty_like(p), np.empty_like(p)
-            m *= self.beta1
-            m += np.multiply(1.0 - self.beta1, g, out=a)
-            v *= self.beta2
-            v += np.multiply(np.multiply(1.0 - self.beta2, g, out=b), g, out=b)
-            a = np.multiply(self.lr, np.divide(m, correction1, out=a), out=a)
-            b = np.add(np.sqrt(np.divide(v, correction2, out=b), out=b), self.eps, out=b)
-            p -= np.divide(a, b, out=a)
+        for p, g, (m, v) in zip(params, grads, self._moments):
+            for p, g, m, v in blocks(p, g, m, v):
+                a, b = np.empty_like(p), np.empty_like(p)
+                m *= self.beta1
+                m += np.multiply(1.0 - self.beta1, g, out=a)
+                v *= self.beta2
+                v += np.multiply(np.multiply(1.0 - self.beta2, g, out=b), g, out=b)
+                a = np.multiply(self.lr, np.divide(m, correction1, out=a), out=a)
+                b = np.add(np.sqrt(np.divide(v, correction2, out=b), out=b), self.eps, out=b)
+                p -= np.divide(a, b, out=a)
 
     def state_arrays(self) -> dict:
         arrays = {"t": np.array(self.t)}
@@ -197,6 +231,7 @@ class Adam:
             self.shapes = [arrays[f"m{i}"].shape for i in range(count)]
             self._m, self._v = (np.concatenate([arrays[f"{k}{i}"].ravel() for i in range(count)])
                                 for k in "mv")
+            self._moments = None
 
 
 def make_optimizer(kind: str, lr: float, shapes=None):
@@ -270,7 +305,7 @@ class GaussianPolicy:
         z = (pres - mu) / sigma
         coeff = np.asarray(coeff, dtype=float)[:, None]
         grad_mu = coeff * z / sigma
-        net_grads, _ = self.net.backward(cache, grad_mu)
+        net_grads, _ = self.net.backward(cache, grad_mu, inputs=False)
         grad_log_std = (coeff * (z * z - 1.0)).sum(axis=0)
         return net_grads, grad_log_std
 

@@ -32,7 +32,7 @@ from srnoma.agents.common import EpisodeStats, critic_gradient, rollout
 from srnoma.env import SrEnv
 from srnoma.harness import _greedy_action, load_config
 from srnoma.network import SystemConfig
-from srnoma.nn import GaussianPolicy, Mlp, load_checkpoint
+from srnoma.nn import LOG_STD_MAX, LOG_STD_MIN, GaussianPolicy, Mlp, load_checkpoint
 
 
 TINY_SYSTEM = SystemConfig(n_bs_antennas=1, n_ris_elements=1, n_pairs=1)
@@ -746,9 +746,22 @@ class TestHyperparameterChecks:
         (lambda: SrEnv(TINY_SYSTEM, rate_cap=-1.0), "rate_cap"),
         (lambda: SrEnv(TINY_SYSTEM, rate_cap=float("inf")), "rate_cap"),
         (lambda: SrEnv(TINY_SYSTEM, rate_cap=float("nan")), "rate_cap"),
+        (lambda: Td3Agent(state_dim=2, action_dim=1, hidden=(4,), smoothing_noise=-0.1),
+         "smoothing_noise"),
+        (lambda: Td3Agent(state_dim=2, action_dim=1, hidden=(4,), noise_clip=-0.5),
+         "noise_clip"),
+        (lambda: Td3Agent(state_dim=2, action_dim=1, hidden=(4,), explore_noise=float("nan")),
+         "explore_noise"),
+        (lambda: PpoAgent(state_dim=2, action_dim=1, hidden=(4,), init_log_std=LOG_STD_MAX + 1),
+         "init_log_std"),
+        (lambda: A3cAgent(state_dim=2, action_dim=1, hidden=(4,), init_log_std=LOG_STD_MIN - 1),
+         "init_log_std"),
+        (lambda: PpoAgent(state_dim=2, action_dim=1, hidden=(4,), init_log_std=float("nan")),
+         "init_log_std"),
     ], ids=["ppo-discount", "a3c-discount", "td3-discount-nan", "ppo-clip", "ppo-clip-zero",
             "td3-target_update-zero", "td3-target_update", "env-rate_cap", "env-rate_cap-inf",
-            "env-rate_cap-nan"])
+            "env-rate_cap-nan", "td3-smoothing_noise", "td3-noise_clip", "td3-explore_noise-nan",
+            "ppo-init_log_std", "a3c-init_log_std", "ppo-init_log_std-nan"])
     def test_out_of_range_settings_are_rejected(self, build, field):
         with pytest.raises(ValueError, match=field):
             build()
@@ -759,6 +772,11 @@ class TestHyperparameterChecks:
             A3cAgent(state_dim=2, action_dim=1, hidden=(4,), discount=discount)
             Td3Agent(state_dim=2, action_dim=1, hidden=(4,), discount=discount)
         Td3Agent(state_dim=2, action_dim=1, hidden=(4,), target_update=1.0)
+        Td3Agent(state_dim=2, action_dim=1, hidden=(4,), smoothing_noise=0.0, noise_clip=0.0,
+                 explore_noise=0.0)
+        for init_log_std in (LOG_STD_MIN, LOG_STD_MAX):
+            PpoAgent(state_dim=2, action_dim=1, hidden=(4,), init_log_std=init_log_std)
+            A3cAgent(state_dim=2, action_dim=1, hidden=(4,), init_log_std=init_log_std)
         assert SrEnv(TINY_SYSTEM, rate_cap=0.0).fixed_rate_cap == 0.0
         assert SrEnv(TINY_SYSTEM).fixed_rate_cap is None
 

@@ -3,8 +3,9 @@
 The backward pass is checked against central finite differences, the policy
 head against quadrature of its own density, the optimizers against single-step
 arithmetic, and checkpoints against exact array round-trips.  The flat
-parameter buffers, the whole-buffer optimizer steps and soft update are
-checked bit for bit against the per-array code in ``scalar_reference``.
+parameter buffers, the parameter-only and input-only backward forms, and the
+block-wise optimizer steps and soft update are checked bit for bit against
+the per-array code in ``scalar_reference``.
 """
 
 import math
@@ -15,6 +16,7 @@ import scalar_reference as ref
 
 from srnoma.agents import soft_update
 from srnoma.nn import (
+    BLOCK,
     LOG_STD_MAX,
     LOG_STD_MIN,
     Adam,
@@ -205,19 +207,34 @@ class TestOptimizers:
 
     @pytest.mark.parametrize("kind", ["sgd", "adam"])
     def test_nonfinite_last_buffer_leaves_everything_unchanged(self, kind):
-        params = [np.array([1.0, -2.0, 0.5]), np.array([0.25, 4.0])]
+        # the last buffer spans several blocks; its non-finite entry sits in
+        # the last one, after every other block could have been written
+        long = np.linspace(-1.0, 1.0, 3 * BLOCK + 5)
+        params = [np.array([1.0, -2.0, 0.5]), np.array([0.25, 4.0]), long]
         opt = make_optimizer(kind, 0.1)
-        opt.step(params, [np.array([0.5, -1.0, 2.0]), np.array([1.0, -3.0])])
+        opt.step(params, [np.array([0.5, -1.0, 2.0]), np.array([1.0, -3.0]), long.copy()])
         kept = [p.copy() for p in params]
         state = {key: np.copy(value) for key, value in opt.state_arrays().items()}
+        bad = np.ones_like(long)
+        bad[-1] = np.inf
         with pytest.raises(NonFiniteGradientError):
-            opt.step(params, [np.array([0.5, 0.5, 0.5]), np.array([0.0, np.inf])])
+            opt.step(params, [np.array([0.5, 0.5, 0.5]), np.array([0.0, 3.0]), bad])
         for p, q in zip(params, kept):
             np.testing.assert_array_equal(p, q)
         after = opt.state_arrays()
         assert set(after) == set(state)
         for key, value in state.items():
             np.testing.assert_array_equal(after[key], value, err_msg=key)
+
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    def test_unpaired_buffers_are_rejected_before_any_write(self, kind):
+        params = [np.array([1.0, -2.0]), np.array([0.5])]
+        opt = make_optimizer(kind, 0.1)
+        with pytest.raises(ValueError, match="2 buffers and 1 gradients"):
+            opt.step(params, [np.array([1.0, 1.0])])
+        np.testing.assert_array_equal(params[0], [1.0, -2.0])
+        np.testing.assert_array_equal(params[1], [0.5])
+        assert all(int(value) == 0 for value in opt.state_arrays().values())
 
 
 # ===========================================================================
@@ -263,11 +280,17 @@ class TestFlatEngine:
         for step in range(steps):
             x = rng.standard_normal((16, sizes[0]))
             grad_out = rng.standard_normal((16, sizes[-1]))
-            grads, grad_in = net.backward(net.forward_cached(x)[1], grad_out)
+            cache = net.forward_cached(x)[1]
+            grads, grad_in = net.backward(cache, grad_out)
+            only_grads, no_grad_in = net.backward(cache, grad_out, inputs=False)
+            no_grads, only_grad_in = net.backward(cache, grad_out, params=False)
+            assert no_grad_in is None and no_grads is None
             ref_grads, ref_grad_in = ref.mlp_backward(twin, twin.forward_cached(x)[1], grad_out)
-            for i, (g, r) in enumerate(zip(grads, ref_grads)):
+            for i, (g, only, r) in enumerate(zip(grads, only_grads, ref_grads)):
                 assert_same_bits(g, r, f"step {step} gradient {i}")
+                assert_same_bits(only, r, f"step {step} parameter-only gradient {i}")
             assert_same_bits(grad_in, ref_grad_in, f"step {step} input gradient")
+            assert_same_bits(only_grad_in, ref_grad_in, f"step {step} input-only gradient")
             opt.step([net.flat], [grads.flat])
             ref_opt.step(twin.parameters(), ref_grads)
             assert_same_bits(net.flat, twin.flat, f"step {step} parameters")
@@ -296,14 +319,16 @@ class TestFlatEngine:
 
     def test_soft_update_matches_reference(self):
         rng = np.random.default_rng(4)
-        online = Mlp((7, 32, 32, 2), rng)
-        target = Mlp((7, 32, 32, 2), rng)
-        twin = target.copy()
-        for _ in range(20):
-            online.flat += 0.01 * rng.standard_normal(online.flat.size)
-            soft_update(target, online, 0.005)
-            ref.soft_update(twin.parameters(), online.parameters(), 0.005)
-            assert_same_bits(target.flat, twin.flat)
+        # the second net's buffer spans several blocks
+        for sizes in ((7, 32, 32, 2), (111, 400, 300, 1)):
+            online = Mlp(sizes, rng)
+            target = Mlp(sizes, rng)
+            twin = target.copy()
+            for _ in range(20):
+                online.flat += 0.01 * rng.standard_normal(online.flat.size)
+                soft_update(target, online, 0.005)
+                ref.soft_update(twin.parameters(), online.parameters(), 0.005)
+                assert_same_bits(target.flat, twin.flat, f"sizes {sizes}")
 
     def test_copy_and_load_from_are_exact(self):
         rng = np.random.default_rng(5)
