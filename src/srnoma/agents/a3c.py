@@ -1,12 +1,12 @@
 """Asynchronous advantage actor-critic.
 
-Several workers hold private environments, private RNG streams and private
-copies of the global actor/critic.  A worker plays its episode through the
-shared ``rollout`` driver and cuts it into segments of k steps (the last one
-may be shorter).  Before each segment it syncs its copies from the global
-store; after it, it computes the k-step returns and advantages locally,
-bootstrapping from its critic copy (from 0 at the episode's end), and pushes
-its gradients to the globals.
+Several workers share one environment and hold private RNG streams, private
+observation statistics and private copies of the global actor/critic.  A
+worker plays its episode through the shared ``rollout`` driver and cuts it
+into segments of k steps (the last one may be shorter).  Before each segment
+it syncs its copies from the global store; after it, it computes the k-step
+returns and advantages locally, bootstrapping from its critic copy (from 0 at
+the episode's end), and pushes its gradients to the globals.
 
 Workers take turns on one thread: in every outer episode each worker, in
 fixed worker order, plays its whole episode on the globals the workers
@@ -91,8 +91,10 @@ class A3cAgent(ActorCritic):
         log_std_grad = log_std_grad - self.entropy_coef * len(states)
         return actor_grads.flat, log_std_grad, critic_grad
 
-    def worker_episode(self, env, episode_seed: int, rng: np.random.Generator) -> EpisodeStats:
-        """One full episode of collect-k / push-gradients cycles.
+    def worker_episode(self, env, episode_seed: int, rng: np.random.Generator,
+                       observe=None) -> EpisodeStats:
+        """One full episode of collect-k / push-gradients cycles, on states
+        ``observe`` maps (see ``rollout``).
 
         A segment ends after k steps or at the episode's end, whichever comes
         first; it bootstraps from the local critic, or from 0 at the end.
@@ -103,7 +105,7 @@ class A3cAgent(ActorCritic):
         segment = []
         self.snapshot(local_policy, local_critic)
         for state, (_, pre, _), result in rollout(
-                env, episode_seed, lambda s: local_policy.sample(s, rng), stats):
+                env, episode_seed, lambda s: local_policy.sample(s, rng), stats, observe):
             segment.append((state, pre, result.reward))
             if len(segment) < self.k_steps and not result.done:
                 continue
@@ -117,7 +119,8 @@ class A3cAgent(ActorCritic):
                 self.snapshot(local_policy, local_critic)
         return stats
 
-    def run_episode_round(self, envs: list, episode_seeds: list, rngs: list) -> list:
-        """One outer episode: every worker plays one episode, in worker order."""
-        return [self.worker_episode(envs[w], episode_seeds[w], rngs[w])
+    def run_episode_round(self, env, episode_seeds: list, rngs: list, observers: list) -> list:
+        """One outer episode: every worker plays one episode on ``env``, in
+        worker order, each with its own entry of the three lists."""
+        return [self.worker_episode(env, episode_seeds[w], rngs[w], observers[w])
                 for w in range(self.workers)]

@@ -1,5 +1,6 @@
-"""Shared training plumbing: the episode driver, replay storage, episode traces,
-hyperparameter checks, checkpoints, the PPO/A3C core, the critic gradient."""
+"""Shared training plumbing: the episode driver, the observation normaliser,
+replay storage, episode traces, hyperparameter checks, checkpoints, the PPO/A3C
+core, the critic gradient."""
 
 from __future__ import annotations
 
@@ -22,12 +23,52 @@ def check_in(interval: str, **values) -> None:
             raise ValueError(f"{name} must be in {interval}, got {value!r}")
 
 
+class ObsNormalizer:
+    """Welford running mean/variance of raw observations.  Calling it adds the
+    observation to the statistics, then normalises it; ``normalize`` only
+    normalises, so evaluation sees the inputs training fed the agent."""
+
+    def __init__(self, dim: int) -> None:
+        self.count = 0
+        self.mean = np.zeros(dim)
+        self.m2 = np.zeros(dim)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        self.count += 1
+        delta = x - self.mean
+        self.mean += delta / self.count
+        self.m2 += delta * (x - self.mean)
+        return self.normalize(x)
+
+    def normalize(self, x: np.ndarray) -> np.ndarray:
+        var = self.m2 / max(self.count, 1)
+        return (x - self.mean) / np.sqrt(var + 1e-8)
+
+    def state_arrays(self) -> dict:
+        return {"count": np.array(self.count), "mean": self.mean, "m2": self.m2}
+
+    def load_state_arrays(self, arrays: dict) -> None:
+        self.count = int(arrays["count"])
+        self.mean[...] = arrays["mean"]
+        self.m2[...] = arrays["m2"]
+
+
 class Checkpointed:
-    """Checkpoint of the nets (``<name>/w<i>``, ``<name>/b<i>``), optimizers (``<name>/<key>``)
-    and arrays ``_checkpoint_parts()`` names, as live arrays; loading writes in place."""
+    """Checkpoint of the nets (``<name>/w<i>``, ``<name>/b<i>``), the optimizers and the
+    observation normaliser (``<name>/<key>``, the normaliser as ``obs``), and the arrays
+    ``_checkpoint_parts()`` names, as live arrays.  Loading writes in place and gives the
+    agent the normaliser the state holds, or none."""
+
+    normalizer = None  # the ObsNormalizer train() hands over when the env normalises
+
+    def _parts(self) -> tuple[dict, dict, dict]:
+        nets, optimizers, arrays = self._checkpoint_parts()
+        if self.normalizer is not None:
+            optimizers = {**optimizers, "obs": self.normalizer}
+        return nets, optimizers, arrays
 
     def state_dict(self) -> dict:
-        nets, optimizers, arrays = self._checkpoint_parts()
+        nets, optimizers, arrays = self._parts()
         state = {}
         for prefix, net in nets.items():
             for i, (w, b) in enumerate(zip(net.weights, net.biases)):
@@ -39,7 +80,8 @@ class Checkpointed:
         return {**state, **arrays}
 
     def load_state_dict(self, state: dict) -> None:
-        nets, optimizers, arrays = self._checkpoint_parts()
+        self.normalizer = ObsNormalizer(len(state["obs/mean"])) if "obs/mean" in state else None
+        nets, optimizers, arrays = self._parts()
         for prefix, net in nets.items():
             for i in range(len(net.weights)):
                 net.weights[i][...] = state[f"{prefix}/w{i}"]
@@ -177,21 +219,25 @@ class EpisodeStats:
         return self.reward_sum / n, self.min_rate_sum / n, self.satisfied_sum / n
 
 
-def rollout(env, seed: int, act, stats: EpisodeStats):
+def rollout(env, seed: int, act, stats: EpisodeStats, observe=None):
     """Play one episode of ``env`` from ``reset(seed)``; the only place the
     package resets or steps an environment.
 
-    Each step calls ``act(state)``, which returns a tuple whose first item is
-    the action, steps that action, adds the step to ``stats`` and yields
-    ``(state, choice, result)``: the state acted on, act's tuple and the
-    StepResult.  The generator resumes, and so calls ``act`` again, only
+    ``observe`` (an ObsNormalizer, its ``normalize``, or None for raw states)
+    maps the reset state and each ``result.state`` before anything reads
+    them.  Each step calls ``act(state)``, which returns a tuple whose first
+    item is the action, steps that action, adds the step to ``stats`` and
+    yields ``(state, choice, result)``: the state acted on, act's tuple and
+    the StepResult.  The generator resumes, and so calls ``act`` again, only
     after the consumer has handled the step.
     """
-    state = env.reset(seed)
+    observe = observe or (lambda state: state)
+    state = observe(env.reset(seed))
     done = False
     while not done:
         choice = act(state)
         result = env.step(choice[0])
+        result.state = observe(result.state)
         stats.add(result.reward, result.info.min_rate, result.info.satisfied_count)
         yield state, choice, result
         state, done = result.state, result.done

@@ -10,7 +10,7 @@ import numpy as np
 from ..network import derive_keys, next_seed, philox
 from ..nn import NonFiniteGradientError, save_checkpoint
 from .a3c import A3cAgent, kstep_returns
-from .common import EpisodeStats, TrainingTrace, rollout
+from .common import EpisodeStats, ObsNormalizer, TrainingTrace, rollout
 from .ppo import PpoAgent, advantage_and_target
 from .td3 import Td3Agent
 
@@ -53,8 +53,9 @@ def _checkpoint(agent, algo: str, directory, episode: int, final: bool) -> None:
 
 def _ppo_episode(agent: PpoAgent, env, episode_seed: int) -> EpisodeStats:
     stats = EpisodeStats()
+    episode = rollout(env, episode_seed, agent.act, stats, agent.normalizer)
     steps = [(state, pre, log_prob, result.reward, result.state, float(result.done))
-             for state, (_, pre, log_prob), result in rollout(env, episode_seed, agent.act, stats)]
+             for state, (_, pre, log_prob), result in episode]
     states, pres, log_probs, rewards, next_states, dones = (np.asarray(c) for c in zip(*steps))
     values = lambda x: agent.critic.forward(x)[:, 0]
     advantages, targets = advantage_and_target(
@@ -66,7 +67,8 @@ def _ppo_episode(agent: PpoAgent, env, episode_seed: int) -> EpisodeStats:
 
 def _td3_episode(agent: Td3Agent, env, episode_seed: int) -> EpisodeStats:
     stats = EpisodeStats()
-    for state, (action,), result in rollout(env, episode_seed, lambda s: (agent.act(s),), stats):
+    for state, (action,), result in rollout(env, episode_seed, lambda s: (agent.act(s),), stats,
+                                            agent.normalizer):
         agent.observe(state, action, result.reward, result.state, float(result.done))
         agent.update()
     return stats
@@ -83,16 +85,21 @@ def train(
 ):
     """Train one agent on the environment; returns (agent, TrainingTrace).
 
-    A non-finite gradient aborts the run: the trace keeps the episodes
-    finished so far, flags the abort, and the checkpoint on disk stays at the
-    last parameters the optimizers accepted.
+    When ``env.normalize_obs`` is set the agent gets an ObsNormalizer as
+    ``agent.normalizer``: it learns from the states of training and is saved
+    in the checkpoint.  A non-finite gradient aborts the run: the trace keeps
+    the episodes finished so far, flags the abort, and the checkpoint on disk
+    stays at the last parameters the optimizers accepted.
     """
     agent_key, env_key = derive_keys(seed, 2)
     agent = build_agent(algo, env.state_dim, env.action_dim, hyper, agent_key)
+    fresh = lambda: ObsNormalizer(env.state_dim) if env.normalize_obs else None
+    agent.normalizer = fresh()
     trace = TrainingTrace()
 
     if algo == "a3c":
-        envs = [env] + [env.replicate() for _ in range(agent.workers - 1)]
+        # worker 0 learns the agent's statistics, every other worker its own
+        observers = [agent.normalizer] + [fresh() for _ in range(agent.workers - 1)]
         worker_keys = derive_keys(env_key, 2 * agent.workers)
         seed_streams = [philox(key) for key in worker_keys[0::2]]
         action_rngs = [philox(key) for key in worker_keys[1::2]]
@@ -104,7 +111,7 @@ def train(
         try:
             if algo == "a3c":
                 rounds = agent.run_episode_round(
-                    envs, [next_seed(s) for s in seed_streams], action_rngs)
+                    env, [next_seed(s) for s in seed_streams], action_rngs, observers)
                 means = tuple(float(np.mean(col)) for col in zip(*(s.means() for s in rounds)))
             else:
                 means = play(agent, env, next_seed(seed_stream)).means()

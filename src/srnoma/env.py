@@ -29,7 +29,6 @@ h2, h3, g2r, g2t in that order.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import math
 
@@ -147,31 +146,14 @@ class StepResult:
     info: StepInfo
 
 
-class _RunningStats:
-    """Welford running mean/variance over observed raw states."""
-
-    def __init__(self, dim: int) -> None:
-        self.count = 0
-        self.mean = np.zeros(dim)
-        self._m2 = np.zeros(dim)
-
-    def update(self, x: np.ndarray) -> None:
-        self.count += 1
-        delta = x - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (x - self.mean)
-
-    def normalize(self, x: np.ndarray) -> np.ndarray:
-        var = self._m2 / max(self.count, 1)
-        return (x - self.mean) / np.sqrt(var + 1e-8)
-
-
 class SrEnv:
     """Gym-style environment: reset(seed) -> state, step(action) -> StepResult.
 
     r_mode picks where the reward's rate factor comes from: "literal" trusts
     the action-supplied target (checked by C10/C11), "derived" substitutes the
     achieved min-rate before scoring, which satisfies C10/C11 by construction.
+    States are always raw; normalize_obs asks train() to give the agent an
+    observation normaliser.  Nothing carries over from one episode to the next.
     """
 
     def __init__(
@@ -204,43 +186,10 @@ class SrEnv:
         self.state_dim = state_dim(cfg)
         self.action_dim = action_dim(cfg)
         self.placement = None
-        self._stats = _RunningStats(self.state_dim)
-        self._stats_frozen = False
         self._channel_rng = None
         self._step_count = 0
         self._done = True
         self._current: ChannelRealization | None = None
-
-    def replicate(self) -> "SrEnv":
-        """A fresh environment with identical configuration and fresh
-        observation statistics (for A3C workers)."""
-        return SrEnv(
-            self.cfg,
-            episode_steps=self.episode_steps,
-            ris_mode=self.ris_mode,
-            r_mode=self.r_mode,
-            reward_mode=self.reward_mode,
-            penalty_cost=self.penalty_cost,
-            normalize_obs=self.normalize_obs,
-            rate_cap=self.fixed_rate_cap,
-        )
-
-    def frozen_replica(self) -> "SrEnv":
-        """A replica that normalizes observations with a frozen copy of this
-        environment's statistics (for evaluating an agent trained here): it
-        feeds the policy the inputs training fed it and never updates them."""
-        twin = self.replicate()
-        twin._stats = copy.deepcopy(self._stats)
-        twin._stats_frozen = True
-        return twin
-
-    def _observe(self, ch: ChannelRealization) -> np.ndarray:
-        raw = state_vector(ch)
-        if not self.normalize_obs:
-            return raw
-        if not self._stats_frozen:
-            self._stats.update(raw)
-        return self._stats.normalize(raw)
 
     def reset(self, seed: int) -> np.ndarray:
         placement_key, channel_key = derive_keys(seed, 2)
@@ -249,7 +198,7 @@ class SrEnv:
         self._current = self._draw()
         self._step_count = 0
         self._done = False
-        return self._observe(self._current)
+        return state_vector(self._current)
 
     def _draw(self) -> ChannelRealization:
         return draw_realization(self.cfg, self.placement, next_seed(self._channel_rng))
@@ -272,11 +221,10 @@ class SrEnv:
         if self.r_mode == "derived":
             dv = dataclasses.replace(dv, rate_target=min_rate)
         report = problem.evaluate_constraints(self._current, dv, self.cfg, rates)
-        rate_value = dv.rate_target if self.r_mode == "literal" else min_rate
-        rew = problem.reward(rate_value, report, self.reward_mode, self.penalty_cost)
+        rew = problem.reward(dv.rate_target, report, self.reward_mode, self.penalty_cost)
 
         self._step_count += 1
         self._done = self._step_count >= self.episode_steps
         self._current = self._draw()
         info = StepInfo(dv, rates, report, min_rate, report.satisfied_count, cap)
-        return StepResult(self._observe(self._current), rew, self._done, info)
+        return StepResult(state_vector(self._current), rew, self._done, info)

@@ -205,6 +205,8 @@ class SearchResult:
 
 # candidates scored per kernel call by the search baselines
 CHUNK = 1024
+# the most points grid_oracle agrees to score
+GRID_CAP = 10_000_000
 
 _STRUCTURAL = problem.CONSTRAINT_NAMES.index("rate_target_phase1")
 
@@ -278,7 +280,6 @@ def grid_oracle(
     ris_mode: str = ACTIVE,
     resolution: int = 5,
     grids: dict | None = None,
-    cap: float = 1e7,
 ) -> SearchResult:
     """Exhaustive feasible max-min search on the scalar (N = M = I = 1) scene.
 
@@ -286,8 +287,8 @@ def grid_oracle(
     phases; any axis can be overridden (or pinned to a single value) through
     ``grids``.  Beam scalars are fixed to 1 since a unit-modulus scalar beam
     cannot change any magnitude.  Refuses to run when the grid would exceed
-    ``cap`` points.  Points are scored in chunks, in itertools.product order
-    of the axes.
+    ``GRID_CAP`` points.  Points are scored in chunks, in itertools.product
+    order of the axes.
     """
     if not (cfg.n_bs_antennas == 1 and cfg.n_ris_elements == 1 and cfg.n_pairs == 1):
         raise ValueError("grid_oracle only handles the N = M = I = 1 scene")
@@ -311,9 +312,9 @@ def grid_oracle(
 
     shape = tuple(len(values) for values in axes.values())
     points = math.prod(shape)
-    if points > cap:
+    if points > GRID_CAP:
         raise GridCapError(
-            f"grid holds {points} points, above the cap of {int(cap)}; "
+            f"grid holds {points} points, above the cap of {GRID_CAP}; "
             "coarsen the resolution or pin axes"
         )
 
@@ -382,29 +383,36 @@ def _greedy_action(agent, state: np.ndarray) -> np.ndarray:
 
 
 def evaluate_policy(agent, env: SrEnv, episodes: int, seed: int) -> dict:
-    """Greedy rollouts; means over all steps of all episodes."""
+    """Greedy rollouts on states the agent's frozen statistics normalise (raw
+    when it has none).  ``reward`` is the mean over all steps; ``min_rate``
+    and ``sum_rate`` are means over the ``feasible_steps``, the steps that
+    meet C1..C9 as ``evaluate_decision`` requires of baseline rows (NaN when
+    there are none)."""
     seeds = philox(seed)
     act = lambda state: (_greedy_action(agent, state),)
-    steps = [(result.reward, result.info.min_rate, result.info.rates.sum_rate)
+    observe = getattr(agent.normalizer, "normalize", None)
+    steps = [(result.reward, result.info.min_rate, result.info.rates.sum_rate,
+              result.info.constraints.flags[:_STRUCTURAL].all())
              for _ in range(int(episodes))
-             for _, _, result in rollout(env, next_seed(seeds), act, EpisodeStats())]
-    columns = np.array(steps).reshape(-1, 3).T
-    return {name: float(np.mean(col))
-            for name, col in zip(("reward", "min_rate", "sum_rate"), columns)}
+             for _, _, result in rollout(env, next_seed(seeds), act, EpisodeStats(), observe)]
+    reward, min_rate, sum_rate, feasible = np.array(steps).reshape(-1, 4).T
+    feasible = feasible == 1.0
+    mean = lambda col: float(np.mean(col)) if len(col) else float("nan")
+    return {"reward": float(np.mean(reward)), "min_rate": mean(min_rate[feasible]),
+            "sum_rate": mean(sum_rate[feasible]), "feasible_steps": int(feasible.sum())}
 
 
 def _train_point(config: dict, ris_mode: str, seed: int) -> dict:
     run_cfg = config["run"]
-    sweep_cfg = config["sweep"]
     env = env_from(config, ris_mode)
     algo = run_cfg["algo"]
     agent, trace = train(algo, env, run_cfg["episodes"], seed,
                          hyper=config["agents"][algo])
-    scores = evaluate_policy(agent, env.frozen_replica(), sweep_cfg["n_channels"], seed + 1)
+    scores = evaluate_policy(agent, env, config["sweep"]["n_channels"], seed + 1)
     return {
         "min_rate": scores["min_rate"],
         "sum_rate": scores["sum_rate"],
-        "feasible_channels": int(sweep_cfg["n_channels"]),
+        "feasible_channels": scores["feasible_steps"],
         "aborted": int(trace.aborted),
     }
 

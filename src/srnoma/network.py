@@ -93,18 +93,10 @@ class SystemConfig:
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        for name in (
-            "bandwidth_hz",
-            "noise_bs_watts",
-            "noise_asris_watts",
-            "noise_sue_watts",
-            "p_bs_max_watts",
-            "p_asris_watts",
-            "carrier_hz",
-            "d_bs_sbd_m",
-            "d_bs_sue_max_m",
-            "d_bs_asris_max_m",
-        ):
+        positive = ("bandwidth_hz", "noise_bs_watts", "noise_asris_watts", "noise_sue_watts",
+                    "p_bs_max_watts", "p_asris_watts", "carrier_hz", "d_bs_sbd_m",
+                    "d_bs_sue_max_m", "d_bs_asris_max_m", "bs_antenna_gain", "ris_element_gain")
+        for name in positive:
             value = getattr(self, name)
             if not value > 0.0:
                 raise ValueError(f"{name} must be strictly positive, got {value!r}")
@@ -113,15 +105,9 @@ class SystemConfig:
                 f"energy_conversion_efficiency must lie in [0, 1], "
                 f"got {self.energy_conversion_efficiency!r}"
             )
-        if self.harvest_threshold_joules < 0.0:
-            raise ValueError("harvest_threshold_joules must be nonnegative")
-        if self.path_loss_exponent < 0.0:
-            raise ValueError("path_loss_exponent must be nonnegative")
-        if self.rician_k < 0.0:
-            raise ValueError("rician_k must be nonnegative")
-        for name in ("bs_antenna_gain", "ris_element_gain"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+        for name in ("harvest_threshold_joules", "path_loss_exponent", "rician_k"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be nonnegative")
 
 
 def path_loss(distance_m: float, carrier_hz: float = 28e9, exponent: float = 3.0) -> float:

@@ -29,6 +29,8 @@ CHECKPOINT_VERSION = 1
 # items per block of elementwise buffer updates: 256 KiB of float64, so the
 # (at most six) arrays one block of an Adam step touches fit a 2 MiB L2 cache
 BLOCK = 32768
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class NonFiniteGradientError(RuntimeError):
@@ -180,12 +182,8 @@ class Adam:
     The moments are cut into views per buffer at the first step after
     construction or a load; later steps must pass buffers of the same shapes."""
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8, shapes=None) -> None:
+    def __init__(self, lr: float, shapes=None) -> None:
         self.lr = float(lr)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.shapes = shapes
         self.t = 0
         self._m = self._v = None
@@ -200,19 +198,19 @@ class Adam:
             layout = _layout([p.shape for p in params])
             self._moments = list(zip(_views(self._m, layout), _views(self._v, layout)))
         self.t += 1
-        correction1 = 1.0 - self.beta1 ** self.t
-        correction2 = 1.0 - self.beta2 ** self.t
+        correction1 = 1.0 - ADAM_BETA1 ** self.t
+        correction2 = 1.0 - ADAM_BETA2 ** self.t
         # two scratch arrays per block keep the elementwise order of
         # lr * (m / c1) / (sqrt(v / c2) + eps), so results stay bit-identical
         for p, g, (m, v) in zip(params, grads, self._moments):
             for p, g, m, v in blocks(p, g, m, v):
                 a, b = np.empty_like(p), np.empty_like(p)
-                m *= self.beta1
-                m += np.multiply(1.0 - self.beta1, g, out=a)
-                v *= self.beta2
-                v += np.multiply(np.multiply(1.0 - self.beta2, g, out=b), g, out=b)
+                m *= ADAM_BETA1
+                m += np.multiply(1.0 - ADAM_BETA1, g, out=a)
+                v *= ADAM_BETA2
+                v += np.multiply(np.multiply(1.0 - ADAM_BETA2, g, out=b), g, out=b)
                 a = np.multiply(self.lr, np.divide(m, correction1, out=a), out=a)
-                b = np.add(np.sqrt(np.divide(v, correction2, out=b), out=b), self.eps, out=b)
+                b = np.add(np.sqrt(np.divide(v, correction2, out=b), out=b), ADAM_EPS, out=b)
                 p -= np.divide(a, b, out=a)
 
     def state_arrays(self) -> dict:

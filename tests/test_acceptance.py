@@ -473,7 +473,7 @@ class TestAcceptance:
             n_bs_antennas=2, n_ris_elements=4, n_pairs=2,
             harvest_threshold_joules=1e-13,
         )
-        proto = SrEnv(cfg, episode_steps=25, normalize_obs=True, rate_cap=4.0)
+        fresh_env = lambda: SrEnv(cfg, episode_steps=25, normalize_obs=True, rate_cap=4.0)
         hyper = {
             "ppo": dict(hidden=(64, 64), minibatch=16, update_epochs=5,
                         actor_lr=0.0001, critic_lr=0.001, optimizer="adam"),
@@ -489,9 +489,9 @@ class TestAcceptance:
             wins = 0
             ratios = []
             for seed in seeds:
-                floor_trace = random_policy_trace(proto.replicate(), 100, seed)
+                floor_trace = random_policy_trace(fresh_env(), 100, seed)
                 floor = float(np.mean(floor_trace.mean_rewards))
-                _, trace = train(algo, proto.replicate(), 2000, seed,
+                _, trace = train(algo, fresh_env(), 2000, seed,
                                  hyper=hyper[algo])
                 assert not trace.aborted, f"{algo} seed {seed} aborted"
                 final = float(np.mean(trace.mean_rewards[-100:]))
@@ -514,7 +514,7 @@ class TestAcceptance:
             n_bs_antennas=1, n_ris_elements=1, n_pairs=1,
             harvest_threshold_joules=1e-15,
         )
-        proto = SrEnv(cfg, episode_steps=4, rate_cap=2.0)
+        fresh_env = lambda: SrEnv(cfg, episode_steps=4, rate_cap=2.0)
         hyper = {
             "ppo": dict(hidden=(8,), minibatch=8, update_epochs=2),
             "td3": dict(hidden=(8,), minibatch=8, buffer_size=500),
@@ -524,7 +524,7 @@ class TestAcceptance:
         for algo in ("ppo", "td3", "a3c"):
             paths = []
             for run in range(2):
-                _, trace = train(algo, proto.replicate(), 3, seed=7, hyper=hyper[algo])
+                _, trace = train(algo, fresh_env(), 3, seed=7, hyper=hyper[algo])
                 path = tmp_path / f"{algo}_run{run}.csv"
                 trace.to_csv(path, config_hash="acceptance", seed=7)
                 paths.append(path)

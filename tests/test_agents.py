@@ -28,9 +28,9 @@ from srnoma.agents import (
     train,
 )
 from srnoma.agents import a3c as a3c_module
-from srnoma.agents.common import EpisodeStats, critic_gradient, rollout
+from srnoma.agents.common import EpisodeStats, ObsNormalizer, critic_gradient, rollout
 from srnoma.env import SrEnv
-from srnoma.harness import _greedy_action, load_config
+from srnoma.harness import _greedy_action, evaluate_policy, load_config
 from srnoma.network import SystemConfig
 from srnoma.nn import LOG_STD_MAX, LOG_STD_MIN, GaussianPolicy, Mlp, load_checkpoint
 
@@ -164,6 +164,22 @@ class TestRollout:
         for _ in rollout(env, 2, act, EpisodeStats()):
             log.append("body")
         assert log == ["act", "body"] * 3
+
+    def test_normalized_first_observation_is_zero(self):
+        env = tiny_env(steps=2)
+        norm = ObsNormalizer(env.state_dim)
+        state, _, _ = next(rollout(env, 0, lambda s: (np.zeros(env.action_dim),),
+                                   EpisodeStats(), norm))
+        np.testing.assert_allclose(state, np.zeros(env.state_dim), atol=1e-12)
+        assert norm.count == 2, "the reset state and the first step's state"
+
+    def test_normalized_states_stay_finite(self):
+        env = tiny_env(steps=30)
+        norm = ObsNormalizer(env.state_dim)
+        steps = list(rollout(env, 4, lambda s: (np.zeros(env.action_dim),), EpisodeStats(), norm))
+        assert norm.count == 31
+        for _, _, result in steps:
+            assert np.all(np.isfinite(result.state))
 
 
 # ===========================================================================
@@ -487,11 +503,14 @@ class TestA3c:
         env = tiny_env(steps=4)
         agent = A3cAgent(env.state_dim, env.action_dim, hidden=(4,), workers=3,
                          k_steps=2, seed=3)
-        envs = [env] + [env.replicate() for _ in range(2)]
+        observers = [ObsNormalizer(env.state_dim) for _ in range(3)]
         rngs = [np.random.Generator(np.random.Philox(k)) for k in range(3)]
-        results = agent.run_episode_round(envs, [1, 2, 3], rngs)
+        results = agent.run_episode_round(env, [1, 2, 3], rngs, observers)
         assert len(results) == 3
         assert all(r.steps == 4 for r in results)
+        # each worker normalises only its own reset state and four steps
+        assert [o.count for o in observers] == [5, 5, 5]
+        assert not np.array_equal(observers[0].mean, observers[1].mean)
 
     def test_segments_cut_at_k_steps_and_bootstrap_until_the_end(self, monkeypatch):
         # a 7-step episode with k = 3 gives batches of 3, 3 and 1; the first
@@ -611,6 +630,28 @@ class TestTrain:
         assert filecmp.cmp(*paths, shallow=False), (
             f"{algo} training must be reproducible to the byte"
         )
+
+    @pytest.mark.parametrize("algo, workers", [
+        *(pytest.param(algo, 1, id=algo) for algo in ALGORITHMS),
+        pytest.param("a3c", 3, id="a3c-workers3"),
+    ])
+    def test_loaded_checkpoint_evaluates_like_the_trained_agent(self, algo, workers, tmp_path):
+        # the checkpoint holds the observation statistics, so a fresh agent
+        # loaded from it is fed the inputs the trained agent is fed
+        env = tiny_env(steps=5, normalize_obs=True)
+        hyper = small_hyper(algo, workers)
+        agent, _ = train(algo, env, episodes=3, seed=2, hyper=hyper, checkpoint_dir=tmp_path)
+        arrays, _ = load_checkpoint(tmp_path / f"ckpt_{algo}_final.npz")
+        # three episodes of a reset state and five steps; worker 0's only
+        assert int(arrays["obs/count"]) == 18
+        np.testing.assert_array_equal(arrays["obs/mean"], agent.normalizer.mean)
+        np.testing.assert_array_equal(arrays["obs/m2"], agent.normalizer.m2)
+        clone = build_agent(algo, env.state_dim, env.action_dim, hyper, seed=99)
+        clone.load_state_dict(arrays)
+        want = evaluate_policy(agent, env, episodes=2, seed=5)
+        np.testing.assert_equal(evaluate_policy(clone, env, episodes=2, seed=5), want)
+        np.testing.assert_equal(evaluate_policy(agent, env, episodes=2, seed=5), want)
+        assert agent.normalizer.count == 18, "evaluation leaves the statistics frozen"
 
     @pytest.mark.parametrize("algo", ALGORITHMS)
     def test_adam_checkpoint_keys_and_round_trip(self, algo, tmp_path):

@@ -15,10 +15,13 @@ import pytest
 import yaml
 
 from srnoma import harness
+from srnoma.agents import build_agent, train
+from srnoma.agents.common import EpisodeStats, rollout
 from srnoma.cli import main
 from srnoma.env import SrEnv
 from srnoma.harness import (
     GridCapError,
+    _greedy_action,
     config_hash,
     default_config,
     dump_config,
@@ -32,7 +35,8 @@ from srnoma.harness import (
     sweep,
     system_from,
 )
-from srnoma.network import ChannelRealization, SystemConfig, draw_realization, make_placement
+from srnoma.network import (ChannelRealization, SystemConfig, draw_realization, make_placement,
+                             next_seed, philox)
 from srnoma.ris import ACTIVE, PASSIVE
 
 
@@ -86,6 +90,12 @@ class TestConfig:
         path = tmp_path / "empty.yaml"
         path.write_text("")
         assert load_config(path) == default_config()
+
+    def test_shipped_default_file_spells_out_the_default_config(self):
+        path = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
+        assert load_config(path) == default_config()
+        # every key is written in the file, none filled in from the defaults
+        assert yaml.safe_load(path.read_text()) == default_config()
 
     def test_dump_and_load_round_trip(self, tmp_path):
         path = tmp_path / "full.yaml"
@@ -382,57 +392,79 @@ class TestSweep:
 
 class TestEvaluatePolicy:
     def test_greedy_scores_are_deterministic(self, tmp_path):
-        from srnoma.agents import build_agent
-
         config = load_config(tiny_yaml(tmp_path))
         env = env_from(config)
         agent = build_agent("ppo", env.state_dim, env.action_dim, {"hidden": (8,)}, seed=0)
         a = evaluate_policy(agent, env, episodes=2, seed=4)
-        b = evaluate_policy(agent, env.replicate(), episodes=2, seed=4)
+        b = evaluate_policy(agent, env, episodes=2, seed=4)
         assert a == b
-        assert set(a) == {"reward", "min_rate", "sum_rate"}
+        assert set(a) == {"reward", "min_rate", "sum_rate", "feasible_steps"}
         assert all(np.isfinite(v) for v in a.values())
 
+    def test_rates_average_only_steps_that_meet_c1_to_c9(self, tmp_path):
+        # at this harvest threshold the untrained greedy policy breaks C7 on
+        # half of its steps and meets every other structural family
+        config = load_config(tiny_yaml(tmp_path, system={"harvest_threshold_joules": 3e-12}))
+        env = env_from(config)
+        agent = build_agent("ppo", env.state_dim, env.action_dim, {"hidden": (8,)}, seed=0)
+        seeds = philox(4)
+        act = lambda state: (_greedy_action(agent, state),)
+        infos = [result.info for _ in range(3)
+                 for _, _, result in rollout(env, next_seed(seeds), act, EpisodeStats())]
+        flags = np.array([info.constraints.flags[:9] for info in infos])
+        feasible = flags.all(axis=1)
+        assert feasible.sum() == 6 and len(infos) == 12
+        assert flags[:, [0, 1, 2, 3, 4, 5, 7, 8]].all() and not flags[~feasible, 6].any()
+
+        scores = evaluate_policy(agent, env, episodes=3, seed=4)
+        assert scores["feasible_steps"] == 6
+        kept = [info for info, ok in zip(infos, feasible) if ok]
+        assert scores["min_rate"] == np.mean([info.min_rate for info in kept])
+        assert scores["sum_rate"] == np.mean([info.rates.sum_rate for info in kept])
+        assert scores["min_rate"] != np.mean([info.min_rate for info in infos])
+
+    def test_no_feasible_step_gives_nan_rates(self, tmp_path):
+        config = load_config(tiny_yaml(tmp_path, system={"harvest_threshold_joules": 1e-9}))
+        env = env_from(config)
+        agent = build_agent("ppo", env.state_dim, env.action_dim, {"hidden": (8,)}, seed=0)
+        scores = evaluate_policy(agent, env, episodes=3, seed=4)
+        assert scores["feasible_steps"] == 0 and np.isfinite(scores["reward"])
+        assert math.isnan(scores["min_rate"]) and math.isnan(scores["sum_rate"])
+
     def test_train_point_evaluates_with_frozen_training_statistics(self, monkeypatch):
-        # smoke scene, PPO, 4 episodes of 25 steps: the training env has
-        # normalized 4 x 26 = 104 states, and evaluation must see exactly
-        # those statistics and leave them as they are
+        # smoke scene, PPO, 4 episodes of 25 steps: training has normalized
+        # 4 x 26 = 104 states, and evaluation must see exactly those
+        # statistics and leave them as they are
         config = load_config(Path(__file__).resolve().parents[1] / "configs" / "smoke.yaml")
         config["run"].update(algo="ppo", episodes=4)
         assert config["env"]["normalize_obs"] is True
         seen = {}
-        real_train = harness.train
-
-        def spy_train(algo, env, episodes, seed, hyper):
-            seen["train_env"] = env
-            return real_train(algo, env, episodes, seed, hyper=hyper)
 
         def spy_evaluate(agent, env, episodes, seed):
-            stats = env._stats
-            seen["before"] = (stats.count, stats.mean.copy(), stats._m2.copy())
-            scores = evaluate_policy(agent, env, episodes, seed)
-            seen["after"] = (stats.count, stats.mean.copy(), stats._m2.copy())
-            return scores
+            norm = agent.normalizer
+            seen["before"] = (norm.count, norm.mean.copy(), norm.m2.copy())
+            seen["scores"] = evaluate_policy(agent, env, episodes, seed)
+            seen["after"] = (norm.count, norm.mean.copy(), norm.m2.copy())
+            return seen["scores"]
 
-        monkeypatch.setattr(harness, "train", spy_train)
         monkeypatch.setattr(harness, "evaluate_policy", spy_evaluate)
         point = harness._train_point(config, ACTIVE, seed=0)
-        assert np.isfinite(point["min_rate"])
-        trained = seen["train_env"]._stats
-        assert trained.count == 104
-        for got in (seen["before"], seen["after"]):
-            assert got[0] == trained.count
-            np.testing.assert_array_equal(got[1], trained.mean)
-            np.testing.assert_array_equal(got[2], trained._m2)
+        assert seen["before"][0] == 104
+        for got, want in zip(seen["after"], seen["before"]):
+            np.testing.assert_array_equal(got, want)
+        assert point["feasible_channels"] == seen["scores"]["feasible_steps"]
+        assert point["min_rate"] == seen["scores"]["min_rate"]
 
-    def test_replicate_starts_fresh_statistics(self):
+    def test_train_hands_the_agent_its_own_statistics(self):
+        hyper = {"hidden": (4,), "minibatch": 2}
         env = SrEnv(scalar_cfg(), episode_steps=2, normalize_obs=True, rate_cap=2.0)
-        env.reset(1)
-        assert env._stats.count == 1
-        assert env.replicate()._stats.count == 0
-        frozen = env.frozen_replica()
-        frozen.reset(2)
-        assert frozen._stats.count == 1 and env._stats.count == 1
+        for _ in range(2):  # a second run on the same env starts from zero again
+            agent, _ = train("ppo", env, 3, seed=1, hyper=hyper)
+            assert agent.normalizer.count == 9, "three episodes of a reset and two steps"
+        raw = SrEnv(scalar_cfg(), episode_steps=2, rate_cap=2.0)
+        agent, _ = train("ppo", raw, 3, seed=1, hyper=hyper)
+        assert agent.normalizer is None
+        assert not any(key.startswith("obs/") for key in agent.state_dict())
 
 
 # ===========================================================================
