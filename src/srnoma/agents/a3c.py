@@ -3,10 +3,13 @@
 Several workers share one environment and hold private RNG streams, private
 observation statistics and private copies of the global actor/critic.  A
 worker plays its episode through the shared ``rollout`` driver and cuts it
-into segments of k steps (the last one may be shorter).  Before each segment
-it syncs its copies from the global store; after it, it computes the k-step
-returns and advantages locally, bootstrapping from its critic copy (from 0 at
-the episode's end), and pushes its gradients to the globals.
+into segments of k steps (the last one may be shorter).  A segment is one
+block of the driver: its k actions are all sampled from the copies synced
+before it, so its k frames are scored in one ``env.step`` call.  Before each
+segment the worker syncs its copies from the global store; after it, it
+computes the k-step returns and advantages locally, bootstrapping from its
+critic copy (from 0 at the episode's end), and pushes its gradients to the
+globals.
 
 Workers take turns on one thread: in every outer episode each worker, in
 fixed worker order, plays its whole episode on the globals the workers
@@ -97,7 +100,8 @@ class A3cAgent(ActorCritic):
         ``observe`` maps (see ``rollout``).
 
         A segment ends after k steps or at the episode's end, whichever comes
-        first; it bootstraps from the local critic, or from 0 at the end.
+        first, and is stepped as one block of k frames; it bootstraps from the
+        local critic, or from 0 at the end.
         """
         local_policy = self.policy.copy()
         local_critic = self.critic.copy()
@@ -105,7 +109,8 @@ class A3cAgent(ActorCritic):
         segment = []
         self.snapshot(local_policy, local_critic)
         for state, (_, pre, _), result in rollout(
-                env, episode_seed, lambda s: local_policy.sample(s, rng), stats, observe):
+                env, episode_seed, lambda s: local_policy.sample(s, rng), stats, observe,
+                self.k_steps):
             segment.append((state, pre, result.reward))
             if len(segment) < self.k_steps and not result.done:
                 continue

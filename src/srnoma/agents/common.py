@@ -13,12 +13,16 @@ from ..nn import LOG_STD_MAX, LOG_STD_MIN, GaussianPolicy, Mlp, make_optimizer
 
 
 def check_in(interval: str, **values) -> None:
-    """Raise unless every value lies in ``interval``, written like "[0, 1]",
-    "(0, inf)" or "[1, inf]"; NaN lies in none."""
+    """Raise ValueError unless every value lies in ``interval``, written like
+    "[0, 1]", "(0, inf)" or "[1, inf]"; NaN and values that are not numbers
+    lie in none."""
     low, high = (float(end) for end in interval[1:-1].split(","))
     for name, value in values.items():
-        above = value > low if interval[0] == "(" else value >= low
-        below = value < high if interval[-1] == ")" else value <= high
+        try:
+            above = value > low if interval[0] == "(" else value >= low
+            below = value < high if interval[-1] == ")" else value <= high
+        except TypeError:
+            above = below = False
         if not (above and below):
             raise ValueError(f"{name} must be in {interval}, got {value!r}")
 
@@ -219,27 +223,38 @@ class EpisodeStats:
         return self.reward_sum / n, self.min_rate_sum / n, self.satisfied_sum / n
 
 
-def rollout(env, seed: int, act, stats: EpisodeStats, observe=None):
-    """Play one episode of ``env`` from ``reset(seed)``; the only place the
-    package resets or steps an environment.
+def rollout(env, seed: int, act, stats: EpisodeStats, observe=None, block: int = 1):
+    """Play one episode of ``env`` from ``reset(seed)``, ``block`` frames per
+    ``env.step`` call; the only place the package resets or steps an
+    environment.
 
     ``observe`` (an ObsNormalizer, its ``normalize``, or None for raw states)
-    maps the reset state and each ``result.state`` before anything reads
-    them.  Each step calls ``act(state)``, which returns a tuple whose first
-    item is the action, steps that action, adds the step to ``stats`` and
+    maps the states s_0 ... s_T once each, in frame order.  Per block the
+    driver calls ``act(state)``, which returns a tuple whose first item is the
+    action, once per frame in step order, on the states ``env.upcoming_states``
+    gives; steps the block in one call; and per step adds it to ``stats`` and
     yields ``(state, choice, result)``: the state acted on, act's tuple and
-    the StepResult.  The generator resumes, and so calls ``act`` again, only
-    after the consumer has handled the step.
+    the StepResult.  The next block's ``act`` calls run only after the consumer
+    has handled the block's last step.  The steps are those of ``block`` 1,
+    bit for bit, unless an action depends on the handling of an earlier step
+    of its block: such a caller keeps ``block`` at 1.
     """
     observe = observe or (lambda state: state)
     state = observe(env.reset(seed))
     done = False
     while not done:
-        choice = act(state)
-        result = env.step(choice[0])
-        result.state = observe(result.state)
-        stats.add(result.reward, result.info.min_rate, result.info.satisfied_count)
-        yield state, choice, result
+        states, choices = [state], [act(state)]
+        if block == 1:
+            results = [env.step(choices[0][0])]
+        else:
+            for raw in env.upcoming_states(block)[1:]:
+                states.append(observe(raw))
+                choices.append(act(states[-1]))
+            results = env.step(np.stack([choice[0] for choice in choices]))
+        for t, result in enumerate(results):
+            result.state = states[t + 1] if t + 1 < len(states) else observe(result.state)
+            stats.add(result.reward, result.info.min_rate, result.info.satisfied_count)
+            yield states[t], choices[t], result
         state, done = result.state, result.done
 
 
@@ -251,7 +266,7 @@ def random_policy_trace(env, episodes: int, seed: int) -> TrainingTrace:
     trace = TrainingTrace()
     for ep in range(episodes):
         stats = EpisodeStats()
-        for _ in rollout(env, next_seed(env_seeds), act, stats):
+        for _ in rollout(env, next_seed(env_seeds), act, stats, block=env.episode_steps):
             pass
         trace.append(ep, *stats.means())
     return trace

@@ -53,7 +53,8 @@ def _checkpoint(agent, algo: str, directory, episode: int, final: bool) -> None:
 
 def _ppo_episode(agent: PpoAgent, env, episode_seed: int) -> EpisodeStats:
     stats = EpisodeStats()
-    episode = rollout(env, episode_seed, agent.act, stats, agent.normalizer)
+    episode = rollout(env, episode_seed, agent.act, stats, agent.normalizer,
+                      env.episode_steps)
     steps = [(state, pre, log_prob, result.reward, result.state, float(result.done))
              for state, (_, pre, log_prob), result in episode]
     states, pres, log_probs, rewards, next_states, dones = (np.asarray(c) for c in zip(*steps))

@@ -6,6 +6,12 @@ variable through a box action in [-1, 1]^D, and receives the constraint-aware
 throughput reward.  The next state is a fresh fading draw; node positions are
 redrawn once per episode at reset.
 
+Fading is block-wise and no action changes a later channel, so the states of
+a whole episode are known before any of its actions is scored.  The
+environment can therefore hand out the states of upcoming frames and score a
+block of k frames in one kernel call, with a lane axis on the channels; the
+channel sequence of an episode is the same however it is stepped.
+
 Action layout (D = 1 + 3I + 4NI + 4M), each component mapped affinely from
 [-1, 1] onto its physical range:
 
@@ -55,20 +61,28 @@ def action_dim(cfg: SystemConfig) -> int:
 
 
 def state_vector(ch: ChannelRealization) -> np.ndarray:
+    """The state of a frame, (S,); a realization with L lanes gives (L, S)."""
+    lanes = ch.h1.shape[:-2]  # (L,) for L lanes, () for one frame
     parts = []
     for block in ch.blocks():
-        parts.append(block.real.ravel())
-        parts.append(block.imag.ravel())
-    return np.concatenate(parts)
+        parts.append(block.real.reshape(lanes + (-1,)))
+        parts.append(block.imag.reshape(lanes + (-1,)))
+    return np.concatenate(parts, axis=-1)
 
 
-def rate_cap_auto(ch: ChannelRealization, cfg: SystemConfig) -> float:
+def rate_cap_auto(ch: ChannelRealization, cfg: SystemConfig):
     """Loose upper envelope on any achievable per-user rate for this draw:
     spreading gain times peak power times the strongest channel entry over the
-    smallest noise floor."""
-    gain = max(float(np.max(np.abs(block) ** 2)) for block in ch.blocks())
+    smallest noise floor.  A float, or an (L,) array for L lanes; each lane
+    takes its logarithm from math.log2, as a single frame does."""
+    lanes = ch.h1.shape[:-2]
+    gain = np.max([(np.abs(block) ** 2).reshape(lanes + (-1,)).max(axis=-1)
+                   for block in ch.blocks()], axis=0)
     noise = min(cfg.noise_bs_watts, cfg.noise_asris_watts, cfg.noise_sue_watts)
-    return math.log2(1.0 + cfg.symbols_per_bd_symbol * cfg.p_bs_max_watts * gain / noise)
+    bound = 1.0 + cfg.symbols_per_bd_symbol * cfg.p_bs_max_watts * gain / noise
+    if not lanes:
+        return math.log2(bound)
+    return np.array([math.log2(x) for x in bound.tolist()])
 
 
 def _unit_columns(raw: np.ndarray, n: int, i: int) -> tuple[np.ndarray, np.ndarray]:
@@ -130,7 +144,10 @@ def decode_action(
 
 @dataclasses.dataclass
 class StepInfo:
-    decision: DecisionVariables
+    """What one step scored: the rates and constraint report of its decision
+    (rows of the block's batch for a block step), its worst rate, its number
+    of satisfied families and the rate cap its action was decoded with."""
+
     rates: RateReport
     constraints: problem.ConstraintReport
     min_rate: float
@@ -146,8 +163,21 @@ class StepResult:
     info: StepInfo
 
 
+def _join(a: ChannelRealization, b: ChannelRealization) -> ChannelRealization:
+    """The lanes of a followed by the lanes of b."""
+    blocks = (np.concatenate(pair) for pair in zip(a.blocks(), b.blocks()))
+    return ChannelRealization(*blocks, a.seed + b.seed)
+
+
 class SrEnv:
     """Gym-style environment: reset(seed) -> state, step(action) -> StepResult.
+
+    The channels of an episode depend on its seed alone, never on the actions
+    (frame t is the t-th draw of its seed stream), so frames can be drawn
+    ahead: ``upcoming_states(k)`` gives the raw states of the current frame
+    and the next k - 1 (fewer at the episode's end).  ``step`` takes one
+    action (D,) and returns a StepResult, or a block (k, D) for those k frames,
+    scored in one kernel call, and returns k StepResults, the same ones.
 
     r_mode picks where the reward's rate factor comes from: "literal" trusts
     the action-supplied target (checked by C10/C11), "derived" substitutes the
@@ -190,18 +220,35 @@ class SrEnv:
         self._step_count = 0
         self._done = True
         self._current: ChannelRealization | None = None
+        # the frames after the current one that are drawn already, as lanes
+        self._ahead: ChannelRealization | None = None
 
     def reset(self, seed: int) -> np.ndarray:
         placement_key, channel_key = derive_keys(seed, 2)
         self.placement = make_placement(self.cfg, placement_key)
         self._channel_rng = philox(channel_key)
-        self._current = self._draw()
+        self._current, self._ahead = self._draw(), None
         self._step_count = 0
         self._done = False
         return state_vector(self._current)
 
-    def _draw(self) -> ChannelRealization:
-        return draw_realization(self.cfg, self.placement, next_seed(self._channel_rng))
+    def _draw(self, count: int | None = None) -> ChannelRealization:
+        """The next frame of the seed stream, or the next ``count`` as lanes."""
+        if count is None:
+            return draw_realization(self.cfg, self.placement, next_seed(self._channel_rng))
+        seeds = [next_seed(self._channel_rng) for _ in range(count)]
+        return draw_realization(self.cfg, self.placement, seeds)
+
+    def _frames(self, k: int) -> ChannelRealization:
+        """The current frame and the next k - 1 as lanes, drawing those not
+        drawn yet."""
+        ahead = 0 if self._ahead is None else len(self._ahead.seed)
+        if ahead < k - 1:
+            fresh = self._draw(k - 1 - ahead)
+            self._ahead = fresh if self._ahead is None else _join(self._ahead, fresh)
+        current = self._current
+        frames = ChannelRealization(*(block[None] for block in current.blocks()), (current.seed,))
+        return frames if k == 1 else _join(frames, self._ahead.lane(slice(0, k - 1)))
 
     def rate_cap(self) -> float:
         if self.fixed_rate_cap is not None:
@@ -210,21 +257,53 @@ class SrEnv:
             raise EnvProtocolError("rate_cap() needs a current realization; call reset()")
         return rate_cap_auto(self._current, self.cfg)
 
-    def step(self, action: np.ndarray) -> StepResult:
+    def upcoming_states(self, k: int) -> np.ndarray:
+        """Raw states of the current frame and the next frames, (k', S) with
+        k' = min(k, steps left in the episode); frames not drawn yet are drawn
+        now, in seed-stream order."""
+        if self._done or self._current is None:
+            raise EnvProtocolError("no upcoming frames in a finished episode; call reset()")
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k!r}")
+        return state_vector(self._frames(min(int(k), self.episode_steps - self._step_count)))
+
+    def step(self, actions: np.ndarray) -> StepResult | list[StepResult]:
         if self._done or self._current is None:
             raise EnvProtocolError("step() called on a finished episode; call reset()")
-        a = np.clip(np.asarray(action, dtype=float), -1.0, 1.0)
-        cap = self.rate_cap()
+        a = np.clip(np.asarray(actions, dtype=float), -1.0, 1.0)
+        single = a.ndim == 1
+        k = 1 if single else len(a)
+        if not 1 <= k <= self.episode_steps - self._step_count:
+            raise EnvProtocolError(f"a block of {k} steps does not fit the "
+                                   f"{self.episode_steps - self._step_count} steps left")
+        ch = self._current if single else self._frames(k)
+        cap = self.fixed_rate_cap
+        if cap is None:
+            cap = rate_cap_auto(ch, self.cfg)
         dv = decode_action(a, self.cfg, self.ris_mode, cap)
-        rates = rate_report(self._current, dv, self.cfg)
-        min_rate = problem.objective(rates)
+        rates = rate_report(ch, dv, self.cfg)
+        min_rate = float(rates.min_rates) if single else rates.min_rates
         if self.r_mode == "derived":
             dv = dataclasses.replace(dv, rate_target=min_rate)
-        report = problem.evaluate_constraints(self._current, dv, self.cfg, rates)
+        report = problem.evaluate_constraints(ch, dv, self.cfg, rates)
         rew = problem.reward(dv.rate_target, report, self.reward_mode, self.penalty_cost)
 
-        self._step_count += 1
+        # frame t + k becomes current: drawn ahead already, or drawn now
+        self._step_count += k
         self._done = self._step_count >= self.episode_steps
-        self._current = self._draw()
-        info = StepInfo(dv, rates, report, min_rate, report.satisfied_count, cap)
-        return StepResult(state_vector(self._current), rew, self._done, info)
+        ahead = 0 if self._ahead is None else len(self._ahead.seed)
+        if ahead < k:
+            self._current, self._ahead = self._draw(), None
+        else:
+            self._current = self._ahead.lane(k - 1)
+            self._ahead = self._ahead.lane(slice(k, None)) if ahead > k else None
+        state = state_vector(self._current)
+        if single:
+            info = StepInfo(rates, report, min_rate, report.satisfied_count, cap)
+            return StepResult(state, rew, self._done, info)
+        next_states = [*state_vector(ch)[1:], state]
+        rewards, min_rates = rew.tolist(), min_rate.tolist()
+        counts, caps = report.satisfied_counts.tolist(), np.broadcast_to(cap, (k,)).tolist()
+        return [StepResult(next_states[j], rewards[j], self._done and j == k - 1,
+                           StepInfo(rates.row(j), report.row(j), min_rates[j], counts[j], caps[j]))
+                for j in range(k)]

@@ -23,7 +23,7 @@ import yaml
 
 from . import problem
 from .agents import A3cAgent, PpoAgent, Td3Agent, random_policy_trace, train
-from .agents.common import EpisodeStats, rollout
+from .agents.common import EpisodeStats, check_in, rollout
 from .env import SrEnv, action_dim, decode_action
 from .network import (
     ChannelRealization,
@@ -264,6 +264,7 @@ def random_search(
     Samples are drawn sequentially from one Philox stream, so a larger budget
     with the same seed evaluates a superset of the candidates.
     """
+    check_in("[1, inf]", budget=budget)
     rng = philox(seed)
     budget, dim = int(budget), action_dim(cfg)
     batches = (
@@ -388,13 +389,15 @@ def evaluate_policy(agent, env: SrEnv, episodes: int, seed: int) -> dict:
     and ``sum_rate`` are means over the ``feasible_steps``, the steps that
     meet C1..C9 as ``evaluate_decision`` requires of baseline rows (NaN when
     there are none)."""
+    check_in("[1, inf]", episodes=episodes)
     seeds = philox(seed)
     act = lambda state: (_greedy_action(agent, state),)
     observe = getattr(agent.normalizer, "normalize", None)
     steps = [(result.reward, result.info.min_rate, result.info.rates.sum_rate,
               result.info.constraints.flags[:_STRUCTURAL].all())
              for _ in range(int(episodes))
-             for _, _, result in rollout(env, next_seed(seeds), act, EpisodeStats(), observe)]
+             for _, _, result in rollout(env, next_seed(seeds), act, EpisodeStats(), observe,
+                                         env.episode_steps)]
     reward, min_rate, sum_rate, feasible = np.array(steps).reshape(-1, 4).T
     feasible = feasible == 1.0
     mean = lambda col: float(np.mean(col)) if len(col) else float("nan")
@@ -439,10 +442,12 @@ def sweep(config: dict, out_dir) -> tuple[str, str]:
     """Run the configured sweep; writes point-level and summary CSVs.
 
     A failing point is recorded with status "error: <type>: <message>" and
-    the sweep moves on.
+    the sweep moves on.  A ``sweep.n_channels`` or ``sweep.budget`` below 1
+    raises ValueError before the first point runs.
     """
-    os.makedirs(out_dir, exist_ok=True)
     sweep_cfg = config["sweep"]
+    check_in("[1, inf]", **{f"sweep.{key}": sweep_cfg[key] for key in ("n_channels", "budget")})
+    os.makedirs(out_dir, exist_ok=True)
     run_cfg = config["run"]
     digest = config_hash(config)
     variable = sweep_cfg["variable"]

@@ -212,7 +212,11 @@ def make_placement(cfg: SystemConfig, seed: int) -> Placement:
 
 @dataclasses.dataclass
 class ChannelRealization:
-    """One fading draw.  See the module docstring for shapes and moments."""
+    """One fading draw.  See the module docstring for shapes and moments.
+
+    A realization of L frames puts a leading lane axis L on every block and
+    holds their L seeds as a tuple.
+    """
 
     h1: np.ndarray
     g1: np.ndarray
@@ -220,10 +224,15 @@ class ChannelRealization:
     h3: np.ndarray
     g2r: np.ndarray
     g2t: np.ndarray
-    seed: int
+    seed: int | tuple
 
     def blocks(self) -> tuple[np.ndarray, ...]:
         return (self.h1, self.g1, self.h2, self.h3, self.g2r, self.g2t)
+
+    def lane(self, index) -> ChannelRealization:
+        """Lane ``index`` of a realization with a lane axis: one frame for an
+        int, the lanes it picks for a slice."""
+        return ChannelRealization(*(block[index] for block in self.blocks()), self.seed[index])
 
 
 def ula_steering(n_elements: int, sin_angle: float) -> np.ndarray:
@@ -368,25 +377,35 @@ def _channel_terms(cfg: SystemConfig, placement: Placement) -> _ChannelTerms:
     return terms
 
 
-def draw_realization(cfg: SystemConfig, placement: Placement, seed: int) -> ChannelRealization:
-    """Draw one channel realization from the placement.
+def draw_realization(cfg: SystemConfig, placement: Placement, seed) -> ChannelRealization:
+    """Draw one channel realization from the placement, or one per seed of a
+    sequence of seeds, stacked along a leading lane axis.
 
     BS-side links (h1, g1, h3) are Rayleigh, sqrt(var / 2) * (x + jy); surface
     links (h2, g2r, g2t) are Rician, sqrt(var) * (los_gain * los + nlos), with
     a deterministic line-of-sight component built from the steering vectors of
     the two arrays.  All normals of a realization come from one Philox stream
-    keyed by ``seed``, block by block in the fixed order h1, g1, h2, h3, g2r,
+    keyed by its seed, block by block in the fixed order h1, g1, h2, h3, g2r,
     g2t, each block's real parts before its imaginary parts, so a given seed
-    always yields the same channels.  What depends only on the placement (path
-    losses, line-of-sight vectors, square roots of the variances) is computed
-    at the placement's first draw and cached on it; see ``_channel_terms``.
+    always yields the same channels, alone or as a lane.  What depends only on
+    the placement (path losses, line-of-sight vectors, square roots of the
+    variances) is computed at the placement's first draw and cached on it; see
+    ``_channel_terms``.
     """
     terms = _channel_terms(cfg, placement)
-    z = philox(seed).standard_normal(terms.n_normals)
-    w = z[terms.re] + 1j * z[terms.im]
+    if isinstance(seed, (int, np.integer)):
+        z = philox(seed).standard_normal(terms.n_normals)
+    else:
+        seed = tuple(seed)
+        z = np.empty((len(seed), terms.n_normals))
+        for normals, lane_seed in zip(z, seed):
+            philox(lane_seed).standard_normal(out=normals)
+    w = z.take(terms.re, axis=-1) + 1j * z.take(terms.im, axis=-1)
     np.multiply(terms.scale, w, out=w)
-    rician = w[terms.n_rayleigh :]
+    rician = w[..., terms.n_rayleigh :]
     np.add(terms.los, rician, out=rician)
     np.multiply(terms.amp, rician, out=rician)
-    h1, g1, h2, h3, g2r, g2t = (w[a:b].reshape(shape) for a, b, shape in terms.slices)
+    lanes = z.shape[:-1]
+    h1, g1, h2, h3, g2r, g2t = (w[..., a:b].reshape(lanes + shape)
+                                for a, b, shape in terms.slices)
     return ChannelRealization(h1, g1, h2, h3, g2r, g2t, seed)

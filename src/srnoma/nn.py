@@ -58,12 +58,25 @@ def blocks(*arrays: np.ndarray):
         yield tuple(a[start : start + BLOCK] for a in arrays)
 
 
+def _finite(g: np.ndarray) -> bool:
+    """Whether every item of g is finite, checked block by block.  For a
+    buffer longer than one block a finite sum of squares proves it first, in
+    one BLAS pass; the items are checked only when that sum is not finite (a
+    non-finite item, or finite items whose squares overflow)."""
+    if g.size > BLOCK:
+        flat = g.ravel()
+        with np.errstate(over="ignore", invalid="ignore"):
+            if np.isfinite(flat @ flat):
+                return True
+    return all(np.isfinite(piece).all() for (piece,) in blocks(g))
+
+
 def _check_step(params: list, grads: list, name: str) -> None:
     """Reject a step before it writes anything: unpaired buffers or a
     non-finite gradient."""
     if len(params) != len(grads):
         raise ValueError(f"{name} step got {len(params)} buffers and {len(grads)} gradients")
-    if not all(np.isfinite(piece).all() for g in grads for (piece,) in blocks(g)):
+    if not all(_finite(g) for g in grads):
         raise NonFiniteGradientError(f"non-finite gradient in {name} step")
 
 

@@ -58,7 +58,8 @@ PENALTY = "penalty"
 
 @dataclasses.dataclass
 class ConstraintReport:
-    """Flags and signed slacks for the eleven constraint families."""
+    """Flags and signed slacks for the eleven constraint families: (11,) each,
+    or (B, 11) for a batch of decisions."""
 
     flags: np.ndarray
     slacks: np.ndarray
@@ -66,12 +67,21 @@ class ConstraintReport:
     def __post_init__(self) -> None:
         self.flags = np.asarray(self.flags, dtype=bool)
         self.slacks = np.asarray(self.slacks, dtype=float)
-        if self.flags.shape != (N_CONSTRAINTS,) or self.slacks.shape != (N_CONSTRAINTS,):
-            raise ValueError(f"reports carry exactly {N_CONSTRAINTS} entries")
+        if self.flags.shape != self.slacks.shape or self.flags.shape[-1:] != (N_CONSTRAINTS,):
+            raise ValueError(f"reports carry exactly {N_CONSTRAINTS} entries per decision")
+
+    @property
+    def satisfied_counts(self) -> np.ndarray:
+        """Number of satisfied families, per decision."""
+        return self.flags.sum(axis=-1)
 
     @property
     def satisfied_count(self) -> int:
-        return int(self.flags.sum())
+        return int(self.satisfied_counts)
+
+    def row(self, b: int) -> "ConstraintReport":
+        """The report of decision b of a batch."""
+        return ConstraintReport(self.flags[b], self.slacks[b])
 
 
 def harvested_energy(
@@ -164,7 +174,7 @@ def evaluate_constraints(
     cfg: SystemConfig,
     rates: RateReport,
 ) -> ConstraintReport:
-    """Score one decision against all eleven constraint families."""
+    """Score one decision, or a batch, against all eleven constraint families."""
     slacks = constraint_slacks(ch, dv, cfg, rates)
     return ConstraintReport(slacks >= 0.0, slacks)
 
@@ -175,19 +185,23 @@ def objective(rates: RateReport) -> float:
 
 
 def reward(
-    rate_value: float,
+    rate_value,
     report: ConstraintReport,
     mode: str = LITERAL,
     violation_cost: float = 1.0,
-) -> float:
-    """Scalar learning signal for one step.
+):
+    """Scalar learning signal for one step; (B,) rate values and a batch
+    report give (B,) rewards.
 
     literal: rate * (1 + number of satisfied constraints), i.e. the rate plus
     one rate-sized bonus per satisfied constraint.  penalty: rate minus a
     fixed cost per violated constraint.
     """
+    satisfied = report.satisfied_counts
+    if satisfied.ndim == 0:  # one decision: a float reward
+        rate_value, satisfied = float(rate_value), int(satisfied)
     if mode == LITERAL:
-        return float(rate_value) * (1.0 + report.satisfied_count)
+        return rate_value * (1.0 + satisfied)
     if mode == PENALTY:
-        return float(rate_value) - violation_cost * (N_CONSTRAINTS - report.satisfied_count)
+        return rate_value - violation_cost * (N_CONSTRAINTS - satisfied)
     raise ValueError(f"reward mode must be '{LITERAL}' or '{PENALTY}', got {mode!r}")

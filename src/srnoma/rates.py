@@ -17,6 +17,10 @@ Batches: every function here also takes B decisions at once, as one
 (B,), eta/tau/power (B, I), w1/w2 (B, N, I), surface coefficients (B, M)).
 All B rows are scored in one pass, and the results carry the same leading
 axis.  A single decision is the B-less case of the same code.
+
+Lanes: channel blocks may carry a leading lane axis L too (h1 (L, N, I), ...)
+that lines up with the batch axis, so decision l is scored on channel l, bit
+for bit as on lane l alone.
 """
 
 from __future__ import annotations
@@ -84,6 +88,14 @@ class RateReport:
     phase2_reflect_order: np.ndarray
     phase2_transmit_order: np.ndarray
 
+    def row(self, b: int) -> "RateReport":
+        """The report of decision b of a batch."""
+        return RateReport(
+            self.phase1_rate[b], self.phase2_reflect_rate[b], self.phase2_transmit_rate[b],
+            self.phase1_sinr[b], self.phase2_reflect_sinr[b], self.phase2_transmit_sinr[b],
+            self.phase1_order[b], self.phase2_reflect_order[b], self.phase2_transmit_order[b],
+        )
+
     @property
     def min_rates(self) -> np.ndarray:
         """Worst rate over all users of both phases, per decision.
@@ -141,8 +153,8 @@ def row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def beam_gains(h: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """|h_i^H w_i|^2 per user, for (N, I) channel columns and beams."""
-    return np.abs(np.einsum("ni,...ni->...i", h.conj(), w)) ** 2
+    """|h_i^H w_i|^2 per user, for (..., N, I) channel columns and beams."""
+    return np.abs(np.einsum("...ni,...ni->...i", h.conj(), w)) ** 2
 
 
 def phase1_all(
@@ -151,7 +163,7 @@ def phase1_all(
     """Rates, SINRs and decoding order of the backscatter phase."""
     k = cfg.symbols_per_bd_symbol
     # P_i eta_i ||g1_i||^2 |h1_i^H w1_i|^2: received backscatter power factor
-    g_norm2 = (np.abs(ch.g1) ** 2).sum(axis=0)
+    g_norm2 = (np.abs(ch.g1) ** 2).sum(axis=-2)
     strengths = dv.power * dv.eta * g_norm2 * beam_gains(ch.h1, dv.w1)
     order = sic_order(strengths)
     # each user hears the users decoded before it: an exclusive running sum
@@ -176,7 +188,7 @@ def _phase2_all(
     g2 = ch.g2r if side == "reflect" else ch.g2t
     rows = (g2 * response[..., None, :]) @ ch.h2  # (..., I, N): effective downlink rows
     if side == "reflect":
-        rows = rows + ch.h3.conj().T
+        rows = rows + ch.h3.conj().swapaxes(-1, -2)
     c = rows @ dv.w2  # c[i, j]: user i's channel applied to beam j
     strengths = dv.power * np.abs(np.diagonal(c, axis1=-2, axis2=-1)) ** 2
     order = sic_order(strengths)
@@ -187,7 +199,7 @@ def _phase2_all(
     earlier = rank[..., None, :] < rank[..., :, None]
     interference = row_dot(cross, earlier.astype(float))
     # thermal noise injected by the amplifying surface, as seen by any SUE
-    summed = g2.sum(axis=0) * response
+    summed = g2.sum(axis=-2) * response
     surface_noise = (np.abs(summed) ** 2).sum(axis=-1) * cfg.noise_asris_watts
     noise = cfg.bandwidth_hz * (surface_noise + cfg.noise_sue_watts)
     sinr = strengths / (interference + noise[..., None])

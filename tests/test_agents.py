@@ -6,6 +6,7 @@ environment and must be reproducible to the byte.
 """
 
 import filecmp
+import importlib
 import math
 from pathlib import Path
 
@@ -27,12 +28,17 @@ from srnoma.agents import (
     td3_target,
     train,
 )
+from srnoma import harness
 from srnoma.agents import a3c as a3c_module
+from srnoma.agents import common as common_module
 from srnoma.agents.common import EpisodeStats, ObsNormalizer, critic_gradient, rollout
 from srnoma.env import SrEnv
 from srnoma.harness import _greedy_action, evaluate_policy, load_config
 from srnoma.network import SystemConfig
 from srnoma.nn import LOG_STD_MAX, LOG_STD_MIN, GaussianPolicy, Mlp, load_checkpoint
+
+# the module, which the package's ``train`` function shadows as an attribute
+train_module = importlib.import_module("srnoma.agents.train")
 
 
 TINY_SYSTEM = SystemConfig(n_bs_antennas=1, n_ris_elements=1, n_pairs=1)
@@ -180,6 +186,86 @@ class TestRollout:
         assert norm.count == 31
         for _, _, result in steps:
             assert np.all(np.isfinite(result.state))
+
+    @pytest.mark.parametrize("block", [1, 3, 7, 50])
+    def test_blocks_act_and_observe_once_per_state_in_frame_order(self, block):
+        env = tiny_env(steps=7)
+        raw = [env.reset(6)] + [env.step(np.zeros(env.action_dim)).state for _ in range(7)]
+        norm = ObsNormalizer(env.state_dim)
+        observed, acted = [], []
+
+        def observe(state):
+            observed.append(state.copy())
+            return norm(state)
+
+        def act(state):
+            acted.append(state)
+            return np.full(env.action_dim, 0.1 * len(acted) - 0.4), len(acted)
+
+        stats = EpisodeStats()
+        steps = list(rollout(env, 6, act, stats, observe, block=block))
+        np.testing.assert_array_equal(observed, raw)  # s_0 ... s_T, once each
+        assert norm.count == 8
+        assert [choice[1] for _, choice, _ in steps] == list(range(1, 8))
+        for t, (state, _, result) in enumerate(steps):
+            assert state is acted[t]
+            if t:
+                assert state is steps[t - 1][2].state
+        assert [r.done for _, _, r in steps] == [False] * 6 + [True]
+        assert stats.steps == 7
+        assert stats.reward_sum == sum(r.reward for _, _, r in steps)
+
+    @pytest.mark.parametrize("block, acts", [(3, [3, 3, 1]), (7, [7]), (4, [4, 3])])
+    def test_the_next_block_acts_only_after_the_last_step_was_handled(self, block, acts):
+        env = tiny_env(steps=7)
+        log = []
+
+        def act(state):
+            log.append("act")
+            return (np.zeros(env.action_dim),)
+
+        for _ in rollout(env, 2, act, EpisodeStats(), block=block):
+            log.append("body")
+        assert log == [word for n in acts for word in ["act"] * n + ["body"] * n]
+
+
+def one_frame_at_a_time(monkeypatch):
+    """Make every caller of ``rollout`` step one frame per env.step call."""
+    def stepwise(env, seed, act, stats, observe=None, block=1):
+        return rollout(env, seed, act, stats, observe)
+
+    for module in (common_module, train_module, a3c_module, harness):
+        monkeypatch.setattr(module, "rollout", stepwise)
+
+
+class TestBlockStepping:
+    """PPO, A3C, evaluate_policy and random_policy_trace step blocks of
+    frames; one frame per env.step call must give the same bytes."""
+
+    @pytest.mark.parametrize("algo, workers, optimizer", [
+        ("ppo", 1, "sgd"), ("ppo", 1, "adam"), ("td3", 1, "sgd"),
+        ("a3c", 1, "sgd"), ("a3c", 3, "adam"),
+    ])
+    def test_training_and_evaluation_match_single_frame_steps(self, monkeypatch, algo,
+                                                              workers, optimizer):
+        def run():
+            cfg = SystemConfig(n_bs_antennas=2, n_ris_elements=3, n_pairs=2,
+                               harvest_threshold_joules=1e-14)
+            env = SrEnv(cfg, episode_steps=7, normalize_obs=True)
+            hyper = small_hyper(algo, workers, optimizer=optimizer)
+            agent, trace = train(algo, env, episodes=3, seed=4, hyper=hyper)
+            return (trace, agent.state_dict(), evaluate_policy(agent, env, 2, seed=8),
+                    random_policy_trace(env, episodes=2, seed=3))
+
+        blocks = run()
+        one_frame_at_a_time(monkeypatch)
+        frames = run()
+        for trace_a, trace_b in ((blocks[0], frames[0]), (blocks[3], frames[3])):
+            assert trace_a == trace_b
+        assert blocks[1].keys() == frames[1].keys()
+        for key, value in blocks[1].items():
+            assert np.asarray(value).tobytes() == np.asarray(frames[1][key]).tobytes(), key
+        assert blocks[2] == frames[2] and blocks[2]["feasible_steps"] > 0
 
 
 # ===========================================================================
@@ -513,19 +599,21 @@ class TestA3c:
         assert not np.array_equal(observers[0].mean, observers[1].mean)
 
     def test_segments_cut_at_k_steps_and_bootstrap_until_the_end(self, monkeypatch):
-        # a 7-step episode with k = 3 gives batches of 3, 3 and 1; the first
-        # two bootstrap from the local critic at the next state, the last from 0
+        # a 7-step episode with k = 3 is stepped in blocks of 3, 3 and 1 and
+        # gives batches of the same sizes; the first two bootstrap from the
+        # local critic at the state after the block, the last from 0
         env = tiny_env(steps=7)
         agent = A3cAgent(env.state_dim, env.action_dim, hidden=(4,), workers=1, k_steps=3,
                          seed=5)
         real_step, real_gradients = env.step, agent.segment_gradients
         real_returns = a3c_module.kstep_returns
-        next_states, sizes, critic_values, bootstraps = [], [], [], []
+        blocks, next_states, sizes, critic_values, bootstraps = [], [], [], [], []
 
-        def step(action):
-            result = real_step(action)
-            next_states.append(result.state)
-            return result
+        def step(actions):
+            results = real_step(actions)
+            blocks.append(len(actions))
+            next_states.append(results[-1].state)
+            return results
 
         def segment_gradients(local_policy, local_critic, states, pres, returns):
             sizes.append(len(states))
@@ -541,7 +629,7 @@ class TestA3c:
         monkeypatch.setattr(a3c_module, "kstep_returns", kstep_returns)
         stats = agent.worker_episode(env, 4, np.random.Generator(np.random.Philox(0)))
         assert stats.steps == 7
-        assert sizes == [3, 3, 1]
+        assert blocks == sizes == [3, 3, 1]
         assert bootstraps == [*critic_values[:2], 0.0]
         assert critic_values[0] != critic_values[1], "each segment bootstraps afresh"
 

@@ -211,6 +211,13 @@ class TestRandomSearch:
         assert a.objective == b.objective
         assert a.feasible_count == b.feasible_count
 
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budgets_below_one_are_rejected(self, budget):
+        cfg = scalar_cfg()
+        ch = draw_realization(cfg, make_placement(cfg, seed=2), seed=2)
+        with pytest.raises(ValueError, match="budget"):
+            random_search(cfg, ch, ACTIVE, budget=budget, seed=9)
+
     def test_evaluate_decision_feasibility_ignores_target_families(self):
         # the achieved min rate is substituted as the target, so only the
         # structural constraint families can fail
@@ -356,6 +363,19 @@ class TestSweep:
         assert len(lines) == 1
         assert lines[0].split(",")[5] == "ok", lines[0]
 
+    @pytest.mark.parametrize("mode", ["baseline", "train"])
+    @pytest.mark.parametrize("field, value", [("n_channels", 0), ("budget", 0),
+                                              ("budget", -3), ("n_channels", "two")])
+    def test_counts_below_one_are_rejected_before_any_point(self, tmp_path, monkeypatch,
+                                                            field, value, mode):
+        ran = []
+        for point in ("_baseline_point", "_train_point"):
+            monkeypatch.setattr(harness, point, lambda *args: ran.append(args))
+        config = sweep_config(sweep={"mode": mode, field: value})
+        with pytest.raises(ValueError, match=f"sweep.{field}"):
+            sweep(config, tmp_path / "out")
+        assert ran == [] and not (tmp_path / "out").exists()
+
     def test_report_aggregates_and_flags_monotonicity(self, tmp_path):
         out = tmp_path / "sweep"
         sweep(sweep_config(run={"seeds": [0]}), out)
@@ -422,6 +442,13 @@ class TestEvaluatePolicy:
         assert scores["min_rate"] == np.mean([info.min_rate for info in kept])
         assert scores["sum_rate"] == np.mean([info.rates.sum_rate for info in kept])
         assert scores["min_rate"] != np.mean([info.min_rate for info in infos])
+
+    @pytest.mark.parametrize("episodes", [0, -1])
+    def test_episode_counts_below_one_are_rejected(self, tmp_path, episodes):
+        env = env_from(load_config(tiny_yaml(tmp_path)))
+        agent = build_agent("ppo", env.state_dim, env.action_dim, {"hidden": (8,)}, seed=0)
+        with pytest.raises(ValueError, match="episodes"):
+            evaluate_policy(agent, env, episodes, seed=4)
 
     def test_no_feasible_step_gives_nan_rates(self, tmp_path):
         config = load_config(tiny_yaml(tmp_path, system={"harvest_threshold_joules": 1e-9}))

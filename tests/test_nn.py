@@ -236,6 +236,29 @@ class TestOptimizers:
         np.testing.assert_array_equal(params[1], [0.5])
         assert all(int(value) == 0 for value in opt.state_arrays().values())
 
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_one_nonfinite_item_is_rejected(self, kind, bad):
+        # one item in the middle of a long buffer: its sum of squares is not
+        # finite, and the item-wise check behind it must find the item
+        grad = np.full(2 * BLOCK + 7, 1e-3)
+        grad[BLOCK + 3] = bad
+        param = np.zeros_like(grad)
+        with pytest.raises(NonFiniteGradientError):
+            make_optimizer(kind, 0.1).step([param], [grad])
+        assert not param.any()
+
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    def test_finite_items_whose_squares_overflow_are_accepted(self, kind):
+        # longer than one block, so the sum-of-squares check runs first
+        grad = np.full(BLOCK + 5, 3.0)
+        grad[::7] = 1e200
+        param = np.zeros_like(grad)
+        with np.errstate(over="ignore"):  # the sum of squares and Adam's moment overflow
+            assert not np.isfinite(grad @ grad)
+            make_optimizer(kind, 1e-300).step([param], [grad])  # no NonFiniteGradientError
+        assert np.isfinite(param).all()
+
 
 # ===========================================================================
 # flat engine against the per-array reference
