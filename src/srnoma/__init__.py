@@ -13,7 +13,7 @@ from .network import (
     make_placement,
     path_loss,
 )
-from .problem import ConstraintReport, evaluate_constraints, harvested_energy, objective, reward
+from .problem import ConstraintReport, evaluate_constraints, harvested_energy, reward
 from .rates import DecisionVariables, RateReport, rate_report, sic_order
 from .ris import RisCoefficients
 
@@ -33,7 +33,6 @@ __all__ = [
     "evaluate_constraints",
     "harvested_energy",
     "make_placement",
-    "objective",
     "path_loss",
     "rate_report",
     "reward",

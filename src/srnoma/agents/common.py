@@ -235,22 +235,20 @@ def rollout(env, seed: int, act, stats: EpisodeStats, observe=None, block: int =
     gives; steps the block in one call; and per step adds it to ``stats`` and
     yields ``(state, choice, result)``: the state acted on, act's tuple and
     the StepResult.  The next block's ``act`` calls run only after the consumer
-    has handled the block's last step.  The steps are those of ``block`` 1,
-    bit for bit, unless an action depends on the handling of an earlier step
-    of its block: such a caller keeps ``block`` at 1.
+    has handled the block's last step; ``block`` 1 steps single frames, each a
+    block of one.  The steps are those of ``block`` 1, bit for bit, unless an
+    action depends on the handling of an earlier step of its block: such a
+    caller keeps ``block`` at 1.
     """
     observe = observe or (lambda state: state)
     state = observe(env.reset(seed))
     done = False
     while not done:
         states, choices = [state], [act(state)]
-        if block == 1:
-            results = [env.step(choices[0][0])]
-        else:
-            for raw in env.upcoming_states(block)[1:]:
-                states.append(observe(raw))
-                choices.append(act(states[-1]))
-            results = env.step(np.stack([choice[0] for choice in choices]))
+        for raw in env.upcoming_states(block)[1:]:
+            states.append(observe(raw))
+            choices.append(act(states[-1]))
+        results = env.step(np.stack([choice[0] for choice in choices]))
         for t, result in enumerate(results):
             result.state = states[t + 1] if t + 1 < len(states) else observe(result.state)
             stats.add(result.reward, result.info.min_rate, result.info.satisfied_count)

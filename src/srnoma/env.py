@@ -3,13 +3,13 @@
 One step = one frame: the agent sees the current channel realization (all
 blocks flattened into real/imaginary pairs), picks every resource-allocation
 variable through a box action in [-1, 1]^D, and receives the constraint-aware
-throughput reward.  The next state is a fresh fading draw; node positions are
+throughput reward.  The next state is the next fading draw; node positions are
 redrawn once per episode at reset.
 
-Fading is block-wise and no action changes a later channel, so the states of
-a whole episode are known before any of its actions is scored.  The
-environment can therefore hand out the states of upcoming frames and score a
-block of k frames in one kernel call, with a lane axis on the channels; the
+Fading is block-wise and no action changes a later channel, so the channels of
+a whole episode depend on its seed alone.  Reset draws all of them at once, as
+lanes; the environment hands out the states of upcoming frames and scores a
+block of k frames in one kernel call, a single step being a block of one.  The
 channel sequence of an episode is the same however it is stepped.
 
 Action layout (D = 1 + 3I + 4NI + 4M), each component mapped affinely from
@@ -145,8 +145,8 @@ def decode_action(
 @dataclasses.dataclass
 class StepInfo:
     """What one step scored: the rates and constraint report of its decision
-    (rows of the block's batch for a block step), its worst rate, its number
-    of satisfied families and the rate cap its action was decoded with."""
+    (rows of its block's batch), its worst rate, its number of satisfied
+    families and the rate cap its action was decoded with."""
 
     rates: RateReport
     constraints: problem.ConstraintReport
@@ -163,21 +163,17 @@ class StepResult:
     info: StepInfo
 
 
-def _join(a: ChannelRealization, b: ChannelRealization) -> ChannelRealization:
-    """The lanes of a followed by the lanes of b."""
-    blocks = (np.concatenate(pair) for pair in zip(a.blocks(), b.blocks()))
-    return ChannelRealization(*blocks, a.seed + b.seed)
-
-
 class SrEnv:
     """Gym-style environment: reset(seed) -> state, step(action) -> StepResult.
 
     The channels of an episode depend on its seed alone, never on the actions
-    (frame t is the t-th draw of its seed stream), so frames can be drawn
-    ahead: ``upcoming_states(k)`` gives the raw states of the current frame
-    and the next k - 1 (fewer at the episode's end).  ``step`` takes one
-    action (D,) and returns a StepResult, or a block (k, D) for those k frames,
-    scored in one kernel call, and returns k StepResults, the same ones.
+    (frame t is the t-th draw of its seed stream), so ``reset`` draws all
+    T + 1 frames of the episode at once, the terminal one included.
+    ``upcoming_states(k)`` gives the raw states of the current frame and the
+    next k - 1 (fewer at the episode's end).  ``step`` scores a block (k, D)
+    of actions for those k frames in one kernel call and returns k
+    StepResults; one action (D,) is a block of one and returns its
+    StepResult.  States are read-only rows of the episode's states.
 
     r_mode picks where the reward's rate factor comes from: "literal" trusts
     the action-supplied target (checked by C10/C11), "derived" substitutes the
@@ -201,6 +197,11 @@ class SrEnv:
             raise ValueError(f"unknown surface mode {ris_mode!r}")
         if r_mode not in ("literal", "derived"):
             raise ValueError(f"r_mode must be 'literal' or 'derived', got {r_mode!r}")
+        if reward_mode not in (problem.LITERAL, problem.PENALTY):
+            raise ValueError(f"reward_mode must be '{problem.LITERAL}' or "
+                             f"'{problem.PENALTY}', got {reward_mode!r}")
+        if not 0.0 <= penalty_cost < math.inf:
+            raise ValueError(f"penalty_cost must be finite and >= 0, got {penalty_cost!r}")
         if episode_steps < 1:
             raise ValueError(f"episode_steps must be >= 1, got {episode_steps!r}")
         if rate_cap is not None and not 0.0 <= rate_cap < math.inf:
@@ -216,94 +217,61 @@ class SrEnv:
         self.state_dim = state_dim(cfg)
         self.action_dim = action_dim(cfg)
         self.placement = None
-        self._channel_rng = None
-        self._step_count = 0
-        self._done = True
-        self._current: ChannelRealization | None = None
-        # the frames after the current one that are drawn already, as lanes
-        self._ahead: ChannelRealization | None = None
+        self._episode: ChannelRealization | None = None  # frames 0 .. T as lanes
+        self._states: np.ndarray | None = None  # their states, (T + 1, S)
+        self._t = self.episode_steps  # the current frame; T when no episode runs
 
     def reset(self, seed: int) -> np.ndarray:
         placement_key, channel_key = derive_keys(seed, 2)
         self.placement = make_placement(self.cfg, placement_key)
-        self._channel_rng = philox(channel_key)
-        self._current, self._ahead = self._draw(), None
-        self._step_count = 0
-        self._done = False
-        return state_vector(self._current)
+        seeds = philox(channel_key)
+        self._episode = draw_realization(
+            self.cfg, self.placement, [next_seed(seeds) for _ in range(self.episode_steps + 1)])
+        self._states = state_vector(self._episode)
+        self._states.flags.writeable = False
+        self._t = 0
+        return self._states[0]
 
-    def _draw(self, count: int | None = None) -> ChannelRealization:
-        """The next frame of the seed stream, or the next ``count`` as lanes."""
-        if count is None:
-            return draw_realization(self.cfg, self.placement, next_seed(self._channel_rng))
-        seeds = [next_seed(self._channel_rng) for _ in range(count)]
-        return draw_realization(self.cfg, self.placement, seeds)
-
-    def _frames(self, k: int) -> ChannelRealization:
-        """The current frame and the next k - 1 as lanes, drawing those not
-        drawn yet."""
-        ahead = 0 if self._ahead is None else len(self._ahead.seed)
-        if ahead < k - 1:
-            fresh = self._draw(k - 1 - ahead)
-            self._ahead = fresh if self._ahead is None else _join(self._ahead, fresh)
-        current = self._current
-        frames = ChannelRealization(*(block[None] for block in current.blocks()), (current.seed,))
-        return frames if k == 1 else _join(frames, self._ahead.lane(slice(0, k - 1)))
-
-    def rate_cap(self) -> float:
-        if self.fixed_rate_cap is not None:
-            return self.fixed_rate_cap
-        if self._current is None:
-            raise EnvProtocolError("rate_cap() needs a current realization; call reset()")
-        return rate_cap_auto(self._current, self.cfg)
+    def _steps_left(self) -> int:
+        left = self.episode_steps - self._t
+        if left == 0:
+            raise EnvProtocolError("no episode is running; call reset()")
+        return left
 
     def upcoming_states(self, k: int) -> np.ndarray:
         """Raw states of the current frame and the next frames, (k', S) with
-        k' = min(k, steps left in the episode); frames not drawn yet are drawn
-        now, in seed-stream order."""
-        if self._done or self._current is None:
-            raise EnvProtocolError("no upcoming frames in a finished episode; call reset()")
+        k' = min(k, steps left in the episode)."""
+        left = self._steps_left()
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k!r}")
-        return state_vector(self._frames(min(int(k), self.episode_steps - self._step_count)))
+        return self._states[self._t : self._t + min(int(k), left)]
 
     def step(self, actions: np.ndarray) -> StepResult | list[StepResult]:
-        if self._done or self._current is None:
-            raise EnvProtocolError("step() called on a finished episode; call reset()")
-        a = np.clip(np.asarray(actions, dtype=float), -1.0, 1.0)
+        left = self._steps_left()
+        a = np.asarray(actions, dtype=float)
+        if np.isnan(a).any():
+            raise ValueError("an action holds a NaN")
         single = a.ndim == 1
-        k = 1 if single else len(a)
-        if not 1 <= k <= self.episode_steps - self._step_count:
-            raise EnvProtocolError(f"a block of {k} steps does not fit the "
-                                   f"{self.episode_steps - self._step_count} steps left")
-        ch = self._current if single else self._frames(k)
+        a = np.clip(a[None] if single else a, -1.0, 1.0)
+        t, k = self._t, len(a)
+        if not 1 <= k <= left:
+            raise EnvProtocolError(f"a block of {k} steps does not fit the {left} steps left")
+        ch = self._episode.lane(slice(t, t + k))
         cap = self.fixed_rate_cap
         if cap is None:
             cap = rate_cap_auto(ch, self.cfg)
         dv = decode_action(a, self.cfg, self.ris_mode, cap)
         rates = rate_report(ch, dv, self.cfg)
-        min_rate = float(rates.min_rates) if single else rates.min_rates
+        min_rate = rates.min_rates
         if self.r_mode == "derived":
             dv = dataclasses.replace(dv, rate_target=min_rate)
         report = problem.evaluate_constraints(ch, dv, self.cfg, rates)
         rew = problem.reward(dv.rate_target, report, self.reward_mode, self.penalty_cost)
-
-        # frame t + k becomes current: drawn ahead already, or drawn now
-        self._step_count += k
-        self._done = self._step_count >= self.episode_steps
-        ahead = 0 if self._ahead is None else len(self._ahead.seed)
-        if ahead < k:
-            self._current, self._ahead = self._draw(), None
-        else:
-            self._current = self._ahead.lane(k - 1)
-            self._ahead = self._ahead.lane(slice(k, None)) if ahead > k else None
-        state = state_vector(self._current)
-        if single:
-            info = StepInfo(rates, report, min_rate, report.satisfied_count, cap)
-            return StepResult(state, rew, self._done, info)
-        next_states = [*state_vector(ch)[1:], state]
+        self._t = t + k
         rewards, min_rates = rew.tolist(), min_rate.tolist()
         counts, caps = report.satisfied_counts.tolist(), np.broadcast_to(cap, (k,)).tolist()
-        return [StepResult(next_states[j], rewards[j], self._done and j == k - 1,
-                           StepInfo(rates.row(j), report.row(j), min_rates[j], counts[j], caps[j]))
-                for j in range(k)]
+        results = [StepResult(self._states[t + j + 1], rewards[j], t + j + 1 == self.episode_steps,
+                              StepInfo(rates.row(j), report.row(j), min_rates[j], counts[j],
+                                       caps[j]))
+                   for j in range(k)]
+        return results[0] if single else results

@@ -179,11 +179,6 @@ def evaluate_constraints(
     return ConstraintReport(slacks >= 0.0, slacks)
 
 
-def objective(rates: RateReport) -> float:
-    """Max-min objective value: the worst rate over all users of both phases."""
-    return rates.min_rate
-
-
 def reward(
     rate_value,
     report: ConstraintReport,

@@ -875,6 +875,10 @@ class TestHyperparameterChecks:
         (lambda: SrEnv(TINY_SYSTEM, rate_cap=-1.0), "rate_cap"),
         (lambda: SrEnv(TINY_SYSTEM, rate_cap=float("inf")), "rate_cap"),
         (lambda: SrEnv(TINY_SYSTEM, rate_cap=float("nan")), "rate_cap"),
+        (lambda: SrEnv(TINY_SYSTEM, reward_mode="bogus"), "reward_mode"),
+        (lambda: SrEnv(TINY_SYSTEM, penalty_cost=-1.0), "penalty_cost"),
+        (lambda: SrEnv(TINY_SYSTEM, penalty_cost=float("inf")), "penalty_cost"),
+        (lambda: SrEnv(TINY_SYSTEM, penalty_cost=float("nan")), "penalty_cost"),
         (lambda: Td3Agent(state_dim=2, action_dim=1, hidden=(4,), smoothing_noise=-0.1),
          "smoothing_noise"),
         (lambda: Td3Agent(state_dim=2, action_dim=1, hidden=(4,), noise_clip=-0.5),
@@ -889,7 +893,8 @@ class TestHyperparameterChecks:
          "init_log_std"),
     ], ids=["ppo-discount", "a3c-discount", "td3-discount-nan", "ppo-clip", "ppo-clip-zero",
             "td3-target_update-zero", "td3-target_update", "env-rate_cap", "env-rate_cap-inf",
-            "env-rate_cap-nan", "td3-smoothing_noise", "td3-noise_clip", "td3-explore_noise-nan",
+            "env-rate_cap-nan", "env-reward_mode", "env-penalty_cost", "env-penalty_cost-inf",
+            "env-penalty_cost-nan", "td3-smoothing_noise", "td3-noise_clip", "td3-explore_noise-nan",
             "ppo-init_log_std", "a3c-init_log_std", "ppo-init_log_std-nan"])
     def test_out_of_range_settings_are_rejected(self, build, field):
         with pytest.raises(ValueError, match=field):
@@ -908,6 +913,7 @@ class TestHyperparameterChecks:
             A3cAgent(state_dim=2, action_dim=1, hidden=(4,), init_log_std=init_log_std)
         assert SrEnv(TINY_SYSTEM, rate_cap=0.0).fixed_rate_cap == 0.0
         assert SrEnv(TINY_SYSTEM).fixed_rate_cap is None
+        assert SrEnv(TINY_SYSTEM, reward_mode="penalty", penalty_cost=0.0).penalty_cost == 0.0
 
     def test_smallest_valid_td3_settings_are_accepted(self):
         agent = Td3Agent(state_dim=2, action_dim=1, hidden=(4,), policy_delay=1,

@@ -23,7 +23,8 @@ from srnoma import harness
 from srnoma.env import (EnvProtocolError, SrEnv, action_dim, decode_action, rate_cap_auto,
                         state_dim, state_vector)
 from srnoma.harness import evaluate_decision, grid_oracle, random_search
-from srnoma.network import ChannelRealization, SystemConfig, draw_realization, make_placement
+from srnoma.network import (ChannelRealization, SystemConfig, derive_keys, draw_realization,
+                            make_placement, next_seed, philox)
 from srnoma.problem import constraint_slacks, evaluate_constraints
 from srnoma.rates import DecisionVariables, RateReport, rate_report
 from srnoma.ris import ACTIVE, PASSIVE, RisCoefficients
@@ -423,6 +424,26 @@ def test_blocks_and_frames_drawn_ahead_equal_single_steps(env_over):
         np.testing.assert_array_equal(info.constraints.flags, want_info.constraints.flags)
     with pytest.raises(EnvProtocolError):
         block_env.step(actions[:1])
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_reset_draws_every_frame_of_the_episode_from_its_seed_stream(shape):
+    cfg, _ = scene(shape)
+    steps, seed = 6, 17
+    env = SrEnv(cfg, episode_steps=steps)
+    first = env.reset(seed)
+    upcoming = env.upcoming_states(steps)
+    last = env.step(np.zeros((steps, action_dim(cfg))))[-1]
+    placement_key, channel_key = derive_keys(seed, 2)
+    placement, seeds = make_placement(cfg, placement_key), philox(channel_key)
+    want = [state_vector(draw_realization(cfg, placement, next_seed(seeds)))
+            for _ in range(steps + 1)]
+    np.testing.assert_array_equal(first, want[0])
+    np.testing.assert_array_equal(upcoming, want[:-1])
+    np.testing.assert_array_equal(last.state, want[-1])
+    assert last.done
+    # the states are the episode's own rows: a caller cannot overwrite them
+    assert not (first.flags.writeable or upcoming.flags.writeable or last.state.flags.writeable)
 
 
 def test_a_block_past_the_episode_end_is_refused():

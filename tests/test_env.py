@@ -196,11 +196,28 @@ class TestProtocol:
 
     def test_actions_outside_box_are_clipped(self):
         env = SrEnv(small_cfg(), episode_steps=2, rate_cap=2.0)
-        env.reset(seed=0)
-        wild = env.step(10.0 * np.ones(20))
-        env.reset(seed=0)
-        tame = env.step(np.ones(20))
-        assert wild.reward == tame.reward
+        for wild, tame in [(10.0, 1.0), (math.inf, 1.0), (-math.inf, -1.0)]:
+            env.reset(seed=0)
+            got = env.step(wild * np.ones(20))
+            env.reset(seed=0)
+            assert got.reward == env.step(tame * np.ones(20)).reward
+
+    @pytest.mark.parametrize("where", ["all", "one component", "one row of a block"])
+    def test_a_nan_action_is_rejected_before_the_episode_advances(self, where):
+        env = SrEnv(small_cfg(), episode_steps=3)
+        fresh = SrEnv(small_cfg(), episode_steps=3)
+        env.reset(seed=4)
+        bad = np.zeros((2, 20)) if where == "one row of a block" else np.zeros(20)
+        if where == "all":
+            bad[:] = math.nan
+        else:
+            bad.flat[-1] = math.nan
+        with pytest.raises(ValueError, match="NaN"):
+            env.step(bad)
+        fresh.reset(seed=4)
+        got, want = env.step(np.zeros(20)), fresh.step(np.zeros(20))
+        np.testing.assert_array_equal(got.state, want.state)
+        assert got.reward == want.reward and not got.done
 
     def test_a_used_env_replays_a_seed_like_a_fresh_one(self):
         # nothing carries over between episodes: after an abandoned episode a
@@ -213,22 +230,18 @@ class TestProtocol:
         used.step(actions[0])
         state = used.reset(seed=3)
         np.testing.assert_array_equal(state, fresh.reset(seed=3))
-        np.testing.assert_array_equal(state, state_vector(used._current))
+        np.testing.assert_array_equal(state, used.upcoming_states(1)[0])
         for a in actions:
             got, want = used.step(a), fresh.step(a)
             np.testing.assert_array_equal(got.state, want.state)
-            np.testing.assert_array_equal(got.state, state_vector(used._current))
+            if not got.done:
+                np.testing.assert_array_equal(got.state, used.upcoming_states(1)[0])
             assert got.reward == want.reward and got.done == want.done
-
-    def test_auto_rate_cap_needs_reset(self):
-        env = SrEnv(small_cfg(), episode_steps=1)
-        with pytest.raises(EnvProtocolError):
-            env.rate_cap()
 
     def test_fixed_rate_cap_wins(self):
         env = SrEnv(small_cfg(), episode_steps=1, rate_cap=7.5)
         env.reset(seed=0)
-        assert env.rate_cap() == 7.5
+        assert env.step(np.zeros(20)).info.rate_cap == 7.5
 
     def test_auto_rate_cap_bounds_any_achieved_rate(self):
         cfg = tiny_cfg()
@@ -236,9 +249,8 @@ class TestProtocol:
         env.reset(seed=5)
         rng = np.random.default_rng(5)
         for _ in range(20):
-            cap = env.rate_cap()
             result = env.step(rng.uniform(-1, 1, env.action_dim))
-            assert result.info.min_rate <= cap, "cap must dominate the min rate"
+            assert result.info.min_rate <= result.info.rate_cap, "cap must dominate the min rate"
 
 
 # ===========================================================================

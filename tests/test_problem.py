@@ -19,7 +19,6 @@ from srnoma.problem import (
     ConstraintReport,
     evaluate_constraints,
     harvested_energy,
-    objective,
     reward,
 )
 from srnoma.rates import DecisionVariables, RateReport, rate_report
@@ -279,11 +278,6 @@ class TestReportAndReward:
         full = ConstraintReport(np.ones(N_CONSTRAINTS, bool), np.zeros(N_CONSTRAINTS))
         with pytest.raises(ValueError):
             reward(1.0, full, mode="bonus")
-
-    def test_objective_is_min_rate(self):
-        rates_obj = constant_report(2)
-        rates_obj.phase2_transmit_rate = np.array([0.25, 3.0])
-        assert objective(rates_obj) == 0.25
 
 
 if __name__ == "__main__":
