@@ -168,7 +168,8 @@ class SrEnv:
 
     The channels of an episode depend on its seed alone, never on the actions
     (frame t is the t-th draw of its seed stream), so ``reset`` draws all
-    T + 1 frames of the episode at once, the terminal one included.
+    T + 1 frames of the episode at once, the terminal one included, and
+    ``step`` drops them once it has scored the last one.
     ``upcoming_states(k)`` gives the raw states of the current frame and the
     next k - 1 (fewer at the episode's end).  ``step`` scores a block (k, D)
     of actions for those k frames in one kernel call and returns k
@@ -216,17 +217,16 @@ class SrEnv:
         self.fixed_rate_cap = rate_cap
         self.state_dim = state_dim(cfg)
         self.action_dim = action_dim(cfg)
-        self.placement = None
         self._episode: ChannelRealization | None = None  # frames 0 .. T as lanes
         self._states: np.ndarray | None = None  # their states, (T + 1, S)
         self._t = self.episode_steps  # the current frame; T when no episode runs
 
     def reset(self, seed: int) -> np.ndarray:
         placement_key, channel_key = derive_keys(seed, 2)
-        self.placement = make_placement(self.cfg, placement_key)
+        placement = make_placement(self.cfg, placement_key)
         seeds = philox(channel_key)
         self._episode = draw_realization(
-            self.cfg, self.placement, [next_seed(seeds) for _ in range(self.episode_steps + 1)])
+            self.cfg, placement, [next_seed(seeds) for _ in range(self.episode_steps + 1)])
         self._states = state_vector(self._episode)
         self._states.flags.writeable = False
         self._t = 0
@@ -268,6 +268,8 @@ class SrEnv:
         report = problem.evaluate_constraints(ch, dv, self.cfg, rates)
         rew = problem.reward(dv.rate_target, report, self.reward_mode, self.penalty_cost)
         self._t = t + k
+        if self._t == self.episode_steps:
+            self._episode = None
         rewards, min_rates = rew.tolist(), min_rate.tolist()
         counts, caps = report.satisfied_counts.tolist(), np.broadcast_to(cap, (k,)).tolist()
         results = [StepResult(self._states[t + j + 1], rewards[j], t + j + 1 == self.episode_steps,

@@ -288,11 +288,13 @@ def grid_oracle(
     phases; any axis can be overridden (or pinned to a single value) through
     ``grids``.  Beam scalars are fixed to 1 since a unit-modulus scalar beam
     cannot change any magnitude.  Refuses to run when the grid would exceed
-    ``GRID_CAP`` points.  Points are scored in chunks, in itertools.product
-    order of the axes.
+    ``GRID_CAP`` points, and raises ValueError for a resolution below 1 or an
+    axis override with no values.  Points are scored in chunks, in
+    itertools.product order of the axes.
     """
     if not (cfg.n_bs_antennas == 1 and cfg.n_ris_elements == 1 and cfg.n_pairs == 1):
         raise ValueError("grid_oracle only handles the N = M = I = 1 scene")
+    check_in("[1, inf]", resolution=resolution)
     res = int(resolution)
     beta_cap = cfg.p_asris_watts / 2.0
     axes = {
@@ -310,6 +312,7 @@ def grid_oracle(
         if name not in axes:
             raise ValueError(f"unknown grid axis {name!r}")
         axes[name] = np.atleast_1d(np.asarray(values, dtype=float))
+        check_in("[1, inf]", **{f"len(grids[{name!r}])": len(axes[name])})
 
     shape = tuple(len(values) for values in axes.values())
     points = math.prod(shape)
@@ -353,17 +356,20 @@ def _apply_sweep_value(config: dict, variable: str, value):
 
 
 def _baseline_point(config: dict, ris_mode: str, seed: int) -> dict:
-    """Average the random-search optimum over fresh channel draws."""
+    """Average the random-search optimum over ``n_channels`` fresh channels on
+    one placement, drawn as the lanes of one call."""
     cfg = system_from(config)
     sweep_cfg = config["sweep"]
     placement_key, draw_key, search_key = derive_keys(seed, 3)
-    placement = make_placement(cfg, placement_key)
     draw_rng, search_rng = philox(draw_key), philox(search_key)
+    n_channels = int(sweep_cfg["n_channels"])
+    channels = draw_realization(cfg, make_placement(cfg, placement_key),
+                                [next_seed(draw_rng) for _ in range(n_channels)])
     min_rates, sum_rates = [], []
     feasible_channels = 0
-    for _ in range(int(sweep_cfg["n_channels"])):
-        ch = draw_realization(cfg, placement, next_seed(draw_rng))
-        result = random_search(cfg, ch, ris_mode, sweep_cfg["budget"], next_seed(search_rng))
+    for c in range(n_channels):
+        result = random_search(cfg, channels.lane(c), ris_mode, sweep_cfg["budget"],
+                               next_seed(search_rng))
         if result.feasible:
             feasible_channels += 1
             min_rates.append(result.objective)

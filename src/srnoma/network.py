@@ -33,18 +33,15 @@ Conventions
   One realization takes all its normals from one ``standard_normal`` call, in
   block order h1, g1, h2, h3, g2r, g2t and, within a block, real parts before
   imaginary parts.
-* Placements are immutable (frozen fields, read-only arrays).  What a draw
-  needs from the placement alone, namely path losses, line-of-sight vectors
-  and the square roots of the variances, is computed at its first draw and
-  cached on it, keyed by the config values it reads; every later draw only
-  scales fresh normals.
+* Placements are immutable (frozen fields, read-only arrays).  Node positions
+  are drawn once per episode and the fading once per frame, so every caller
+  draws all the frames of a placement in one ``draw_realization`` call.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import operator
 
 import numpy as np
 
@@ -127,8 +124,7 @@ class Placement:
     """Node positions for one scene draw.  All arrays are (count, 2) in metres.
 
     A placement is immutable: its fields cannot be reassigned and
-    ``make_placement`` returns read-only arrays, so the channel terms that
-    ``draw_realization`` caches on it never go stale.
+    ``make_placement`` returns read-only arrays.
     """
 
     bs: np.ndarray
@@ -137,9 +133,6 @@ class Placement:
     sue_reflect: np.ndarray
     sue_transmit: np.ndarray
     seed: int
-    _terms: _ChannelTerms | None = dataclasses.field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def d_bs_sbd(self) -> np.ndarray:
         return np.linalg.norm(self.sbd - self.bs, axis=1)
@@ -249,132 +242,8 @@ def _sin_toward(origin: np.ndarray, target: np.ndarray) -> float:
     return d[1] / dist
 
 
-# The SystemConfig fields the per-placement channel terms depend on: a draw
-# under a config whose values differ here rebuilds the placement's terms.
-_TERM_FIELDS = operator.attrgetter(
-    "n_bs_antennas", "n_ris_elements", "n_pairs", "bs_antenna_gain", "ris_element_gain",
-    "carrier_hz", "path_loss_exponent", "rician_k", "d_bs_sbd_m",
-)
-
-
-# Where each block of a draw (numbered in draw order h1, g1, h2, h3, g2r, g2t)
-# sits in the flat array of all entries: the Rayleigh blocks first, then the
-# Rician ones, which need two more operations per draw.
-_FLAT_ORDER = (0, 1, 3, 2, 4, 5)
-
-
-@dataclasses.dataclass(frozen=True)
-class _ChannelTerms:
-    """Everything a fading draw needs besides its normals, for one placement
-    and one set of ``_TERM_FIELDS`` values.
-
-    The entries of all six blocks lie in one flat array, the Rayleigh blocks
-    (h1, g1, h3) first and the Rician ones (h2, g2r, g2t) after them.  ``re``
-    and ``im`` index each entry's real and imaginary normal in the stream of
-    one realization, which holds the blocks in draw order.
-    """
-
-    key: tuple
-    n_normals: int
-    re: np.ndarray
-    im: np.ndarray
-    scale: np.ndarray  # sqrt(variance / 2) of the scattered part, per entry
-    n_rayleigh: int
-    los: np.ndarray  # los_gain * line-of-sight unit vector, per Rician entry
-    amp: np.ndarray  # sqrt(link variance), per Rician entry
-    slices: tuple  # (start, stop, shape) of h1, g1, h2, h3, g2r, g2t in the flat array
-
-
 def _fading_scale(variance) -> np.ndarray:
     return np.sqrt(np.asarray(variance, dtype=float) / 2.0)
-
-
-def _channel_terms(cfg: SystemConfig, placement: Placement) -> _ChannelTerms:
-    """The placement's cached terms, built at its first draw under these
-    config values (path losses, steering vectors, square roots)."""
-    key = _TERM_FIELDS(cfg)
-    terms = placement._terms
-    if terms is not None and terms.key == key:
-        return terms
-
-    n, m, i = cfg.n_bs_antennas, cfg.n_ris_elements, cfg.n_pairs
-    if len(placement.sue_reflect) != i or len(placement.sue_transmit) != i:
-        raise ValueError(
-            f"placement has {len(placement.sue_reflect)} reflect and "
-            f"{len(placement.sue_transmit)} transmit users, config n_pairs is {i}"
-        )
-    g_bs, g_ris = cfg.bs_antenna_gain, cfg.ris_element_gain
-    pl = lambda d: path_loss(d, cfg.carrier_hz, cfg.path_loss_exponent)
-    k_factor = cfg.rician_k
-    los_gain = math.sqrt(k_factor / (k_factor + 1.0))
-    nlos_scale = _fading_scale(1.0 / (k_factor + 1.0))
-
-    var_sbd = pl(cfg.d_bs_sbd_m) * g_bs
-    var_h2 = pl(placement.d_bs_asris()) * g_bs * g_ris
-    los_h2 = np.outer(
-        ula_steering(m, _sin_toward(placement.asris, placement.bs)),
-        ula_steering(n, _sin_toward(placement.bs, placement.asris)).conj(),
-    )
-    var_h3 = np.array([pl(d) * g_bs for d in placement.d_bs_sue_reflect()])
-    var_g2r = np.array([pl(d) * g_ris for d in placement.d_asris_sue_reflect()])
-    los_g2r = np.stack(
-        [
-            ula_steering(m, _sin_toward(placement.asris, placement.sue_reflect[k])).conj()
-            for k in range(i)
-        ]
-    )
-    var_g2t = np.array([pl(d) * g_ris for d in placement.d_asris_sue_transmit()])
-    los_g2t = np.stack(
-        [
-            ula_steering(m, _sin_toward(placement.asris, placement.sue_transmit[k])).conj()
-            for k in range(i)
-        ]
-    )
-
-    # per block in draw order: shape, scale of the scattered part, and for a
-    # Rician block sqrt(variance) and the line-of-sight unit vector
-    blocks = [
-        ((n, i), _fading_scale(var_sbd), None),
-        ((n, i), _fading_scale(var_sbd), None),
-        ((m, n), nlos_scale, (np.sqrt(np.asarray(var_h2, dtype=float)), los_h2)),
-        ((n, i), _fading_scale(var_h3[None, :]), None),
-        ((i, m), nlos_scale, (np.sqrt(var_g2r[:, None]), los_g2r)),
-        ((i, m), nlos_scale, (np.sqrt(var_g2t[:, None]), los_g2t)),
-    ]
-    sizes = [math.prod(shape) for shape, _, _ in blocks]
-    n_entries, n_rayleigh = sum(sizes), 3 * n * i
-    re = np.empty(n_entries, dtype=np.intp)
-    scale = np.empty(n_entries)
-    amp = np.empty(n_entries - n_rayleigh)
-    los = np.empty(n_entries - n_rayleigh, dtype=complex)
-    slices = [None] * len(blocks)
-    stream_start = np.cumsum([0] + [2 * size for size in sizes[:-1]])
-    start = 0
-    for b in _FLAT_ORDER:
-        shape, block_scale, los_part = blocks[b]
-        stop = start + sizes[b]
-        re[start:stop] = np.arange(stream_start[b], stream_start[b] + sizes[b])
-        scale[start:stop].reshape(shape)[...] = block_scale
-        if los_part is not None:
-            block_amp, los_unit = los_part
-            amp[start - n_rayleigh : stop - n_rayleigh].reshape(shape)[...] = block_amp
-            los[start - n_rayleigh : stop - n_rayleigh] = (los_gain * los_unit).ravel()
-        slices[b] = (start, stop, shape)
-        start = stop
-    flat_sizes = [sizes[b] for b in _FLAT_ORDER]
-    terms = _ChannelTerms(
-        key=key,
-        n_normals=2 * n_entries,
-        re=re,
-        im=re + np.repeat(flat_sizes, flat_sizes),
-        scale=scale,
-        n_rayleigh=n_rayleigh,
-        los=los,
-        amp=amp,
-        slices=tuple(slices),
-    )
-    object.__setattr__(placement, "_terms", terms)
-    return terms
 
 
 def draw_realization(cfg: SystemConfig, placement: Placement, seed) -> ChannelRealization:
@@ -389,23 +258,54 @@ def draw_realization(cfg: SystemConfig, placement: Placement, seed) -> ChannelRe
     g2t, each block's real parts before its imaginary parts, so a given seed
     always yields the same channels, alone or as a lane.  What depends only on
     the placement (path losses, line-of-sight vectors, square roots of the
-    variances) is computed at the placement's first draw and cached on it; see
-    ``_channel_terms``.
+    variances) is computed once per call and shared by its lanes, so callers
+    draw all the frames of a placement in one call.
     """
-    terms = _channel_terms(cfg, placement)
+    n, m, i = cfg.n_bs_antennas, cfg.n_ris_elements, cfg.n_pairs
+    if len(placement.sue_reflect) != i or len(placement.sue_transmit) != i:
+        raise ValueError(f"placement has {len(placement.sue_reflect)} reflect and "
+                         f"{len(placement.sue_transmit)} transmit users, config n_pairs is {i}")
+    g_bs, g_ris = cfg.bs_antenna_gain, cfg.ris_element_gain
+    pl = lambda d: path_loss(d, cfg.carrier_hz, cfg.path_loss_exponent)
+    los_gain = math.sqrt(cfg.rician_k / (cfg.rician_k + 1.0))
+    nlos_scale = _fading_scale(1.0 / (cfg.rician_k + 1.0))
+
+    var_sbd = pl(cfg.d_bs_sbd_m) * g_bs
+    var_h2 = pl(placement.d_bs_asris()) * g_bs * g_ris
+    los_h2 = np.outer(ula_steering(m, _sin_toward(placement.asris, placement.bs)),
+                      ula_steering(n, _sin_toward(placement.bs, placement.asris)).conj())
+    var_h3 = np.array([pl(d) * g_bs for d in placement.d_bs_sue_reflect()])
+    var_g2r = np.array([pl(d) * g_ris for d in placement.d_asris_sue_reflect()])
+    var_g2t = np.array([pl(d) * g_ris for d in placement.d_asris_sue_transmit()])
+    los_sue = lambda users: np.stack(
+        [ula_steering(m, _sin_toward(placement.asris, user)).conj() for user in users])
+
+    # per block in draw order: shape, scale of the scattered part, and for a
+    # Rician block sqrt(variance) and the line-of-sight unit vector
+    blocks = [
+        ((n, i), _fading_scale(var_sbd), None),
+        ((n, i), _fading_scale(var_sbd), None),
+        ((m, n), nlos_scale, (np.sqrt(var_h2), los_h2)),
+        ((n, i), _fading_scale(var_h3[None, :]), None),
+        ((i, m), nlos_scale, (np.sqrt(var_g2r[:, None]), los_sue(placement.sue_reflect))),
+        ((i, m), nlos_scale, (np.sqrt(var_g2t[:, None]), los_sue(placement.sue_transmit))),
+    ]
+    n_normals = 2 * sum(math.prod(shape) for shape, _, _ in blocks)
     if isinstance(seed, (int, np.integer)):
-        z = philox(seed).standard_normal(terms.n_normals)
+        z = philox(seed).standard_normal(n_normals)
     else:
         seed = tuple(seed)
-        z = np.empty((len(seed), terms.n_normals))
+        z = np.empty((len(seed), n_normals))
         for normals, lane_seed in zip(z, seed):
             philox(lane_seed).standard_normal(out=normals)
-    w = z.take(terms.re, axis=-1) + 1j * z.take(terms.im, axis=-1)
-    np.multiply(terms.scale, w, out=w)
-    rician = w[..., terms.n_rayleigh :]
-    np.add(terms.los, rician, out=rician)
-    np.multiply(terms.amp, rician, out=rician)
-    lanes = z.shape[:-1]
-    h1, g1, h2, h3, g2r, g2t = (w[..., a:b].reshape(lanes + shape)
-                                for a, b, shape in terms.slices)
-    return ChannelRealization(h1, g1, h2, h3, g2r, g2t, seed)
+    lanes, start, drawn = z.shape[:-1], 0, []
+    for shape, scale, rician in blocks:
+        size = math.prod(shape)
+        x, y = (z[..., a : a + size].reshape(lanes + shape) for a in (start, start + size))
+        start += 2 * size
+        h = scale * (x + 1j * y)
+        if rician is not None:
+            amp, los = rician
+            h = amp * (los_gain * los + h)
+        drawn.append(h)
+    return ChannelRealization(*drawn, seed)

@@ -5,14 +5,14 @@ This is the scalar code those modules ran before they took a leading batch
 axis: per-column beam decoding, running-sum and running-mask SIC
 interference, float-by-float constraint slacks, and the per-candidate loops
 of random search and the grid oracle.  It also keeps the channel draw as
-``srnoma.network`` ran it before it cached per-placement terms: one
-``standard_normal`` call per block part and per-user path-loss and
-steering-vector loops on every draw.  It is not imported by the package;
-``test_batched.py`` and ``test_network.py`` compare the fast code against it
-on fuzzed inputs.  Only the containers (``DecisionVariables``,
-``RateReport``, ``ConstraintReport``, ``RisCoefficients``,
-``ChannelRealization``) and channel helpers (``path_loss``, ``ula_steering``)
-come from the package.
+``srnoma.network`` first ran it: one frame per call and one
+``standard_normal`` call per block part, where the package takes each
+frame's normals in one call and draws many frames as lanes of one draw.  It
+is not imported by the package; ``test_batched.py`` and ``test_network.py``
+compare the fast code against it on fuzzed inputs.  Only the containers
+(``DecisionVariables``, ``RateReport``, ``ConstraintReport``,
+``RisCoefficients``, ``ChannelRealization``) and channel helpers
+(``path_loss``, ``ula_steering``) come from the package.
 
 Last, it keeps the per-array network updates ``srnoma.nn`` and
 ``srnoma.agents.td3`` ran before each net got one flat parameter buffer:

@@ -6,10 +6,12 @@ reproducibility, and reward consistency in both target modes.
 """
 
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from srnoma import env as env_module
 from srnoma.env import (
     EnvProtocolError,
     SrEnv,
@@ -188,6 +190,25 @@ class TestProtocol:
         env.step(np.zeros(20))
         with pytest.raises(EnvProtocolError):
             env.step(np.zeros(20))
+
+    @pytest.mark.parametrize("blocks", [[1, 1, 1], [2, 1], [3]])
+    def test_the_last_step_releases_the_episode_lanes(self, monkeypatch, blocks):
+        # the results the caller keeps must not pin the episode's channels
+        drawn = []
+
+        def draw(*args):
+            episode = draw_realization(*args)
+            drawn.append(weakref.ref(episode))
+            return episode
+
+        monkeypatch.setattr(env_module, "draw_realization", draw)
+        env = SrEnv(small_cfg(), episode_steps=3)
+        env.reset(seed=0)
+        results = []
+        for k in blocks:
+            assert drawn[0]() is not None
+            results.extend(env.step(np.zeros((k, 20))))
+        assert results[-1].done and drawn[0]() is None
 
     def test_step_before_reset_raises(self):
         env = SrEnv(small_cfg(), episode_steps=1)

@@ -247,6 +247,15 @@ class TestGridOracle:
                 grids={"bandwidth": [1.0]},
             )
 
+    @pytest.mark.parametrize("resolution", [0, -1])
+    def test_resolutions_below_one_are_rejected(self, resolution):
+        with pytest.raises(ValueError, match="resolution"):
+            grid_oracle(scalar_cfg(), scalar_channels(), ACTIVE, resolution=resolution)
+
+    def test_an_axis_override_with_no_values_is_rejected(self):
+        with pytest.raises(ValueError, match="tau"):
+            grid_oracle(scalar_cfg(), scalar_channels(), ACTIVE, resolution=2, grids={"tau": []})
+
     def test_refinement_never_lowers_the_optimum(self):
         # linspace(0, x, 2k+1) nests, so finer grids search supersets; the
         # remaining axes are pinned to keep the grids small
@@ -555,6 +564,12 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert ("feasible optimum" in out) or ("no feasible point" in out)
+
+    @pytest.mark.parametrize("resolution", ["0", "-1"])
+    def test_oracle_rejects_resolutions_below_one(self, tmp_path, capsys, resolution):
+        code = main(["oracle", "--config", tiny_yaml(tmp_path), "--resolution", resolution])
+        assert code == 1
+        assert "resolution must be in [1, inf]" in capsys.readouterr().err
 
     def test_sweep_and_report_round_trip(self, tmp_path, capsys):
         config = tiny_yaml(

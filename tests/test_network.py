@@ -4,9 +4,9 @@ Groups:
   * dBm conversion and the free-space path-loss curve (hand oracles)
   * node placement invariants and reproducibility
   * channel realization shapes, reproducibility and calibrated moments
-  * the cached-term draw against the frozen per-block draw in
-    ``scalar_reference``, bit for bit, and the safety of its per-placement
-    cache
+  * the draw against the frozen per-block draw in ``scalar_reference``, bit
+    for bit, under fuzzed and changing configs, and the baseline sweep's
+    lane-drawn channels against single draws
 """
 
 import math
@@ -15,14 +15,19 @@ import numpy as np
 import pytest
 import scalar_reference as ref
 
+from srnoma import harness
 from srnoma.network import (
     ChannelRealization,
     SystemConfig,
     dbm_to_watts,
+    derive_keys,
     draw_realization,
     make_placement,
+    next_seed,
     path_loss,
+    philox,
 )
+from srnoma.ris import ACTIVE
 
 # independent hand evaluation of the 1 m reference loss at 28 GHz
 PL0_28GHZ = (299_792_458.0 / (4.0 * math.pi * 28e9)) ** 2
@@ -195,14 +200,10 @@ class TestChannels:
         expected = path_loss(
             small_cfg.d_bs_sbd_m, small_cfg.carrier_hz, small_cfg.path_loss_exponent
         ) * small_cfg.bs_antenna_gain
-        total, count = 0.0, 0
-        draws = 0
-        while count < 100_000:
-            ch = draw_realization(small_cfg, pl, seed=10_000 + draws)
-            total += float(np.sum(np.abs(ch.h1) ** 2))
-            count += ch.h1.size
-            draws += 1
-        mean = total / count
+        # the fewest frames that hold 100,000 h1 entries, as lanes of one draw
+        draws = -(-100_000 // (small_cfg.n_bs_antennas * small_cfg.n_pairs))
+        ch = draw_realization(small_cfg, pl, range(10_000, 10_000 + draws))
+        mean = float(np.mean(np.abs(ch.h1) ** 2))
         assert abs(mean - expected) / expected < 0.02, (
             f"second moment off by {abs(mean - expected) / expected:.3%}"
         )
@@ -210,15 +211,9 @@ class TestChannels:
     def test_rician_line_of_sight_fraction(self, small_cfg):
         # K-factor 10: the deterministic component carries 10/11 of the power.
         pl = make_placement(small_cfg, seed=6)
-        acc = None
-        power = 0.0
-        n_draws = 4000
-        for d in range(n_draws):
-            ch = draw_realization(small_cfg, pl, seed=50_000 + d)
-            acc = ch.h2 if acc is None else acc + ch.h2
-            power += float(np.mean(np.abs(ch.h2) ** 2))
-        mean_entry_power = float(np.mean(np.abs(acc / n_draws) ** 2))
-        fraction = mean_entry_power / (power / n_draws)
+        h2 = draw_realization(small_cfg, pl, range(50_000, 54_000)).h2
+        mean_entry_power = float(np.mean(np.abs(h2.mean(axis=0)) ** 2))
+        fraction = mean_entry_power / float(np.mean(np.abs(h2) ** 2))
         assert abs(fraction - 10.0 / 11.0) < 0.03, f"LoS fraction {fraction:.4f}"
 
     def test_blocks_order_matches_fields(self, small_cfg):
@@ -235,7 +230,7 @@ class TestChannels:
 
 
 # ===========================================================================
-# cached-term draw against the frozen per-block draw
+# the draw against the frozen per-block draw
 # ===========================================================================
 
 
@@ -284,9 +279,9 @@ class TestCachedDraw:
         for seed in (0, 1, 2**63 - 1):
             assert_bit_equal(draw_realization(cfg, pl, seed), ref.draw_realization(cfg, pl, seed))
 
-    def test_cache_follows_the_config(self):
+    def test_draw_follows_the_config(self):
         # one placement drawn under A, then B, then A again: B changes every
-        # field the cached terms read, and each draw must be its config's own.
+        # config field the draw reads, and each draw must be its config's own.
         # The placement fixes the number of pairs, so another n_pairs is an
         # error (the reference returned blocks of mismatched shapes).
         base = dict(n_bs_antennas=2, n_ris_elements=4, n_pairs=2)
@@ -308,6 +303,28 @@ class TestCachedDraw:
             with pytest.raises(ValueError, match="n_pairs"):
                 draw_realization(SystemConfig(**{**base, "n_pairs": n_pairs}), pl, 5)
         assert_bit_equal(draw_realization(cfg_a, pl, 5), ref.draw_realization(cfg_a, pl, 5))
+
+
+def test_baseline_point_equals_a_loop_over_single_draws():
+    # _baseline_point draws its channels as the lanes of one call; a loop of
+    # single draws on the same seed streams must give the same row, bit for bit
+    config = harness.default_config()
+    config["system"].update(n_bs_antennas=1, n_ris_elements=1, n_pairs=1,
+                            harvest_threshold_joules=1e-15)
+    config["sweep"].update(n_channels=6, budget=40)
+    cfg, seed = harness.system_from(config), 13
+    placement_key, draw_key, search_key = derive_keys(seed, 3)
+    pl = make_placement(cfg, placement_key)
+    draw_rng, search_rng = philox(draw_key), philox(search_key)
+    results = [harness.random_search(cfg, draw_realization(cfg, pl, next_seed(draw_rng)), ACTIVE,
+                                     40, next_seed(search_rng)) for _ in range(6)]
+    feasible = [r for r in results if r.feasible]
+    assert feasible, "the check needs a feasible channel"
+    assert harness._baseline_point(config, ACTIVE, seed) == {
+        "min_rate": float(np.mean([r.objective for r in feasible])),
+        "sum_rate": float(np.mean([r.sum_rate for r in feasible])),
+        "feasible_channels": len(feasible),
+    }
 
 
 if __name__ == "__main__":
