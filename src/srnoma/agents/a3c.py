@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..network import derive_keys, philox
+from ..network import check_in, derive_keys, philox
 from ..nn import GaussianPolicy, Mlp
-from .common import ActorCritic, EpisodeStats, check_in, critic_gradient, rollout
+from .common import ActorCritic, EpisodeStats, critic_gradient, rollout
 
 
 def kstep_returns(rewards: np.ndarray, bootstrap: float, discount: float) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Shared training plumbing: the episode driver, the observation normaliser,
-replay storage, episode traces, hyperparameter checks, checkpoints, the PPO/A3C
-core, the critic gradient."""
+replay storage, episode traces, checkpoints, the PPO/A3C core, the critic
+gradient."""
 
 from __future__ import annotations
 
@@ -8,23 +8,8 @@ import dataclasses
 
 import numpy as np
 
-from ..network import derive_keys, next_seed, philox
+from ..network import check_in, derive_keys, next_seed, philox
 from ..nn import LOG_STD_MAX, LOG_STD_MIN, GaussianPolicy, Mlp, make_optimizer
-
-
-def check_in(interval: str, **values) -> None:
-    """Raise ValueError unless every value lies in ``interval``, written like
-    "[0, 1]", "(0, inf)" or "[1, inf]"; NaN and values that are not numbers
-    lie in none."""
-    low, high = (float(end) for end in interval[1:-1].split(","))
-    for name, value in values.items():
-        try:
-            above = value > low if interval[0] == "(" else value >= low
-            below = value < high if interval[-1] == ")" else value <= high
-        except TypeError:
-            above = below = False
-        if not (above and below):
-            raise ValueError(f"{name} must be in {interval}, got {value!r}")
 
 
 class ObsNormalizer:
@@ -116,6 +101,7 @@ class ActorCritic(Checkpointed):
                  init_rng: np.random.Generator) -> None:
         check_in("(0, inf)", actor_lr=actor_lr, critic_lr=critic_lr)
         check_in(f"[{LOG_STD_MIN}, {LOG_STD_MAX}]", init_log_std=init_log_std)
+        check_in("[1, inf)", **{f"hidden[{i}]": width for i, width in enumerate(hidden)})
         sizes = (state_dim, *hidden)
         self.policy = GaussianPolicy(Mlp((*sizes, action_dim), init_rng), init_log_std)
         self.critic = Mlp((*sizes, 1), init_rng)

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..network import derive_keys, philox
-from .common import ActorCritic, check_in, critic_gradient
+from ..network import check_in, derive_keys, philox
+from .common import ActorCritic, critic_gradient
 
 
 def advantage_and_target(

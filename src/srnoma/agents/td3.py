@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..network import derive_keys, philox
+from ..network import check_in, derive_keys, philox
 from ..nn import Mlp, blocks, make_optimizer
-from .common import Checkpointed, ReplayBuffer, check_in, critic_gradient
+from .common import Checkpointed, ReplayBuffer, critic_gradient
 
 
 def td3_target(reward, discount, q1, q2, done=0.0):
@@ -54,6 +54,7 @@ class Td3Agent(Checkpointed):
                  explore_noise=explore_noise)
         check_in("[1, inf]", policy_delay=policy_delay, minibatch=minibatch)
         check_in(f"[{minibatch}, inf]", buffer_size=buffer_size)
+        check_in("[1, inf)", **{f"hidden[{i}]": width for i, width in enumerate(hidden)})
         init_key, noise_key = derive_keys(seed, 2)
         init_rng = philox(init_key)
         self.state_dim = state_dim

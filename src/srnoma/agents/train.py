@@ -7,7 +7,7 @@ import os
 
 import numpy as np
 
-from ..network import derive_keys, next_seed, philox
+from ..network import check_in, derive_keys, next_seed, philox
 from ..nn import NonFiniteGradientError, save_checkpoint
 from .a3c import A3cAgent, kstep_returns
 from .common import EpisodeStats, ObsNormalizer, TrainingTrace, rollout
@@ -36,8 +36,7 @@ def _filtered(cls, hyper: dict) -> dict:
 
 def build_agent(algo: str, state_dim: int, action_dim: int, hyper: dict | None,
                 seed: int):
-    if algo not in _AGENT_CLASSES:
-        raise ValueError(f"unknown algorithm {algo!r}; pick one of {ALGORITHMS}")
+    check_in(ALGORITHMS, algo=algo)
     cls = _AGENT_CLASSES[algo]
     return cls(state_dim, action_dim, seed=seed, **_filtered(cls, hyper or {}))
 
@@ -90,8 +89,10 @@ def train(
     ``agent.normalizer``: it learns from the states of training and is saved
     in the checkpoint.  A non-finite gradient aborts the run: the trace keeps
     the episodes finished so far, flags the abort, and the checkpoint on disk
-    stays at the last parameters the optimizers accepted.
+    stays at the last parameters the optimizers accepted.  A negative
+    ``episodes`` or ``checkpoint_every`` raises ValueError.
     """
+    check_in("[0, inf)", episodes=episodes, checkpoint_every=checkpoint_every)
     agent_key, env_key = derive_keys(seed, 2)
     agent = build_agent(algo, env.state_dim, env.action_dim, hyper, agent_key)
     fresh = lambda: ObsNormalizer(env.state_dim) if env.normalize_obs else None

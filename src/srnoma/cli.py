@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 on success, 1 on runtime failure (missing config, aborted run,
-oversized grid), 2 on usage errors (argparse handles those).
+Exit codes: 0 on success, 1 on runtime failure (missing or bad config, aborted
+run, oversized grid), 2 on usage errors (argparse handles those).
 """
 
 from __future__ import annotations

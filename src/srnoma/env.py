@@ -41,8 +41,8 @@ import math
 import numpy as np
 
 from . import problem, ris
-from .network import (ChannelRealization, SystemConfig, derive_keys, draw_realization,
-                      make_placement, next_seed, philox)
+from .network import (ChannelRealization, SystemConfig, check_in, derive_keys,
+                      draw_realization, make_placement, next_seed, philox)
 from .rates import DecisionVariables, RateReport, rate_report, row_dot
 
 
@@ -194,19 +194,13 @@ class SrEnv:
         normalize_obs: bool = False,
         rate_cap: float | None = None,
     ) -> None:
-        if ris_mode not in (ris.ACTIVE, ris.PASSIVE):
-            raise ValueError(f"unknown surface mode {ris_mode!r}")
-        if r_mode not in ("literal", "derived"):
-            raise ValueError(f"r_mode must be 'literal' or 'derived', got {r_mode!r}")
-        if reward_mode not in (problem.LITERAL, problem.PENALTY):
-            raise ValueError(f"reward_mode must be '{problem.LITERAL}' or "
-                             f"'{problem.PENALTY}', got {reward_mode!r}")
-        if not 0.0 <= penalty_cost < math.inf:
-            raise ValueError(f"penalty_cost must be finite and >= 0, got {penalty_cost!r}")
-        if episode_steps < 1:
-            raise ValueError(f"episode_steps must be >= 1, got {episode_steps!r}")
-        if rate_cap is not None and not 0.0 <= rate_cap < math.inf:
-            raise ValueError(f"rate_cap must be finite and >= 0 (or None), got {rate_cap!r}")
+        check_in((ris.ACTIVE, ris.PASSIVE), ris_mode=ris_mode)
+        check_in(("literal", "derived"), r_mode=r_mode)
+        check_in((problem.LITERAL, problem.PENALTY), reward_mode=reward_mode)
+        check_in("[1, inf)", episode_steps=episode_steps)
+        check_in("[0, inf)", penalty_cost=penalty_cost)
+        if rate_cap is not None:
+            check_in("[0, inf)", rate_cap=rate_cap)
         self.cfg = cfg
         self.episode_steps = int(episode_steps)
         self.ris_mode = ris_mode

@@ -22,12 +22,13 @@ import numpy as np
 import yaml
 
 from . import problem
-from .agents import A3cAgent, PpoAgent, Td3Agent, random_policy_trace, train
-from .agents.common import EpisodeStats, check_in, rollout
+from .agents import A3cAgent, PpoAgent, Td3Agent, train
+from .agents.common import EpisodeStats, rollout
 from .env import SrEnv, action_dim, decode_action
 from .network import (
     ChannelRealization,
     SystemConfig,
+    check_in,
     dbm_to_watts,
     derive_keys,
     draw_realization,
@@ -35,6 +36,7 @@ from .network import (
     next_seed,
     philox,
 )
+from .nn import NonFiniteGradientError
 from .rates import DecisionVariables, rate_report
 from .ris import ACTIVE, PASSIVE, RisCoefficients
 
@@ -151,6 +153,8 @@ def load_config(path) -> dict:
         raise FileNotFoundError(f"config file not found: {path}")
     with open(path) as fh:
         user = yaml.safe_load(fh) or {}
+    if not isinstance(user, dict):
+        raise ValueError(f"config file {path} must hold a mapping of sections")
     config = default_config()
     for section, content in user.items():
         if section not in config:
@@ -177,16 +181,7 @@ def system_from(config: dict) -> SystemConfig:
 
 def env_from(config: dict, ris_mode: str | None = None) -> SrEnv:
     env_cfg = config["env"]
-    return SrEnv(
-        system_from(config),
-        episode_steps=env_cfg["episode_steps"],
-        ris_mode=ris_mode or env_cfg["ris_mode"],
-        r_mode=env_cfg["r_mode"],
-        reward_mode=env_cfg["reward_mode"],
-        penalty_cost=env_cfg["penalty_cost"],
-        normalize_obs=env_cfg["normalize_obs"],
-        rate_cap=env_cfg["rate_cap"],
-    )
+    return SrEnv(system_from(config), **{**env_cfg, "ris_mode": ris_mode or env_cfg["ris_mode"]})
 
 
 # --------------------------------------------------------------------------
@@ -417,12 +412,13 @@ def _train_point(config: dict, ris_mode: str, seed: int) -> dict:
     algo = run_cfg["algo"]
     agent, trace = train(algo, env, run_cfg["episodes"], seed,
                          hyper=config["agents"][algo])
+    if trace.aborted:
+        raise NonFiniteGradientError(f"training aborted after {len(trace)} episodes")
     scores = evaluate_policy(agent, env, config["sweep"]["n_channels"], seed + 1)
     return {
         "min_rate": scores["min_rate"],
         "sum_rate": scores["sum_rate"],
         "feasible_channels": scores["feasible_steps"],
-        "aborted": int(trace.aborted),
     }
 
 
@@ -447,12 +443,15 @@ def write_csv(path, header: list, rows: list) -> None:
 def sweep(config: dict, out_dir) -> tuple[str, str]:
     """Run the configured sweep; writes point-level and summary CSVs.
 
-    A failing point is recorded with status "error: <type>: <message>" and
-    the sweep moves on.  A ``sweep.n_channels`` or ``sweep.budget`` below 1
-    raises ValueError before the first point runs.
+    A failing point, or a train point whose training aborted, is recorded
+    with status "error: <type>: <message>" and the sweep moves on.  A
+    ``sweep.n_channels`` or ``sweep.budget`` below 1, or an unknown
+    ``sweep.mode``, raises ValueError before the first point runs.
     """
     sweep_cfg = config["sweep"]
     check_in("[1, inf]", **{f"sweep.{key}": sweep_cfg[key] for key in ("n_channels", "budget")})
+    check_in(("baseline", "train"), **{"sweep.mode": sweep_cfg["mode"]})
+    run_point = _baseline_point if sweep_cfg["mode"] == "baseline" else _train_point
     os.makedirs(out_dir, exist_ok=True)
     run_cfg = config["run"]
     digest = config_hash(config)
@@ -480,12 +479,7 @@ def sweep(config: dict, out_dir) -> tuple[str, str]:
                     "feasible_channels": 0,
                 }
                 try:
-                    if sweep_cfg["mode"] == "baseline":
-                        point = _baseline_point(patched, effective_mode, int(seed))
-                    elif sweep_cfg["mode"] == "train":
-                        point = _train_point(patched, effective_mode, int(seed))
-                    else:
-                        raise ValueError(f"unknown sweep mode {sweep_cfg['mode']!r}")
+                    point = run_point(patched, effective_mode, int(seed))
                     row.update(
                         {k: point[k] for k in ("min_rate", "sum_rate", "feasible_channels")}
                     )

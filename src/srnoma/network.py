@@ -36,6 +36,8 @@ Conventions
 * Placements are immutable (frozen fields, read-only arrays).  Node positions
   are drawn once per episode and the fading once per frame, so every caller
   draws all the frames of a placement in one ``draw_realization`` call.
+* ``check_in`` is the package's one check of outside input; it keeps NaN
+  and infinities out of every float of ``SystemConfig``, so out of the channels.
 """
 
 from __future__ import annotations
@@ -90,21 +92,13 @@ class SystemConfig:
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        positive = ("bandwidth_hz", "noise_bs_watts", "noise_asris_watts", "noise_sue_watts",
-                    "p_bs_max_watts", "p_asris_watts", "carrier_hz", "d_bs_sbd_m",
-                    "d_bs_sue_max_m", "d_bs_asris_max_m", "bs_antenna_gain", "ris_element_gain")
-        for name in positive:
-            value = getattr(self, name)
-            if not value > 0.0:
-                raise ValueError(f"{name} must be strictly positive, got {value!r}")
-        if not 0.0 <= self.energy_conversion_efficiency <= 1.0:
-            raise ValueError(
-                f"energy_conversion_efficiency must lie in [0, 1], "
-                f"got {self.energy_conversion_efficiency!r}"
-            )
-        for name in ("harvest_threshold_joules", "path_loss_exponent", "rician_k"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be nonnegative")
+        check_in("(0, inf)", **{name: getattr(self, name) for name in (
+            "bandwidth_hz", "noise_bs_watts", "noise_asris_watts", "noise_sue_watts",
+            "p_bs_max_watts", "p_asris_watts", "carrier_hz", "d_bs_sbd_m", "d_bs_sue_max_m",
+            "d_bs_asris_max_m", "bs_antenna_gain", "ris_element_gain")})
+        check_in("[0, 1]", energy_conversion_efficiency=self.energy_conversion_efficiency)
+        check_in("[0, inf)", harvest_threshold_joules=self.harvest_threshold_joules,
+                 path_loss_exponent=self.path_loss_exponent, rician_k=self.rician_k)
 
 
 def path_loss(distance_m: float, carrier_hz: float = 28e9, exponent: float = 3.0) -> float:
@@ -163,6 +157,27 @@ def derive_keys(seed: int, count: int) -> list[int]:
 def next_seed(rng: np.random.Generator) -> int:
     """The next seed a seed stream hands out, uniform on [0, 2**63)."""
     return int(rng.integers(0, 2**63))
+
+
+def check_in(allowed, **values) -> None:
+    """Raise ValueError unless every value lies in ``allowed``: a tuple of the
+    allowed values, or an interval written like "[0, 1]", "(0, inf)" or
+    "[1, inf]"; NaN and values that are not numbers lie in no interval."""
+    if isinstance(allowed, tuple):
+        for name, value in values.items():
+            if value not in allowed:
+                *head, last = map(repr, allowed)
+                raise ValueError(f"{name} must be {', '.join(head)} or {last}, got {value!r}")
+        return
+    low, high = (float(end) for end in allowed[1:-1].split(","))
+    for name, value in values.items():
+        try:
+            above = value > low if allowed[0] == "(" else value >= low
+            below = value < high if allowed[-1] == ")" else value <= high
+        except TypeError:
+            above = below = False
+        if not (above and below):
+            raise ValueError(f"{name} must be in {allowed}, got {value!r}")
 
 
 def make_placement(cfg: SystemConfig, seed: int) -> Placement:

@@ -16,6 +16,8 @@ import dataclasses
 
 import numpy as np
 
+from .network import check_in
+
 ACTIVE = "active"
 PASSIVE = "passive"
 
@@ -35,8 +37,7 @@ class RisCoefficients:
         self.beta_r = np.asarray(self.beta_r, dtype=float)
         self.theta_t = np.asarray(self.theta_t, dtype=float)
         self.theta_r = np.asarray(self.theta_r, dtype=float)
-        if self.mode not in (ACTIVE, PASSIVE):
-            raise ValueError(f"mode must be '{ACTIVE}' or '{PASSIVE}', got {self.mode!r}")
+        check_in((ACTIVE, PASSIVE), mode=self.mode)
         m = self.beta_t.shape
         for name in ("beta_r", "theta_t", "theta_r"):
             if getattr(self, name).shape != m:

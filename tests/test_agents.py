@@ -691,6 +691,14 @@ class TestTrain:
         agent, trace = train("ppo", env, episodes=0, seed=0, hyper={"hidden": (4,)})
         assert len(trace) == 0 and not trace.aborted
 
+    @pytest.mark.parametrize("field", ["episodes", "checkpoint_every"])
+    def test_negative_loop_counts_are_rejected(self, tmp_path, field):
+        counts = {"episodes": 1, "checkpoint_every": 0, field: -1}
+        with pytest.raises(ValueError, match=field):
+            train("ppo", tiny_env(steps=3), seed=0, hyper={"hidden": (4,)},
+                  checkpoint_dir=tmp_path, **counts)
+        assert list(tmp_path.iterdir()) == []
+
     def test_checkpoints_are_written(self, tmp_path):
         env = tiny_env(steps=3)
         train(
@@ -891,11 +899,17 @@ class TestHyperparameterChecks:
          "init_log_std"),
         (lambda: PpoAgent(state_dim=2, action_dim=1, hidden=(4,), init_log_std=float("nan")),
          "init_log_std"),
+        (lambda: SrEnv(TINY_SYSTEM, ris_mode="bogus"), "ris_mode"),
+        (lambda: SrEnv(TINY_SYSTEM, r_mode="bogus"), "r_mode"),
+        (lambda: PpoAgent(state_dim=2, action_dim=1, hidden=(4, 0)), "hidden"),
+        (lambda: A3cAgent(state_dim=2, action_dim=1, hidden=(0,)), "hidden"),
+        (lambda: Td3Agent(state_dim=2, action_dim=1, hidden=(0,)), "hidden"),
     ], ids=["ppo-discount", "a3c-discount", "td3-discount-nan", "ppo-clip", "ppo-clip-zero",
             "td3-target_update-zero", "td3-target_update", "env-rate_cap", "env-rate_cap-inf",
             "env-rate_cap-nan", "env-reward_mode", "env-penalty_cost", "env-penalty_cost-inf",
             "env-penalty_cost-nan", "td3-smoothing_noise", "td3-noise_clip", "td3-explore_noise-nan",
-            "ppo-init_log_std", "a3c-init_log_std", "ppo-init_log_std-nan"])
+            "ppo-init_log_std", "a3c-init_log_std", "ppo-init_log_std-nan", "env-ris_mode",
+            "env-r_mode", "ppo-hidden", "a3c-hidden", "td3-hidden"])
     def test_out_of_range_settings_are_rejected(self, build, field):
         with pytest.raises(ValueError, match=field):
             build()

@@ -133,6 +133,12 @@ class TestConfig:
         with pytest.raises(FileNotFoundError):
             load_config(tmp_path / "nothing.yaml")
 
+    def test_top_level_must_be_a_mapping(self, tmp_path):
+        path = tmp_path / "list.yaml"
+        path.write_text("- system\n- env\n")
+        with pytest.raises(ValueError, match="mapping of sections"):
+            load_config(path)
+
     def test_hash_is_stable_and_sensitive(self):
         a = default_config()
         b = default_config()
@@ -355,10 +361,34 @@ class TestSweep:
         assert modes == {ACTIVE, PASSIVE}
 
     def test_broken_points_are_recorded_not_raised(self, tmp_path):
-        config = sweep_config(sweep={"mode": "no-such-mode"}, run={"seeds": [0]})
+        config = sweep_config(sweep={"variable": "ris_mode", "values": ["no-such-mode", "?"]},
+                              run={"seeds": [0]})
         points_path, _ = sweep(config, tmp_path)
         lines = open(points_path).read().splitlines()[1:]
+        assert len(lines) == 2
         assert all("error: ValueError" in line for line in lines)
+
+    def test_aborted_training_is_recorded_as_an_error(self, tmp_path, monkeypatch):
+        def aborted_train(*args, **kwargs):
+            agent, trace = train(*args, **kwargs)
+            trace.aborted = True
+            return agent, trace
+
+        monkeypatch.setattr(harness, "train", aborted_train)
+        config = sweep_config(
+            sweep={"mode": "train", "values": [8.0], "n_channels": 1},
+            run={"seeds": [0], "episodes": 1, "algo": "ppo"},
+            env={"episode_steps": 3, "rate_cap": 2.0, "normalize_obs": False},
+        )
+        config["agents"]["ppo"].update(hidden=[4], minibatch=2)
+        points_path, summary_path = sweep(config, tmp_path)
+        with open(points_path, newline="") as fh:
+            points = list(csv.DictReader(fh))
+        assert [p["status"] for p in points] == [
+            "error: NonFiniteGradientError: training aborted after 1 episodes"]
+        assert "aborted" not in points[0]
+        with open(summary_path, newline="") as fh:
+            assert [row["n_points"] for row in csv.DictReader(fh)] == ["0"]
 
     def test_train_mode_sweep_runs(self, tmp_path):
         config = sweep_config(
@@ -383,6 +413,14 @@ class TestSweep:
         config = sweep_config(sweep={"mode": mode, field: value})
         with pytest.raises(ValueError, match=f"sweep.{field}"):
             sweep(config, tmp_path / "out")
+        assert ran == [] and not (tmp_path / "out").exists()
+
+    def test_unknown_mode_is_rejected_before_any_point(self, tmp_path, monkeypatch):
+        ran = []
+        for point in ("_baseline_point", "_train_point"):
+            monkeypatch.setattr(harness, point, lambda *args: ran.append(args))
+        with pytest.raises(ValueError, match="sweep.mode must be 'baseline' or 'train'"):
+            sweep(sweep_config(sweep={"mode": "baselin"}), tmp_path / "out")
         assert ran == [] and not (tmp_path / "out").exists()
 
     def test_report_aggregates_and_flags_monotonicity(self, tmp_path):
@@ -570,6 +608,26 @@ class TestCli:
         code = main(["oracle", "--config", tiny_yaml(tmp_path), "--resolution", resolution])
         assert code == 1
         assert "resolution must be in [1, inf]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, text, extra, named", [
+        ("train", "system: {rician_k: .nan}", [], "rician_k must be in [0, inf), got nan"),
+        ("train", "system: {p_asris_watts: .inf}", [], "p_asris_watts"),
+        ("train", "agents: {ppo: {hidden: [0]}}", [], "hidden[0] must be in [1, inf)"),
+        ("train", "- system\n", [], "mapping of sections"),
+        ("train", "", ["--episodes", "-4"], "episodes must be in [0, inf)"),
+        ("train", "", ["--checkpoint-every", "-1"], "checkpoint_every"),
+        ("sweep", "sweep: {mode: baselin}", [], "sweep.mode"),
+    ], ids=["rician_k-nan", "p_asris-inf", "hidden-zero", "top-level-list", "episodes-negative",
+            "checkpoint_every-negative", "sweep-mode"])
+    def test_malformed_inputs_exit_1_with_an_error_line(self, tmp_path, capsys, command, text,
+                                                        extra, named):
+        config = tmp_path / "bad.yaml"
+        config.write_text(text if text.startswith("-") else f"run: {{episodes: 1}}\n{text}")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(config), "--out", str(out), *extra]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert not any(path.is_file() for path in out.rglob("*"))
 
     def test_sweep_and_report_round_trip(self, tmp_path, capsys):
         config = tiny_yaml(

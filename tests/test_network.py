@@ -9,6 +9,7 @@ Groups:
     lane-drawn channels against single draws
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -112,6 +113,13 @@ class TestSystemConfig:
     def test_nonpositive_power_rejected(self):
         with pytest.raises(ValueError):
             SystemConfig(p_bs_max_watts=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(SystemConfig)
+                                       if isinstance(f.default, float)])
+    def test_non_finite_floats_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SystemConfig(**{field: value})
 
 
 # ===========================================================================
