@@ -55,12 +55,13 @@ class A3cAgent(ActorCritic):
         seed: int = 0,
     ) -> None:
         check_in("[0, 1]", discount=discount)
+        check_in("[0, inf)", entropy_coef=entropy_coef)
         check_in("[1, inf]", workers=workers, k_steps=k_steps)
         (init_key,) = derive_keys(seed, 1)
         super().__init__(state_dim, action_dim, hidden, actor_lr, critic_lr, optimizer,
                          init_log_std, philox(init_key))
-        self.workers = int(workers)
-        self.k_steps = int(k_steps)
+        self.workers = workers
+        self.k_steps = k_steps
         self.discount = discount
         self.entropy_coef = entropy_coef
 
@@ -123,9 +124,3 @@ class A3cAgent(ActorCritic):
             if not result.done:
                 self.snapshot(local_policy, local_critic)
         return stats
-
-    def run_episode_round(self, env, episode_seeds: list, rngs: list, observers: list) -> list:
-        """One outer episode: every worker plays one episode on ``env``, in
-        worker order, each with its own entry of the three lists."""
-        return [self.worker_episode(env, episode_seeds[w], rngs[w], observers[w])
-                for w in range(self.workers)]

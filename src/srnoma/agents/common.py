@@ -101,7 +101,7 @@ class ActorCritic(Checkpointed):
                  init_rng: np.random.Generator) -> None:
         check_in("(0, inf)", actor_lr=actor_lr, critic_lr=critic_lr)
         check_in(f"[{LOG_STD_MIN}, {LOG_STD_MAX}]", init_log_std=init_log_std)
-        check_in("[1, inf)", **{f"hidden[{i}]": width for i, width in enumerate(hidden)})
+        check_in("[1, inf]", **{f"hidden[{i}]": width for i, width in enumerate(hidden)})
         sizes = (state_dim, *hidden)
         self.policy = GaussianPolicy(Mlp((*sizes, action_dim), init_rng), init_log_std)
         self.critic = Mlp((*sizes, 1), init_rng)
@@ -126,7 +126,7 @@ class ReplayBuffer:
     """Fixed-capacity uniform replay over flat transitions."""
 
     def __init__(self, capacity: int, state_dim: int, action_dim: int) -> None:
-        self.capacity = int(capacity)
+        self.capacity = capacity
         self.states = np.zeros((capacity, state_dim))
         self.actions = np.zeros((capacity, action_dim))
         self.rewards = np.zeros(capacity)

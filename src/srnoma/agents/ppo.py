@@ -53,8 +53,8 @@ class PpoAgent(ActorCritic):
         self.rng = philox(sample_key)
         self.clip = clip
         self.discount = discount
-        self.minibatch = int(minibatch)
-        self.update_epochs = int(update_epochs)
+        self.minibatch = minibatch
+        self.update_epochs = update_epochs
         self.dropped_samples = 0
 
     def act(self, state: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:

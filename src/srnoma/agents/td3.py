@@ -54,7 +54,7 @@ class Td3Agent(Checkpointed):
                  explore_noise=explore_noise)
         check_in("[1, inf]", policy_delay=policy_delay, minibatch=minibatch)
         check_in(f"[{minibatch}, inf]", buffer_size=buffer_size)
-        check_in("[1, inf)", **{f"hidden[{i}]": width for i, width in enumerate(hidden)})
+        check_in("[1, inf]", **{f"hidden[{i}]": width for i, width in enumerate(hidden)})
         init_key, noise_key = derive_keys(seed, 2)
         init_rng = philox(init_key)
         self.state_dim = state_dim
@@ -68,11 +68,11 @@ class Td3Agent(Checkpointed):
         self.rng = philox(noise_key)
         self.discount = discount
         self.target_update = target_update
-        self.policy_delay = int(policy_delay)
+        self.policy_delay = policy_delay
         self.smoothing_noise = smoothing_noise
         self.noise_clip = noise_clip
         self.explore_noise = explore_noise
-        self.minibatch = int(minibatch)
+        self.minibatch = minibatch
         self.buffer = ReplayBuffer(buffer_size, state_dim, action_dim)
         self.actor_opt = make_optimizer(optimizer, actor_lr, self.actor.shapes)
         self.critic1_opt = make_optimizer(optimizer, critic_lr, self.critic1.shapes)
@@ -84,9 +84,6 @@ class Td3Agent(Checkpointed):
         if explore:
             action = action + self.explore_noise * self.rng.standard_normal(self.action_dim)
         return np.clip(action, -1.0, 1.0)
-
-    def observe(self, state, action, reward, next_state, done) -> None:
-        self.buffer.add(state, action, reward, next_state, done)
 
     def _targets(self, batch: dict) -> np.ndarray:
         noise = np.clip(

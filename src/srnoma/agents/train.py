@@ -30,6 +30,8 @@ def _filtered(cls, hyper: dict) -> dict:
         raise ValueError(f"{cls.__name__} takes no hyperparameter {', '.join(unknown)}")
     picked = {k: v for k, v in hyper.items() if k in accepted}
     if "hidden" in picked:
+        if not isinstance(picked["hidden"], (list, tuple)):
+            raise ValueError(f"hidden must be a list of layer widths, got {picked['hidden']!r}")
         picked["hidden"] = tuple(picked["hidden"])
     return picked
 
@@ -69,7 +71,7 @@ def _td3_episode(agent: Td3Agent, env, episode_seed: int) -> EpisodeStats:
     stats = EpisodeStats()
     for state, (action,), result in rollout(env, episode_seed, lambda s: (agent.act(s),), stats,
                                             agent.normalizer):
-        agent.observe(state, action, result.reward, result.state, float(result.done))
+        agent.buffer.add(state, action, result.reward, result.state, float(result.done))
         agent.update()
     return stats
 
@@ -89,10 +91,10 @@ def train(
     ``agent.normalizer``: it learns from the states of training and is saved
     in the checkpoint.  A non-finite gradient aborts the run: the trace keeps
     the episodes finished so far, flags the abort, and the checkpoint on disk
-    stays at the last parameters the optimizers accepted.  A negative
-    ``episodes`` or ``checkpoint_every`` raises ValueError.
+    stays at the last parameters the optimizers accepted.  An ``episodes`` or
+    ``checkpoint_every`` that is not a count from 0 raises ValueError.
     """
-    check_in("[0, inf)", episodes=episodes, checkpoint_every=checkpoint_every)
+    check_in("[0, inf]", episodes=episodes, checkpoint_every=checkpoint_every)
     agent_key, env_key = derive_keys(seed, 2)
     agent = build_agent(algo, env.state_dim, env.action_dim, hyper, agent_key)
     fresh = lambda: ObsNormalizer(env.state_dim) if env.normalize_obs else None
@@ -112,8 +114,8 @@ def train(
     for episode in range(episodes):
         try:
             if algo == "a3c":
-                rounds = agent.run_episode_round(
-                    env, [next_seed(s) for s in seed_streams], action_rngs, observers)
+                rounds = [agent.worker_episode(env, next_seed(s), rng, observe)
+                          for s, rng, observe in zip(seed_streams, action_rngs, observers)]
                 means = tuple(float(np.mean(col)) for col in zip(*(s.means() for s in rounds)))
             else:
                 means = play(agent, env, next_seed(seed_stream)).means()

@@ -60,37 +60,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _scene_from(config: dict, seed: int):
+def _config_and_seed(args) -> tuple[dict, int]:
+    """The run configuration, and ``--seed`` or else its first run seed."""
+    config = harness.load_config(args.config)
+    return config, args.seed if args.seed is not None else harness.run_seeds(config)[0]
+
+
+def _scene_from(args) -> tuple:
+    """Seed, surface mode, scene and channels of the oracle and baseline commands."""
+    config, seed = _config_and_seed(args)
     cfg = harness.system_from(config)
     placement_key, draw_key = derive_keys(seed, 2)
-    return cfg, draw_realization(cfg, make_placement(cfg, placement_key), draw_key)
+    ch = draw_realization(cfg, make_placement(cfg, placement_key), draw_key)
+    return seed, args.ris_mode or config["env"]["ris_mode"], cfg, ch
 
 
 def _cmd_train(args) -> int:
-    config = harness.load_config(args.config)
+    config, seed = _config_and_seed(args)
     algo = args.algo or config["run"]["algo"]
-    seed = args.seed if args.seed is not None else config["run"]["seeds"][0]
     episodes = config["run"]["episodes"]
     if args.paper_scale:
         episodes = config["agents"][algo]["episodes"]
     if args.episodes is not None:
         episodes = args.episodes
-    checkpoint_every = (
-        args.checkpoint_every
-        if args.checkpoint_every is not None
-        else config["run"]["checkpoint_every"]
-    )
+    checkpoint_every = (args.checkpoint_every if args.checkpoint_every is not None
+                        else config["run"]["checkpoint_every"])
     os.makedirs(args.out, exist_ok=True)
-    env = harness.env_from(config)
-    _, trace = train(
-        algo,
-        env,
-        episodes,
-        seed,
-        hyper=config["agents"][algo],
-        checkpoint_dir=args.out,
-        checkpoint_every=checkpoint_every,
-    )
+    _, trace = train(algo, harness.env_from(config), episodes, seed, hyper=config["agents"][algo],
+                     checkpoint_dir=args.out, checkpoint_every=checkpoint_every)
     trace_path = os.path.join(args.out, f"trace_{algo}_seed{seed}.csv")
     trace.to_csv(trace_path, harness.config_hash(config), seed)
     print(f"wrote {trace_path} ({len(trace)} episodes)")
@@ -110,10 +107,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    config = harness.load_config(args.config)
-    seed = args.seed if args.seed is not None else config["run"]["seeds"][0]
-    mode = args.ris_mode or config["env"]["ris_mode"]
-    cfg, ch = _scene_from(config, seed)
+    _, mode, cfg, ch = _scene_from(args)
     result = harness.grid_oracle(cfg, ch, mode, resolution=args.resolution)
     if result.feasible:
         print(f"feasible optimum min_rate={result.objective!r} "
@@ -124,10 +118,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    config = harness.load_config(args.config)
-    seed = args.seed if args.seed is not None else config["run"]["seeds"][0]
-    mode = args.ris_mode or config["env"]["ris_mode"]
-    cfg, ch = _scene_from(config, seed)
+    seed, mode, cfg, ch = _scene_from(args)
     result = harness.random_search(cfg, ch, mode, args.budget, seed)
     if result.feasible:
         print(f"best feasible min_rate={result.objective!r} "

@@ -197,12 +197,12 @@ class SrEnv:
         check_in((ris.ACTIVE, ris.PASSIVE), ris_mode=ris_mode)
         check_in(("literal", "derived"), r_mode=r_mode)
         check_in((problem.LITERAL, problem.PENALTY), reward_mode=reward_mode)
-        check_in("[1, inf)", episode_steps=episode_steps)
+        check_in("[1, inf]", episode_steps=episode_steps)
         check_in("[0, inf)", penalty_cost=penalty_cost)
         if rate_cap is not None:
             check_in("[0, inf)", rate_cap=rate_cap)
         self.cfg = cfg
-        self.episode_steps = int(episode_steps)
+        self.episode_steps = episode_steps
         self.ris_mode = ris_mode
         self.r_mode = r_mode
         self.reward_mode = reward_mode

@@ -16,6 +16,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import operator
 import os
 
 import numpy as np
@@ -171,8 +172,18 @@ def dump_config(config: dict, path) -> None:
 
 
 def config_hash(config: dict) -> str:
-    canonical = json.dumps(config, sort_keys=True)
+    """12 hex digits of the config's SHA-256; a NumPy integer hashes as the int it equals."""
+    canonical = json.dumps(config, sort_keys=True, default=operator.index)
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
+
+
+def run_seeds(config: dict) -> list:
+    """The seeds of the run section: a non-empty list of counts from 0."""
+    seeds = config["run"]["seeds"]
+    if not isinstance(seeds, list) or not seeds:
+        raise ValueError(f"run.seeds must be a non-empty list, got {seeds!r}")
+    check_in("[0, inf]", **{f"run.seeds[{i}]": seed for i, seed in enumerate(seeds)})
+    return seeds
 
 
 def system_from(config: dict) -> SystemConfig:
@@ -261,7 +272,7 @@ def random_search(
     """
     check_in("[1, inf]", budget=budget)
     rng = philox(seed)
-    budget, dim = int(budget), action_dim(cfg)
+    dim = action_dim(cfg)
     batches = (
         decode_action(rng.uniform(-1.0, 1.0, (min(CHUNK, budget - start), dim)),
                       cfg, ris_mode, rate_cap=1.0)
@@ -290,16 +301,15 @@ def grid_oracle(
     if not (cfg.n_bs_antennas == 1 and cfg.n_ris_elements == 1 and cfg.n_pairs == 1):
         raise ValueError("grid_oracle only handles the N = M = I = 1 scene")
     check_in("[1, inf]", resolution=resolution)
-    res = int(resolution)
     beta_cap = cfg.p_asris_watts / 2.0
     axes = {
-        "eta": np.linspace(0.0, 1.0, res),
-        "tau": np.linspace(0.0, 1.0, res),
-        "power": np.linspace(0.0, cfg.p_bs_max_watts, res),
-        "beta_t": np.linspace(0.0, beta_cap if ris_mode == ACTIVE else 1.0, res),
-        "beta_r": np.linspace(0.0, beta_cap, res),
-        "theta_t": np.linspace(0.0, 2.0 * math.pi, res),
-        "theta_r": np.linspace(0.0, 2.0 * math.pi, res),
+        "eta": np.linspace(0.0, 1.0, resolution),
+        "tau": np.linspace(0.0, 1.0, resolution),
+        "power": np.linspace(0.0, cfg.p_bs_max_watts, resolution),
+        "beta_t": np.linspace(0.0, beta_cap if ris_mode == ACTIVE else 1.0, resolution),
+        "beta_r": np.linspace(0.0, beta_cap, resolution),
+        "theta_t": np.linspace(0.0, 2.0 * math.pi, resolution),
+        "theta_r": np.linspace(0.0, 2.0 * math.pi, resolution),
     }
     if ris_mode == PASSIVE:
         del axes["beta_r"]  # tied to beta_t by the unit split
@@ -357,7 +367,7 @@ def _baseline_point(config: dict, ris_mode: str, seed: int) -> dict:
     sweep_cfg = config["sweep"]
     placement_key, draw_key, search_key = derive_keys(seed, 3)
     draw_rng, search_rng = philox(draw_key), philox(search_key)
-    n_channels = int(sweep_cfg["n_channels"])
+    n_channels = sweep_cfg["n_channels"]
     channels = draw_realization(cfg, make_placement(cfg, placement_key),
                                 [next_seed(draw_rng) for _ in range(n_channels)])
     min_rates, sum_rates = [], []
@@ -396,7 +406,7 @@ def evaluate_policy(agent, env: SrEnv, episodes: int, seed: int) -> dict:
     observe = getattr(agent.normalizer, "normalize", None)
     steps = [(result.reward, result.info.min_rate, result.info.rates.sum_rate,
               result.info.constraints.flags[:_STRUCTURAL].all())
-             for _ in range(int(episodes))
+             for _ in range(episodes)
              for _, _, result in rollout(env, next_seed(seeds), act, EpisodeStats(), observe,
                                          env.episode_steps)]
     reward, min_rate, sum_rate, feasible = np.array(steps).reshape(-1, 4).T
@@ -444,16 +454,16 @@ def sweep(config: dict, out_dir) -> tuple[str, str]:
     """Run the configured sweep; writes point-level and summary CSVs.
 
     A failing point, or a train point whose training aborted, is recorded
-    with status "error: <type>: <message>" and the sweep moves on.  A
-    ``sweep.n_channels`` or ``sweep.budget`` below 1, or an unknown
-    ``sweep.mode``, raises ValueError before the first point runs.
+    with status "error: <type>: <message>" and the sweep moves on.  A bad
+    ``sweep.n_channels``, ``sweep.budget``, ``sweep.mode`` or ``run.seeds``
+    raises ValueError before the first point runs.
     """
     sweep_cfg = config["sweep"]
     check_in("[1, inf]", **{f"sweep.{key}": sweep_cfg[key] for key in ("n_channels", "budget")})
     check_in(("baseline", "train"), **{"sweep.mode": sweep_cfg["mode"]})
+    seeds = run_seeds(config)
     run_point = _baseline_point if sweep_cfg["mode"] == "baseline" else _train_point
     os.makedirs(out_dir, exist_ok=True)
-    run_cfg = config["run"]
     digest = config_hash(config)
     variable = sweep_cfg["variable"]
     modes = [None]
@@ -466,7 +476,7 @@ def sweep(config: dict, out_dir) -> tuple[str, str]:
         for mode in modes:
             effective_mode = mode or patched["env"]["ris_mode"]
             series.append((value, effective_mode))
-            for seed in run_cfg["seeds"]:
+            for seed in seeds:
                 row = {
                     "config_hash": digest,
                     "variable": variable,
@@ -479,7 +489,7 @@ def sweep(config: dict, out_dir) -> tuple[str, str]:
                     "feasible_channels": 0,
                 }
                 try:
-                    point = run_point(patched, effective_mode, int(seed))
+                    point = run_point(patched, effective_mode, seed)
                     row.update(
                         {k: point[k] for k in ("min_rate", "sum_rate", "feasible_channels")}
                     )
@@ -542,10 +552,10 @@ def report(in_dir, out_path=None) -> tuple[str, list[str]]:
         series.setdefault((row["variable"], row["ris_mode"]), []).append(row)
     for (variable, mode), entries in sorted(series.items()):
         def sort_key(entry):
-            try:
-                return float(entry["value"])
+            try:  # numbers first, then text
+                return (0, float(entry["value"]))
             except ValueError:
-                return entry["value"]
+                return (1, entry["value"])
         ordered = sorted(entries, key=sort_key)
         means = [float(e["min_rate_mean"]) for e in ordered]
         clean = [m for m in means if not math.isnan(m)]

@@ -36,8 +36,9 @@ Conventions
 * Placements are immutable (frozen fields, read-only arrays).  Node positions
   are drawn once per episode and the fading once per frame, so every caller
   draws all the frames of a placement in one ``draw_realization`` call.
-* ``check_in`` is the package's one check of outside input; it keeps NaN
-  and infinities out of every float of ``SystemConfig``, so out of the channels.
+* ``check_in`` is the package's one check of outside input.  It keeps NaN and
+  infinities out of every float of ``SystemConfig``, so out of the channels, and
+  lets only integers into an interval closed at infinity: every count and seed.
 """
 
 from __future__ import annotations
@@ -88,10 +89,8 @@ class SystemConfig:
     d_bs_asris_max_m: float = 300.0
 
     def __post_init__(self) -> None:
-        for name in ("n_bs_antennas", "n_ris_elements", "n_pairs", "symbols_per_bd_symbol"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        check_in("[1, inf]", n_bs_antennas=self.n_bs_antennas, n_ris_elements=self.n_ris_elements,
+                 n_pairs=self.n_pairs, symbols_per_bd_symbol=self.symbols_per_bd_symbol)
         check_in("(0, inf)", **{name: getattr(self, name) for name in (
             "bandwidth_hz", "noise_bs_watts", "noise_asris_watts", "noise_sue_watts",
             "p_bs_max_watts", "p_asris_watts", "carrier_hz", "d_bs_sbd_m", "d_bs_sue_max_m",
@@ -128,9 +127,6 @@ class Placement:
     sue_transmit: np.ndarray
     seed: int
 
-    def d_bs_sbd(self) -> np.ndarray:
-        return np.linalg.norm(self.sbd - self.bs, axis=1)
-
     def d_bs_asris(self) -> float:
         return float(np.linalg.norm(self.asris - self.bs))
 
@@ -150,7 +146,8 @@ def philox(seed: int) -> np.random.Generator:
 
 
 def derive_keys(seed: int, count: int) -> list[int]:
-    """Independent 64-bit generator keys fanned out from one master seed."""
+    """Independent 64-bit generator keys fanned out from a master seed (a count from 0)."""
+    check_in("[0, inf]", seed=seed)
     return [int(k) for k in np.random.SeedSequence(seed).generate_state(count, np.uint64)]
 
 
@@ -161,8 +158,10 @@ def next_seed(rng: np.random.Generator) -> int:
 
 def check_in(allowed, **values) -> None:
     """Raise ValueError unless every value lies in ``allowed``: a tuple of the
-    allowed values, or an interval written like "[0, 1]", "(0, inf)" or
-    "[1, inf]"; NaN and values that are not numbers lie in no interval."""
+    allowed values, or an interval written like "[0, 1]" or "(0, inf)"; NaN and
+    values that are not numbers lie in no interval.  An interval closed at
+    infinity, like "[1, inf]", holds counts: Python or NumPy integers only,
+    never a bool, a float, NaN or inf."""
     if isinstance(allowed, tuple):
         for name, value in values.items():
             if value not in allowed:
@@ -176,7 +175,8 @@ def check_in(allowed, **values) -> None:
             below = value < high if allowed[-1] == ")" else value <= high
         except TypeError:
             above = below = False
-        if not (above and below):
+        whole = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+        if not (above and below and (whole or not allowed.endswith("inf]"))):
             raise ValueError(f"{name} must be in {allowed}, got {value!r}")
 
 

@@ -473,7 +473,7 @@ class TestTd3:
         rng = np.random.default_rng(10)
         for _ in range(n):
             s = rng.standard_normal(2)
-            agent.observe(s, rng.uniform(-1, 1, 1), rng.normal(), rng.standard_normal(2), 0.0)
+            agent.buffer.add(s, rng.uniform(-1, 1, 1), rng.normal(), rng.standard_normal(2), 0.0)
 
     def test_greedy_action_is_deterministic_and_bounded(self):
         agent = self.make_agent()
@@ -591,7 +591,8 @@ class TestA3c:
                          k_steps=2, seed=3)
         observers = [ObsNormalizer(env.state_dim) for _ in range(3)]
         rngs = [np.random.Generator(np.random.Philox(k)) for k in range(3)]
-        results = agent.run_episode_round(env, [1, 2, 3], rngs, observers)
+        results = [agent.worker_episode(env, seed, rng, observe)
+                   for seed, rng, observe in zip([1, 2, 3], rngs, observers)]
         assert len(results) == 3
         assert all(r.steps == 4 for r in results)
         # each worker normalises only its own reset state and four steps
@@ -856,18 +857,42 @@ class TestHyperparameterChecks:
         with pytest.raises(ValueError, match=field):
             cls(state_dim=2, action_dim=1, hidden=(4,), **over)
 
-    @pytest.mark.parametrize("build, field", [
-        (lambda: PpoAgent(state_dim=2, action_dim=1, hidden=(4,), minibatch=0), "minibatch"),
-        (lambda: PpoAgent(state_dim=2, action_dim=1, hidden=(4,), update_epochs=0),
-         "update_epochs"),
-        (lambda: A3cAgent(state_dim=2, action_dim=1, hidden=(4,), workers=0), "workers"),
-        (lambda: A3cAgent(state_dim=2, action_dim=1, hidden=(4,), k_steps=0), "k_steps"),
-        (lambda: tiny_env(steps=0), "episode_steps"),
-    ], ids=["ppo-minibatch", "ppo-update_epochs", "a3c-workers", "a3c-k_steps",
-            "env-episode_steps"])
-    def test_loop_counts_below_one_are_rejected(self, build, field):
+    # every count an agent, the env or train() takes: id -> (field, build with it set to n)
+    COUNTS = {
+        "ppo-minibatch": ("minibatch", lambda n: PpoAgent(2, 1, hidden=(4,), minibatch=n)),
+        "ppo-update_epochs": ("update_epochs",
+                              lambda n: PpoAgent(2, 1, hidden=(4,), update_epochs=n)),
+        "a3c-workers": ("workers", lambda n: A3cAgent(2, 1, hidden=(4,), workers=n)),
+        "a3c-k_steps": ("k_steps", lambda n: A3cAgent(2, 1, hidden=(4,), k_steps=n)),
+        "env-episode_steps": ("episode_steps", lambda n: tiny_env(steps=n)),
+        "td3-policy_delay": ("policy_delay", lambda n: Td3Agent(2, 1, hidden=(4,), policy_delay=n)),
+        "td3-minibatch": ("minibatch", lambda n: Td3Agent(2, 1, hidden=(4,), minibatch=n)),
+        "td3-buffer_size": ("buffer_size",
+                            lambda n: Td3Agent(2, 1, hidden=(4,), minibatch=1, buffer_size=n)),
+        "ppo-hidden": ("hidden", lambda n: PpoAgent(2, 1, hidden=(4, n))),
+        "a3c-hidden": ("hidden", lambda n: A3cAgent(2, 1, hidden=(n,))),
+        "td3-hidden": ("hidden", lambda n: Td3Agent(2, 1, hidden=(n,))),
+        "train-episodes": ("episodes", lambda n: train("ppo", tiny_env(steps=2), n, 0,
+                                                       hyper={"hidden": (4,)})),
+        "train-checkpoint_every": ("checkpoint_every", lambda n: train(
+            "ppo", tiny_env(steps=2), 1, 0, hyper={"hidden": (4,)}, checkpoint_every=n)),
+    }
+    BELOW_ONE = ["ppo-minibatch", "ppo-update_epochs", "a3c-workers", "a3c-k_steps",
+                 "env-episode_steps"]
+
+    # a count is an integer: a float, inf or a bool is rejected like a count below one
+    @pytest.mark.parametrize("case, value", [
+        *(pytest.param(case, 0, id=case) for case in BELOW_ONE),
+        *(pytest.param(case, value, id=f"{case}-{value}")
+          for case in COUNTS for value in (2.5, math.inf, True))])
+    def test_loop_counts_below_one_are_rejected(self, case, value):
+        field, build = self.COUNTS[case]
         with pytest.raises(ValueError, match=field):
-            build()
+            build(value)
+
+    @pytest.mark.parametrize("case", list(COUNTS))
+    def test_loop_counts_take_numpy_integers(self, case):
+        self.COUNTS[case][1](np.int64(4))
 
     @pytest.mark.parametrize("build, field", [
         (lambda: PpoAgent(state_dim=2, action_dim=1, hidden=(4,), discount=1.5), "discount"),
@@ -904,12 +929,18 @@ class TestHyperparameterChecks:
         (lambda: PpoAgent(state_dim=2, action_dim=1, hidden=(4, 0)), "hidden"),
         (lambda: A3cAgent(state_dim=2, action_dim=1, hidden=(0,)), "hidden"),
         (lambda: Td3Agent(state_dim=2, action_dim=1, hidden=(0,)), "hidden"),
+        (lambda: build_agent("ppo", 2, 1, {"hidden": 5}, seed=0), "hidden"),
+        (lambda: A3cAgent(state_dim=2, action_dim=1, hidden=(4,), entropy_coef=-0.01),
+         "entropy_coef"),
+        (lambda: A3cAgent(state_dim=2, action_dim=1, hidden=(4,), entropy_coef=float("nan")),
+         "entropy_coef"),
     ], ids=["ppo-discount", "a3c-discount", "td3-discount-nan", "ppo-clip", "ppo-clip-zero",
             "td3-target_update-zero", "td3-target_update", "env-rate_cap", "env-rate_cap-inf",
             "env-rate_cap-nan", "env-reward_mode", "env-penalty_cost", "env-penalty_cost-inf",
             "env-penalty_cost-nan", "td3-smoothing_noise", "td3-noise_clip", "td3-explore_noise-nan",
             "ppo-init_log_std", "a3c-init_log_std", "ppo-init_log_std-nan", "env-ris_mode",
-            "env-r_mode", "ppo-hidden", "a3c-hidden", "td3-hidden"])
+            "env-r_mode", "ppo-hidden", "a3c-hidden", "td3-hidden", "ppo-hidden-scalar",
+            "a3c-entropy_coef", "a3c-entropy_coef-nan"])
     def test_out_of_range_settings_are_rejected(self, build, field):
         with pytest.raises(ValueError, match=field):
             build()
@@ -932,7 +963,7 @@ class TestHyperparameterChecks:
     def test_smallest_valid_td3_settings_are_accepted(self):
         agent = Td3Agent(state_dim=2, action_dim=1, hidden=(4,), policy_delay=1,
                          minibatch=1, buffer_size=1, actor_lr=1e-12)
-        agent.observe(np.zeros(2), np.zeros(1), 1.0, np.zeros(2), 0.0)
+        agent.buffer.add(np.zeros(2), np.zeros(1), 1.0, np.zeros(2), 0.0)
         assert agent.update() is True
 
 

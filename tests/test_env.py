@@ -171,6 +171,11 @@ class TestProtocol:
         b = env.reset(seed=42)
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, True])
+    def test_seeds_that_are_not_counts_from_zero_are_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            SrEnv(small_cfg(), episode_steps=5).reset(seed=seed)
+
     def test_different_seeds_differ(self):
         env = SrEnv(small_cfg(), episode_steps=5)
         a = env.reset(seed=1).copy()

@@ -8,6 +8,7 @@ analytic time-split case cross-checks the grid oracle against a closed form.
 import csv
 import math
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -216,8 +217,10 @@ class TestRandomSearch:
         b = random_search(cfg, ch, ACTIVE, budget=100, seed=9)
         assert a.objective == b.objective
         assert a.feasible_count == b.feasible_count
+        c = random_search(cfg, ch, ACTIVE, budget=np.int64(100), seed=9)
+        assert (c.objective, c.feasible_count, c.evaluated) == (a.objective, a.feasible_count, 100)
 
-    @pytest.mark.parametrize("budget", [0, -5])
+    @pytest.mark.parametrize("budget", [0, -5, 2.5, math.inf, True])
     def test_budgets_below_one_are_rejected(self, budget):
         cfg = scalar_cfg()
         ch = draw_realization(cfg, make_placement(cfg, seed=2), seed=2)
@@ -253,10 +256,18 @@ class TestGridOracle:
                 grids={"bandwidth": [1.0]},
             )
 
-    @pytest.mark.parametrize("resolution", [0, -1])
+    @pytest.mark.parametrize("resolution", [0, -1, 2.5, math.inf, True])
     def test_resolutions_below_one_are_rejected(self, resolution):
         with pytest.raises(ValueError, match="resolution"):
             grid_oracle(scalar_cfg(), scalar_channels(), ACTIVE, resolution=resolution)
+
+    def test_numpy_integer_resolutions_search_the_same_grid(self):
+        cfg = scalar_cfg()
+        ch = draw_realization(cfg, make_placement(cfg, seed=3), seed=3)
+        a = grid_oracle(cfg, ch, ACTIVE, resolution=3)
+        b = grid_oracle(cfg, ch, ACTIVE, resolution=np.int64(3))
+        assert (a.objective, a.feasible_count, a.evaluated) == (
+            b.objective, b.feasible_count, b.evaluated)
 
     def test_an_axis_override_with_no_values_is_rejected(self):
         with pytest.raises(ValueError, match="tau"):
@@ -404,7 +415,10 @@ class TestSweep:
 
     @pytest.mark.parametrize("mode", ["baseline", "train"])
     @pytest.mark.parametrize("field, value", [("n_channels", 0), ("budget", 0),
-                                              ("budget", -3), ("n_channels", "two")])
+                                              ("budget", -3), ("n_channels", "two"),
+                                              ("n_channels", 2.5), ("n_channels", math.inf),
+                                              ("n_channels", True), ("budget", 2.5),
+                                              ("budget", math.inf), ("budget", True)])
     def test_counts_below_one_are_rejected_before_any_point(self, tmp_path, monkeypatch,
                                                             field, value, mode):
         ran = []
@@ -414,6 +428,25 @@ class TestSweep:
         with pytest.raises(ValueError, match=f"sweep.{field}"):
             sweep(config, tmp_path / "out")
         assert ran == [] and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("seeds, named", [([], "run.seeds must be a non-empty list"),
+                                              (3, "run.seeds must be a non-empty list"),
+                                              ([0, -1], "run.seeds[1] must be in [0, inf]"),
+                                              ([1.5], "run.seeds[0] must be in [0, inf]")],
+                             ids=["empty", "scalar", "negative", "fraction"])
+    def test_bad_seeds_are_rejected_before_any_point(self, tmp_path, monkeypatch, seeds, named):
+        ran = []
+        monkeypatch.setattr(harness, "_baseline_point", lambda *args: ran.append(args))
+        with pytest.raises(ValueError, match=re.escape(named)):
+            sweep(sweep_config(run={"seeds": seeds}), tmp_path / "out")
+        assert ran == [] and not (tmp_path / "out").exists()
+
+    def test_numpy_integer_counts_and_seeds_write_the_same_files(self, tmp_path):
+        plain = sweep(sweep_config(), tmp_path / "plain")
+        numpy = sweep(sweep_config(sweep={"n_channels": np.int64(2), "budget": np.int64(30)},
+                                   run={"seeds": [np.int64(0), np.uint64(1)]}), tmp_path / "np")
+        for a, b in zip(plain, numpy):
+            assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_unknown_mode_is_rejected_before_any_point(self, tmp_path, monkeypatch):
         ran = []
@@ -465,6 +498,7 @@ class TestEvaluatePolicy:
         a = evaluate_policy(agent, env, episodes=2, seed=4)
         b = evaluate_policy(agent, env, episodes=2, seed=4)
         assert a == b
+        assert evaluate_policy(agent, env, episodes=np.int64(2), seed=4) == a
         assert set(a) == {"reward", "min_rate", "sum_rate", "feasible_steps"}
         assert all(np.isfinite(v) for v in a.values())
 
@@ -490,7 +524,7 @@ class TestEvaluatePolicy:
         assert scores["sum_rate"] == np.mean([info.rates.sum_rate for info in kept])
         assert scores["min_rate"] != np.mean([info.min_rate for info in infos])
 
-    @pytest.mark.parametrize("episodes", [0, -1])
+    @pytest.mark.parametrize("episodes", [0, -1, 2.5, math.inf, True])
     def test_episode_counts_below_one_are_rejected(self, tmp_path, episodes):
         env = env_from(load_config(tiny_yaml(tmp_path)))
         agent = build_agent("ppo", env.state_dim, env.action_dim, {"hidden": (8,)}, seed=0)
@@ -612,13 +646,30 @@ class TestCli:
     @pytest.mark.parametrize("command, text, extra, named", [
         ("train", "system: {rician_k: .nan}", [], "rician_k must be in [0, inf), got nan"),
         ("train", "system: {p_asris_watts: .inf}", [], "p_asris_watts"),
-        ("train", "agents: {ppo: {hidden: [0]}}", [], "hidden[0] must be in [1, inf)"),
+        ("train", "agents: {ppo: {hidden: [0]}}", [], "hidden[0] must be in [1, inf]"),
         ("train", "- system\n", [], "mapping of sections"),
-        ("train", "", ["--episodes", "-4"], "episodes must be in [0, inf)"),
+        ("train", "", ["--episodes", "-4"], "episodes must be in [0, inf]"),
         ("train", "", ["--checkpoint-every", "-1"], "checkpoint_every"),
         ("sweep", "sweep: {mode: baselin}", [], "sweep.mode"),
+        ("train", "env: {episode_steps: 2.5}", [], "episode_steps must be in [1, inf], got 2.5"),
+        ("train", "agents: {ppo: {hidden: [8.7]}}", [], "hidden[0] must be in [1, inf], got 8.7"),
+        ("train", "agents: {a3c: {workers: .inf}}\nrun: {algo: a3c, episodes: 1}", [],
+         "workers must be in [1, inf], got inf"),
+        ("train", "agents: {ppo: {minibatch: .inf}}", [], "minibatch must be in [1, inf], got inf"),
+        ("train", "run: {episodes: 2.5}", [], "episodes must be in [0, inf], got 2.5"),
+        ("train", "run: {episodes: 1, seeds: [1.5]}", [], "run.seeds[0]"),
+        ("train", "run: {episodes: 1, seeds: [-1]}", [], "run.seeds[0]"),
+        ("train", "run: {episodes: 1, seeds: []}", [], "run.seeds"),
+        ("sweep", "run: {episodes: 1, seeds: []}", [], "run.seeds"),
+        ("train", "", ["--seed", "-1"], "seed must be in [0, inf], got -1"),
+        ("train", "agents: {ppo: {hidden: 5}}", [], "hidden must be a list"),
+        ("train", "agents: {a3c: {entropy_coef: .nan}}\nrun: {algo: a3c, episodes: 1}", [],
+         "entropy_coef must be in [0, inf), got nan"),
     ], ids=["rician_k-nan", "p_asris-inf", "hidden-zero", "top-level-list", "episodes-negative",
-            "checkpoint_every-negative", "sweep-mode"])
+            "checkpoint_every-negative", "sweep-mode", "episode_steps-fraction",
+            "hidden-fraction", "workers-inf", "minibatch-inf", "episodes-fraction",
+            "seeds-fraction", "seeds-negative", "seeds-empty", "sweep-seeds-empty",
+            "seed-flag-negative", "hidden-scalar", "entropy_coef-nan"])
     def test_malformed_inputs_exit_1_with_an_error_line(self, tmp_path, capsys, command, text,
                                                         extra, named):
         config = tmp_path / "bad.yaml"
@@ -643,6 +694,20 @@ class TestCli:
         printed = capsys.readouterr().out
         assert "min_rate_mean over p_bs_max_watts" in printed
         assert (out / "report.csv").exists()
+
+    def test_report_orders_numbers_before_text(self, tmp_path, capsys):
+        # "fast" is no power, so its point is an error row; the report still
+        # sorts the series, numbers first
+        config = tiny_yaml(tmp_path, run={"seeds": [0]},
+                           sweep={"values": [8.0, "fast", 4.0], "budget": 20, "n_channels": 1})
+        out = tmp_path / "sweepdir"
+        assert main(["sweep", "--config", config, "--out", str(out)]) == 0
+        assert main(["report", "--in", str(out)]) == 0
+        assert "(2 points)" in capsys.readouterr().out
+        with open(out / "report.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["value"], r["n_points"]) for r in rows] == [
+            ("8.0", "1"), ("fast", "0"), ("4.0", "1")]
 
 
 if __name__ == "__main__":

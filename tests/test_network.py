@@ -105,6 +105,11 @@ class TestSystemConfig:
             SystemConfig(n_bs_antennas=0)
         with pytest.raises(ValueError):
             SystemConfig(n_pairs=-1)
+        for field in ("n_bs_antennas", "n_ris_elements", "n_pairs", "symbols_per_bd_symbol"):
+            for value in (2.5, math.inf, True):
+                with pytest.raises(ValueError, match=field):
+                    SystemConfig(**{field: value})
+            assert getattr(SystemConfig(**{field: np.int64(2)}), field) == 2
 
     def test_bad_efficiency_rejected(self):
         with pytest.raises(ValueError):
@@ -130,7 +135,8 @@ class TestSystemConfig:
 class TestPlacement:
     def test_sbd_ring_is_exact(self, small_cfg):
         pl = make_placement(small_cfg, seed=1)
-        np.testing.assert_allclose(pl.d_bs_sbd(), small_cfg.d_bs_sbd_m, rtol=1e-12)
+        np.testing.assert_allclose(np.linalg.norm(pl.sbd - pl.bs, axis=1), small_cfg.d_bs_sbd_m,
+                                   rtol=1e-12)
 
     def test_sues_inside_bs_disc(self, small_cfg):
         pl = make_placement(small_cfg, seed=2)
@@ -157,6 +163,14 @@ class TestPlacement:
         np.testing.assert_array_equal(a.sbd, b.sbd)
         np.testing.assert_array_equal(a.sue_reflect, b.sue_reflect)
         np.testing.assert_array_equal(a.sue_transmit, b.sue_transmit)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, math.inf, True, "7"])
+    def test_seeds_are_counts_from_zero(self, seed):
+        with pytest.raises(ValueError, match="seed must be in"):
+            derive_keys(seed, 2)
+
+    def test_numpy_integer_seeds_fan_out_like_ints(self):
+        assert derive_keys(np.uint64(7), 3) == derive_keys(np.int64(7), 3) == derive_keys(7, 3)
 
     def test_different_seeds_move_nodes(self, small_cfg):
         a = make_placement(small_cfg, seed=1)
@@ -267,7 +281,7 @@ def fuzzed_config(rng: np.random.Generator) -> SystemConfig:
     )
 
 
-class TestCachedDraw:
+class TestDraw:
     def test_fuzzed_scenes_match_reference_bit_for_bit(self):
         rng = np.random.default_rng(2024)
         for _ in range(60):
