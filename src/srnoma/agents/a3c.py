@@ -4,8 +4,8 @@ Several workers share one environment and hold private RNG streams, private
 observation statistics and private copies of the global actor/critic.  A
 worker plays its episode through the shared ``rollout`` driver and cuts it
 into segments of k steps (the last one may be shorter).  A segment is one
-block of the driver: its k actions are all sampled from the copies synced
-before it, so its k frames are scored in one ``env.step`` call.  Before each
+block of the driver: its k actions are sampled in one call from the copies
+synced before it, and its k frames are scored in one ``env.step`` call.  Before each
 segment the worker syncs its copies from the global store; after it, it
 computes the k-step returns and advantages locally, bootstrapping from its
 critic copy (from 0 at the episode's end), and pushes its gradients to the
@@ -110,7 +110,7 @@ class A3cAgent(ActorCritic):
         segment = []
         self.snapshot(local_policy, local_critic)
         for state, (_, pre, _), result in rollout(
-                env, episode_seed, lambda s: local_policy.sample(s, rng), stats, observe,
+                env, episode_seed, lambda states: local_policy.sample(states, rng), stats, observe,
                 self.k_steps):
             segment.append((state, pre, result.reward))
             if len(segment) < self.k_steps and not result.done:

@@ -216,29 +216,26 @@ def rollout(env, seed: int, act, stats: EpisodeStats, observe=None, block: int =
 
     ``observe`` (an ObsNormalizer, its ``normalize``, or None for raw states)
     maps the states s_0 ... s_T once each, in frame order.  Per block the
-    driver calls ``act(state)``, which returns a tuple whose first item is the
-    action, once per frame in step order, on the states ``env.upcoming_states``
-    gives; steps the block in one call; and per step adds it to ``stats`` and
-    yields ``(state, choice, result)``: the state acted on, act's tuple and
-    the StepResult.  The next block's ``act`` calls run only after the consumer
-    has handled the block's last step; ``block`` 1 steps single frames, each a
-    block of one.  The steps are those of ``block`` 1, bit for bit, unless an
-    action depends on the handling of an earlier step of its block: such a
-    caller keeps ``block`` at 1.
+    driver observes the k states ``env.upcoming_states`` gives, calls ``act``
+    once on their (k, S) stack, which returns a tuple of arrays of leading
+    axis k, the (k, D) actions first; steps the block in one call; and per
+    step t adds it to ``stats`` and yields ``(state, choice, result)``: the
+    state acted on, row t of each of act's arrays, and the StepResult.  The
+    next block's ``act`` call runs only after the consumer has handled the
+    block's last step; ``block`` 1 steps single frames.  The steps are those
+    of ``block`` 1, bit for bit, if act's rows do not depend on their block
+    and no action depends on the handling of an earlier step of its block.
     """
     observe = observe or (lambda state: state)
     state = observe(env.reset(seed))
     done = False
     while not done:
-        states, choices = [state], [act(state)]
-        for raw in env.upcoming_states(block)[1:]:
-            states.append(observe(raw))
-            choices.append(act(states[-1]))
-        results = env.step(np.stack([choice[0] for choice in choices]))
-        for t, result in enumerate(results):
+        states = [state] + [observe(raw) for raw in env.upcoming_states(block)[1:]]
+        choices = act(np.stack(states))
+        for t, result in enumerate(env.step(choices[0])):
             result.state = states[t + 1] if t + 1 < len(states) else observe(result.state)
             stats.add(result.reward, result.info.min_rate, result.info.satisfied_count)
-            yield states[t], choices[t], result
+            yield states[t], tuple(choice[t] for choice in choices), result
         state, done = result.state, result.done
 
 
@@ -246,7 +243,7 @@ def random_policy_trace(env, episodes: int, seed: int) -> TrainingTrace:
     """Uniform-action rollouts; the reference noise floor for learning curves."""
     env_key, act_key = derive_keys(seed, 2)
     env_seeds, act_rng = philox(env_key), philox(act_key)
-    act = lambda _state: (act_rng.uniform(-1.0, 1.0, env.action_dim),)
+    act = lambda states: (act_rng.uniform(-1.0, 1.0, (len(states), env.action_dim)),)
     trace = TrainingTrace()
     for ep in range(episodes):
         stats = EpisodeStats()

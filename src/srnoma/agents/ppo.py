@@ -57,10 +57,10 @@ class PpoAgent(ActorCritic):
         self.update_epochs = update_epochs
         self.dropped_samples = 0
 
-    def act(self, state: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        """Sample the collection policy; returns (action, pre-squash sample,
-        behavior log-density)."""
-        return self.policy.sample(state, self.rng)
+    def act(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sample the collection policy on a (k, S) block; returns (actions,
+        pre-squash samples, behavior log-densities), shaped (k, D), (k, D), (k,)."""
+        return self.policy.sample(states, self.rng)
 
     def update(
         self,

@@ -79,10 +79,10 @@ class Td3Agent(Checkpointed):
         self.critic2_opt = make_optimizer(optimizer, critic_lr, self.critic2.shapes)
         self.update_count = 0
 
-    def act(self, state: np.ndarray, explore: bool = True) -> np.ndarray:
-        action = np.tanh(self.actor.forward(state))
+    def act(self, states: np.ndarray, explore: bool = True) -> np.ndarray:
+        action = np.tanh(self.actor.forward_rows(states))
         if explore:
-            action = action + self.explore_noise * self.rng.standard_normal(self.action_dim)
+            action = action + self.explore_noise * self.rng.standard_normal(action.shape)
         return np.clip(action, -1.0, 1.0)
 
     def _targets(self, batch: dict) -> np.ndarray:

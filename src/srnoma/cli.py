@@ -12,7 +12,7 @@ import sys
 
 from . import __version__, harness
 from .agents import ALGORITHMS, train
-from .network import derive_keys, draw_realization, make_placement
+from .network import check_in, derive_keys, draw_realization, make_placement
 
 
 def _add_config_arg(parser: argparse.ArgumentParser) -> None:
@@ -78,6 +78,7 @@ def _scene_from(args) -> tuple:
 def _cmd_train(args) -> int:
     config, seed = _config_and_seed(args)
     algo = args.algo or config["run"]["algo"]
+    check_in(ALGORITHMS, **{"run.algo": algo})
     episodes = config["run"]["episodes"]
     if args.paper_scale:
         episodes = config["agents"][algo]["episodes"]

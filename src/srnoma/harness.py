@@ -23,7 +23,7 @@ import numpy as np
 import yaml
 
 from . import problem
-from .agents import A3cAgent, PpoAgent, Td3Agent, train
+from .agents import ALGORITHMS, A3cAgent, PpoAgent, Td3Agent, train
 from .agents.common import EpisodeStats, rollout
 from .env import SrEnv, action_dim, decode_action
 from .network import (
@@ -139,6 +139,7 @@ _DBM_ALIASES = {
 def _merge_section(base: dict, user: dict, section: str) -> None:
     for key, value in user.items():
         if key in _DBM_ALIASES and section == "system":
+            check_in("(-inf, inf)", **{f"system.{key}": value})
             base[_DBM_ALIASES[key]] = dbm_to_watts(float(value))
             continue
         if key not in base:
@@ -177,11 +178,17 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
+def _listed(config: dict, section: str, key: str) -> list:
+    """``config[section][key]``, which must be a non-empty list."""
+    value = config[section][key]
+    if not isinstance(value, list) or not value:
+        raise ValueError(f"{section}.{key} must be a non-empty list, got {value!r}")
+    return value
+
+
 def run_seeds(config: dict) -> list:
     """The seeds of the run section: a non-empty list of counts from 0."""
-    seeds = config["run"]["seeds"]
-    if not isinstance(seeds, list) or not seeds:
-        raise ValueError(f"run.seeds must be a non-empty list, got {seeds!r}")
+    seeds = _listed(config, "run", "seeds")
     check_in("[0, inf]", **{f"run.seeds[{i}]": seed for i, seed in enumerate(seeds)})
     return seeds
 
@@ -386,11 +393,11 @@ def _baseline_point(config: dict, ris_mode: str, seed: int) -> dict:
     }
 
 
-def _greedy_action(agent, state: np.ndarray) -> np.ndarray:
+def _greedy_action(agent, states: np.ndarray) -> np.ndarray:
     if isinstance(agent, Td3Agent):
-        return agent.act(state, explore=False)
+        return agent.act(states, explore=False)
     if isinstance(agent, (PpoAgent, A3cAgent)):
-        return np.tanh(agent.policy.net.forward(state))
+        return np.tanh(agent.policy.net.forward_rows(states))
     raise TypeError(f"no greedy rule for {type(agent).__name__}")
 
 
@@ -402,7 +409,7 @@ def evaluate_policy(agent, env: SrEnv, episodes: int, seed: int) -> dict:
     there are none)."""
     check_in("[1, inf]", episodes=episodes)
     seeds = philox(seed)
-    act = lambda state: (_greedy_action(agent, state),)
+    act = lambda states: (_greedy_action(agent, states),)
     observe = getattr(agent.normalizer, "normalize", None)
     steps = [(result.reward, result.info.min_rate, result.info.rates.sum_rate,
               result.info.constraints.flags[:_STRUCTURAL].all())
@@ -455,12 +462,16 @@ def sweep(config: dict, out_dir) -> tuple[str, str]:
 
     A failing point, or a train point whose training aborted, is recorded
     with status "error: <type>: <message>" and the sweep moves on.  A bad
-    ``sweep.n_channels``, ``sweep.budget``, ``sweep.mode`` or ``run.seeds``
-    raises ValueError before the first point runs.
+    ``sweep.n_channels``, ``sweep.budget``, ``sweep.mode``, ``sweep.values``,
+    ``run.seeds`` or, for train points, ``run.algo`` raises ValueError before
+    the first point runs or the output directory is made.
     """
     sweep_cfg = config["sweep"]
     check_in("[1, inf]", **{f"sweep.{key}": sweep_cfg[key] for key in ("n_channels", "budget")})
     check_in(("baseline", "train"), **{"sweep.mode": sweep_cfg["mode"]})
+    if sweep_cfg["mode"] == "train":
+        check_in(ALGORITHMS, **{"run.algo": config["run"]["algo"]})
+    values = _listed(config, "sweep", "values")
     seeds = run_seeds(config)
     run_point = _baseline_point if sweep_cfg["mode"] == "baseline" else _train_point
     os.makedirs(out_dir, exist_ok=True)
@@ -471,7 +482,7 @@ def sweep(config: dict, out_dir) -> tuple[str, str]:
         modes = [ACTIVE, PASSIVE]
 
     rows, series = [], []
-    for value in sweep_cfg["values"]:
+    for value in values:
         patched = _apply_sweep_value(config, variable, value)
         for mode in modes:
             effective_mode = mode or patched["env"]["ris_mode"]

@@ -135,6 +135,11 @@ class Mlp:
         out = a @ self.weights[-1].T + self.biases[-1]
         return out[0] if single else out
 
+    def forward_rows(self, x: np.ndarray) -> np.ndarray:
+        """Forward of an (S,) input or a (k, S) stack of rows, each its own
+        single-row product: a row's rounding never depends on its batch."""
+        return self.forward(np.asarray(x, dtype=float)[..., None, :])[..., 0, :]
+
     def forward_cached(self, x: np.ndarray) -> tuple[np.ndarray, list]:
         """Batched forward that keeps every layer input for backward()."""
         a = np.asarray(x, dtype=float)
@@ -263,7 +268,6 @@ class GaussianPolicy:
 
     def __init__(self, net: Mlp, init_log_std: float = -0.5) -> None:
         self.net = net
-        self.action_dim = net.sizes[-1]
         self.log_std = np.full(net.sizes[-1], float(init_log_std))
         self.shapes = net.shapes + (self.log_std.shape,)
 
@@ -282,15 +286,13 @@ class GaussianPolicy:
     def clamp_log_std(self) -> None:
         np.clip(self.log_std, LOG_STD_MIN, LOG_STD_MAX, out=self.log_std)
 
-    def sample(self, state: np.ndarray, rng: np.random.Generator):
-        """Draw one action; returns (action, pre_squash, log_prob)."""
-        mu = self.net.forward(state)
-        sigma = np.exp(self.log_std)
-        noise = rng.standard_normal(self.action_dim)
-        pre = mu + sigma * noise
-        action = np.tanh(pre)
-        log_prob = self._log_prob_given(mu, pre)
-        return action, pre, float(log_prob)
+    def sample(self, states: np.ndarray, rng: np.random.Generator):
+        """Draw an action for an (S,) state or each row of a (k, S) block, bit
+        for bit as k single draws; returns (action, pre_squash, log_prob) with
+        leading axis k for a block."""
+        mu = self.net.forward_rows(states)
+        pre = mu + np.exp(self.log_std) * rng.standard_normal(mu.shape)
+        return np.tanh(pre), pre, self._log_prob_given(mu, pre)
 
     def _log_prob_given(self, mu: np.ndarray, pre: np.ndarray) -> np.ndarray:
         sigma = np.exp(self.log_std)

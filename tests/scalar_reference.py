@@ -18,7 +18,10 @@ Last, it keeps the per-array network updates ``srnoma.nn`` and
 ``srnoma.agents.td3`` ran before each net got one flat parameter buffer:
 backpropagation into freshly allocated gradient arrays, SGD and Adam steps
 that loop over the parameter arrays, and the per-array soft update.
-``test_nn.py`` compares the flat engine against them bit for bit.
+``test_nn.py`` compares the flat engine against them bit for bit.  It also
+keeps the one-state policy draws the agents made before they acted on a
+block of states in one call: one single-row forward and one
+``standard_normal`` call per state.
 """
 
 from __future__ import annotations
@@ -394,3 +397,20 @@ def soft_update(target_params: list, online_params: list, mix: float) -> None:
     for t, o in zip(target_params, online_params):
         t *= 1.0 - mix
         t += mix * o
+
+
+def policy_sample(policy, state: np.ndarray, rng: np.random.Generator):
+    """One draw of a ``GaussianPolicy`` on one (S,) state: (action,
+    pre-squash sample, log-density)."""
+    mu = policy.net.forward(state)
+    sigma = np.exp(policy.log_std)
+    noise = rng.standard_normal(len(mu))
+    pre = mu + sigma * noise
+    action = np.tanh(pre)
+    log_prob = policy._log_prob_given(mu, pre)
+    return action, pre, float(log_prob)
+
+
+def forward_rows(net, x: np.ndarray) -> np.ndarray:
+    """A net's forward on each row of a (k, S) stack, one (S,) state per call."""
+    return np.stack([net.forward(row) for row in x])

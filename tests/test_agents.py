@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scalar_reference as ref
 
 from srnoma.agents import (
     A3cAgent,
@@ -141,16 +142,17 @@ class TestRollout:
         env = tiny_env(steps=4)
         seen = []
 
-        def act(state):
-            seen.append(state)
-            return np.full(env.action_dim, 0.25), "tag"
+        def act(states):
+            seen.extend(states)
+            return np.full((len(states), env.action_dim), 0.25), np.full(len(states), "tag")
 
         stats = EpisodeStats()
         steps = list(rollout(env, 9, act, stats))
         assert len(seen) == len(steps) == 4
         np.testing.assert_array_equal(seen[0], tiny_env(steps=4).reset(9))
         for k, (state, choice, result) in enumerate(steps):
-            assert state is seen[k] and choice[1] == "tag"
+            np.testing.assert_array_equal(state, seen[k])
+            assert choice[1] == "tag"
             if k:
                 assert state is steps[k - 1][2].state
         assert [r.done for _, _, r in steps] == [False, False, False, True]
@@ -163,9 +165,9 @@ class TestRollout:
         env = tiny_env(steps=3)
         log = []
 
-        def act(state):
+        def act(states):
             log.append("act")
-            return (np.zeros(env.action_dim),)
+            return (np.zeros((len(states), env.action_dim)),)
 
         for _ in rollout(env, 2, act, EpisodeStats()):
             log.append("body")
@@ -174,7 +176,7 @@ class TestRollout:
     def test_normalized_first_observation_is_zero(self):
         env = tiny_env(steps=2)
         norm = ObsNormalizer(env.state_dim)
-        state, _, _ = next(rollout(env, 0, lambda s: (np.zeros(env.action_dim),),
+        state, _, _ = next(rollout(env, 0, lambda s: (np.zeros((len(s), env.action_dim)),),
                                    EpisodeStats(), norm))
         np.testing.assert_allclose(state, np.zeros(env.state_dim), atol=1e-12)
         assert norm.count == 2, "the reset state and the first step's state"
@@ -182,7 +184,8 @@ class TestRollout:
     def test_normalized_states_stay_finite(self):
         env = tiny_env(steps=30)
         norm = ObsNormalizer(env.state_dim)
-        steps = list(rollout(env, 4, lambda s: (np.zeros(env.action_dim),), EpisodeStats(), norm))
+        steps = list(rollout(env, 4, lambda s: (np.zeros((len(s), env.action_dim)),),
+                             EpisodeStats(), norm))
         assert norm.count == 31
         for _, _, result in steps:
             assert np.all(np.isfinite(result.state))
@@ -192,23 +195,26 @@ class TestRollout:
         env = tiny_env(steps=7)
         raw = [env.reset(6)] + [env.step(np.zeros(env.action_dim)).state for _ in range(7)]
         norm = ObsNormalizer(env.state_dim)
-        observed, acted = [], []
+        observed, acted, calls = [], [], []
 
         def observe(state):
             observed.append(state.copy())
             return norm(state)
 
-        def act(state):
-            acted.append(state)
-            return np.full(env.action_dim, 0.1 * len(acted) - 0.4), len(acted)
+        def act(states):
+            calls.append(len(states))
+            numbers = np.arange(len(acted) + 1, len(acted) + len(states) + 1)
+            acted.extend(states)
+            return 0.1 * numbers[:, None] - 0.4 + np.zeros(env.action_dim), numbers
 
         stats = EpisodeStats()
         steps = list(rollout(env, 6, act, stats, observe, block=block))
         np.testing.assert_array_equal(observed, raw)  # s_0 ... s_T, once each
         assert norm.count == 8
+        assert calls == [min(block, 7 - t) for t in range(0, 7, block)]  # one call per block
         assert [choice[1] for _, choice, _ in steps] == list(range(1, 8))
         for t, (state, _, result) in enumerate(steps):
-            assert state is acted[t]
+            np.testing.assert_array_equal(state, acted[t])
             if t:
                 assert state is steps[t - 1][2].state
         assert [r.done for _, _, r in steps] == [False] * 6 + [True]
@@ -220,13 +226,14 @@ class TestRollout:
         env = tiny_env(steps=7)
         log = []
 
-        def act(state):
+        def act(states):
             log.append("act")
-            return (np.zeros(env.action_dim),)
+            assert len(states) == acts[log.count("act") - 1]
+            return (np.zeros((len(states), env.action_dim)),)
 
         for _ in rollout(env, 2, act, EpisodeStats(), block=block):
             log.append("body")
-        assert log == [word for n in acts for word in ["act"] * n + ["body"] * n]
+        assert log == [word for n in acts for word in ["act"] + ["body"] * n]
 
 
 def one_frame_at_a_time(monkeypatch):
@@ -238,9 +245,21 @@ def one_frame_at_a_time(monkeypatch):
         monkeypatch.setattr(module, "rollout", stepwise)
 
 
+def one_state_per_act(monkeypatch):
+    """Make every policy act on one state per call, as the agents did before
+    they acted on a block of states in one call."""
+    def sample(policy, states, rng):
+        draws = [ref.policy_sample(policy, state, rng) for state in states]
+        return tuple(np.stack(part) for part in zip(*draws))
+
+    monkeypatch.setattr(GaussianPolicy, "sample", sample)
+    monkeypatch.setattr(Mlp, "forward_rows", ref.forward_rows)
+
+
 class TestBlockStepping:
     """PPO, A3C, evaluate_policy and random_policy_trace step blocks of
-    frames; one frame per env.step call must give the same bytes."""
+    frames and act on each block in one call; one frame per env.step call,
+    each acted on one state per call, must give the same bytes."""
 
     @pytest.mark.parametrize("algo, workers, optimizer", [
         ("ppo", 1, "sgd"), ("ppo", 1, "adam"), ("td3", 1, "sgd"),
@@ -259,6 +278,7 @@ class TestBlockStepping:
 
         blocks = run()
         one_frame_at_a_time(monkeypatch)
+        one_state_per_act(monkeypatch)
         frames = run()
         for trace_a, trace_b in ((blocks[0], frames[0]), (blocks[3], frames[3])):
             assert trace_a == trace_b
@@ -266,6 +286,23 @@ class TestBlockStepping:
         for key, value in blocks[1].items():
             assert np.asarray(value).tobytes() == np.asarray(frames[1][key]).tobytes(), key
         assert blocks[2] == frames[2] and blocks[2]["feasible_steps"] > 0
+
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_greedy_block_actions_equal_per_state_actions(self, algo):
+        agent = build_agent(algo, 72, 39, {"hidden": (32, 32)}, seed=2)
+        states = np.random.default_rng(3).standard_normal((25, 72))
+        block = _greedy_action(agent, states)
+        assert block.shape == (25, 39)
+        for state, row in zip(states, block):
+            assert row.tobytes() == _greedy_action(agent, state).tobytes()
+
+    def test_td3_exploring_block_equals_per_state_acts(self):
+        block_agent, single_agent = (Td3Agent(72, 39, hidden=(32, 32), seed=5) for _ in range(2))
+        states = np.random.default_rng(6).standard_normal((25, 72))
+        singles = np.stack([single_agent.act(state) for state in states])
+        assert block_agent.act(states).tobytes() == singles.tobytes()
+        after = [repr(agent.rng.bit_generator.state) for agent in (block_agent, single_agent)]
+        assert after[0] == after[1]
 
 
 # ===========================================================================

@@ -118,6 +118,15 @@ class TestConfig:
         assert math.isclose(config["system"]["noise_bs_watts"], 1e-12, rel_tol=1e-12)
         assert "noise_bs_dbm" not in config["system"]
 
+    @pytest.mark.parametrize("alias, value", [("noise_bs_dbm", [1]), ("noise_bs_dbm", "abc"),
+                                              ("noise_asris_dbm", math.nan),
+                                              ("noise_sue_dbm", math.inf), ("noise_bs_dbm", None)])
+    def test_dbm_alias_must_be_a_finite_real(self, tmp_path, alias, value):
+        path = tmp_path / "dbm.yaml"
+        path.write_text(yaml.safe_dump({"system": {alias: value}}))
+        with pytest.raises(ValueError, match=re.escape(f"system.{alias} must be in (-inf, inf)")):
+            load_config(path)
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text(yaml.safe_dump({"system": {"n_bs_antenas": 4}}))
@@ -441,6 +450,25 @@ class TestSweep:
             sweep(sweep_config(run={"seeds": seeds}), tmp_path / "out")
         assert ran == [] and not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("mode", ["baseline", "train"])
+    @pytest.mark.parametrize("values", [4.0, "abc", {}, [], None], ids=repr)
+    def test_values_that_are_no_list_are_rejected_before_any_point(self, tmp_path, monkeypatch,
+                                                                   values, mode):
+        ran = []
+        for point in ("_baseline_point", "_train_point"):
+            monkeypatch.setattr(harness, point, lambda *args: ran.append(args))
+        with pytest.raises(ValueError, match="sweep.values must be a non-empty list"):
+            sweep(sweep_config(sweep={"mode": mode, "values": values}), tmp_path / "out")
+        assert ran == [] and not (tmp_path / "out").exists()
+
+    def test_unknown_algorithm_of_train_points_is_rejected_before_any_point(self, tmp_path,
+                                                                            monkeypatch):
+        ran = []
+        monkeypatch.setattr(harness, "_train_point", lambda *args: ran.append(args))
+        with pytest.raises(ValueError, match="run.algo must be 'ppo', 'td3' or 'a3c'"):
+            sweep(sweep_config(sweep={"mode": "train"}, run={"algo": "sac"}), tmp_path / "out")
+        assert ran == [] and not (tmp_path / "out").exists()
+
     def test_numpy_integer_counts_and_seeds_write_the_same_files(self, tmp_path):
         plain = sweep(sweep_config(), tmp_path / "plain")
         numpy = sweep(sweep_config(sweep={"n_channels": np.int64(2), "budget": np.int64(30)},
@@ -509,7 +537,7 @@ class TestEvaluatePolicy:
         env = env_from(config)
         agent = build_agent("ppo", env.state_dim, env.action_dim, {"hidden": (8,)}, seed=0)
         seeds = philox(4)
-        act = lambda state: (_greedy_action(agent, state),)
+        act = lambda states: (_greedy_action(agent, states),)
         infos = [result.info for _ in range(3)
                  for _, _, result in rollout(env, next_seed(seeds), act, EpisodeStats())]
         flags = np.array([info.constraints.flags[:9] for info in infos])
@@ -665,11 +693,22 @@ class TestCli:
         ("train", "agents: {ppo: {hidden: 5}}", [], "hidden must be a list"),
         ("train", "agents: {a3c: {entropy_coef: .nan}}\nrun: {algo: a3c, episodes: 1}", [],
          "entropy_coef must be in [0, inf), got nan"),
+        ("train", "run: {algo: sac, episodes: 1}", [],
+         "run.algo must be 'ppo', 'td3' or 'a3c', got 'sac'"),
+        ("sweep", "sweep: {mode: train}\nrun: {algo: sac, episodes: 1}", [], "run.algo"),
+        ("train", "system: {noise_bs_dbm: [1]}", [],
+         "system.noise_bs_dbm must be in (-inf, inf), got [1]"),
+        ("train", "system: {noise_sue_dbm: abc}", [], "system.noise_sue_dbm"),
+        ("sweep", "sweep: {values: 4.0}", [], "sweep.values must be a non-empty list, got 4.0"),
+        ("sweep", "sweep: {values: abc}", [], "sweep.values"),
+        ("sweep", "sweep: {values: {}}", [], "sweep.values"),
     ], ids=["rician_k-nan", "p_asris-inf", "hidden-zero", "top-level-list", "episodes-negative",
             "checkpoint_every-negative", "sweep-mode", "episode_steps-fraction",
             "hidden-fraction", "workers-inf", "minibatch-inf", "episodes-fraction",
             "seeds-fraction", "seeds-negative", "seeds-empty", "sweep-seeds-empty",
-            "seed-flag-negative", "hidden-scalar", "entropy_coef-nan"])
+            "seed-flag-negative", "hidden-scalar", "entropy_coef-nan", "algo-unknown",
+            "sweep-algo-unknown", "dbm-list", "dbm-text", "sweep-values-scalar",
+            "sweep-values-text", "sweep-values-mapping"])
     def test_malformed_inputs_exit_1_with_an_error_line(self, tmp_path, capsys, command, text,
                                                         extra, named):
         config = tmp_path / "bad.yaml"

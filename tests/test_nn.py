@@ -30,6 +30,13 @@ from srnoma.nn import (
 )
 
 
+# (state_dim, action_dim, hidden, block) of the actor nets of A7's scene (PPO
+# and A3C, then TD3), A8's, and the default config's (PPO and A3C, then TD3),
+# each block an episode
+ACTOR_SHAPES = [(72, 39, (64, 64), 25), (72, 39, (32, 32), 25), (12, 12, (8,), 4),
+                (592, 170, (128, 128), 200), (592, 170, (400, 300), 200)]
+
+
 def finite_difference_grads(net, x, grad_out, eps=1e-6):
     """Central differences of sum(forward(x) * grad_out) per parameter."""
     grads = []
@@ -79,6 +86,15 @@ class TestForward:
         assert batched.shape == (4, 2)
         for row in range(4):
             np.testing.assert_allclose(net.forward(x[row]), batched[row], rtol=1e-15)
+
+    @pytest.mark.parametrize("state_dim, action_dim, hidden, block", ACTOR_SHAPES)
+    def test_forward_rows_equals_per_row_forward(self, state_dim, action_dim, hidden, block):
+        net = Mlp((state_dim, *hidden, action_dim), rng=np.random.default_rng(5))
+        x = np.random.default_rng(6).standard_normal((block, state_dim))
+        got = net.forward_rows(x)
+        assert got.shape == (block, action_dim)
+        assert got.tobytes() == ref.forward_rows(net, x).tobytes()
+        assert net.forward_rows(x[0]).tobytes() == net.forward(x[0]).tobytes()
 
     def test_zero_input_gives_bias_through_tanh(self):
         net = Mlp((2, 3, 1), rng=np.random.default_rng(3))
@@ -397,6 +413,18 @@ class TestGaussianPolicy:
         assert action.shape == (3,) and pre.shape == (3,)
         assert np.all(np.abs(action) < 1.0)
         assert isinstance(logp, float) and np.isfinite(logp)
+
+    @pytest.mark.parametrize("state_dim, action_dim, hidden, block", ACTOR_SHAPES)
+    def test_block_sample_equals_single_samples(self, state_dim, action_dim, hidden, block):
+        pol = GaussianPolicy(Mlp((state_dim, *hidden, action_dim), np.random.default_rng(7)))
+        states = np.random.default_rng(8).standard_normal((block, state_dim))
+        block_rng, single_rng = (np.random.Generator(np.random.Philox(9)) for _ in range(2))
+        drawn = pol.sample(states, block_rng)
+        singles = [ref.policy_sample(pol, state, single_rng) for state in states]
+        assert [part.shape for part in drawn] == [(block, action_dim)] * 2 + [(block,)]
+        for part, want in zip(drawn, zip(*singles)):
+            assert part.tobytes() == np.array(want).tobytes()
+        assert repr(block_rng.bit_generator.state) == repr(single_rng.bit_generator.state)
 
     def test_density_integrates_to_one(self):
         # quadrature of exp(log_prob) over the squashed support
