@@ -69,10 +69,9 @@ class A3cAgent(ActorCritic):
         local_policy.load_from(self.policy)
         local_critic.load_from(self.critic)
 
-    def apply_gradients(self, actor_grad: np.ndarray, log_std_grad: np.ndarray,
-                        critic_grad: np.ndarray) -> None:
+    def apply_gradients(self, actor_grad: np.ndarray, critic_grad: np.ndarray) -> None:
         # kept on this class: bench/tracer.py times A3cAgent's own methods
-        super().apply_gradients(actor_grad, log_std_grad, critic_grad)
+        super().apply_gradients(actor_grad, critic_grad)
 
     def segment_gradients(
         self,
@@ -81,9 +80,9 @@ class A3cAgent(ActorCritic):
         states: np.ndarray,
         pres: np.ndarray,
         returns: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Descent-direction gradients for one k-step segment, the nets' as
-        flat buffers laid out like their ``flat``, which apply_gradients takes.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Descent-direction gradients for one k-step segment, of the policy and
+        the critic, each laid out like its ``flat``, which apply_gradients takes.
 
         The actor ascends sum_t log pi(a_t|s_t) * A_t + beta * H per step; the
         critic descends sum_t (G_t - V(s_t))^2.  Both are accumulated over the
@@ -91,9 +90,9 @@ class A3cAgent(ActorCritic):
         """
         critic_grad, values = critic_gradient(local_critic, states, returns)
         advantages = returns - values
-        actor_grads, log_std_grad = local_policy.grad_weighted_log_prob(states, pres, -advantages)
-        log_std_grad = log_std_grad - self.entropy_coef * len(states)
-        return actor_grads.flat, log_std_grad, critic_grad
+        actor_grad = local_policy.grad_weighted_log_prob(states, pres, -advantages)
+        actor_grad[local_policy.net.flat.size :] -= self.entropy_coef * len(states)
+        return actor_grad, critic_grad
 
     def worker_episode(self, env, episode_seed: int, rng: np.random.Generator,
                        observe=None) -> EpisodeStats:

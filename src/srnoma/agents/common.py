@@ -88,8 +88,8 @@ def critic_gradient(critic: Mlp, inputs: np.ndarray, targets: np.ndarray,
     the values V(x) it was taken at."""
     values, cache = critic.forward_cached(inputs)
     residual = values[:, 0] - targets
-    grads, _ = critic.backward(cache, (2.0 * residual / divisor)[:, None], inputs=False)
-    return grads.flat, values[:, 0]
+    grad, _ = critic.backward(cache, (2.0 * residual / divisor)[:, None], inputs=False)
+    return grad, values[:, 0]
 
 
 class ActorCritic(Checkpointed):
@@ -108,13 +108,11 @@ class ActorCritic(Checkpointed):
         self.actor_opt = make_optimizer(optimizer, actor_lr, self.policy.shapes)
         self.critic_opt = make_optimizer(optimizer, critic_lr, self.critic.shapes)
 
-    def apply_gradients(self, actor_grad: np.ndarray, log_std_grad: np.ndarray,
-                        critic_grad: np.ndarray) -> None:
-        """Descend the flat gradients: actor net and log-std, then the critic."""
-        self.actor_opt.step([self.policy.net.flat, self.policy.log_std],
-                            [actor_grad, log_std_grad])
+    def apply_gradients(self, actor_grad: np.ndarray, critic_grad: np.ndarray) -> None:
+        """Descend the flat gradients: the policy's, then the critic's."""
+        self.actor_opt.step(self.policy.flat, actor_grad)
         self.policy.clamp_log_std()
-        self.critic_opt.step([self.critic.flat], [critic_grad])
+        self.critic_opt.step(self.critic.flat, critic_grad)
 
     def _checkpoint_parts(self) -> tuple[dict, dict, dict]:
         return ({"actor": self.policy.net, "critic": self.critic},

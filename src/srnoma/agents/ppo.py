@@ -99,6 +99,6 @@ class PpoAgent(ActorCritic):
         clipped = np.clip(ratio, 1.0 - self.clip, 1.0 + self.clip) * advantages
         flows = finite & (unclipped <= clipped)
         coeff = np.where(flows, ratio * advantages, 0.0) / used
-        net_grads, log_std_grad = self.policy.grad_weighted_log_prob(states, pres, -coeff)
+        actor_grad = self.policy.grad_weighted_log_prob(states, pres, -coeff)
         critic_grad, _ = critic_gradient(self.critic, states, targets, len(targets))
-        self.apply_gradients(net_grads.flat, log_std_grad, critic_grad)
+        self.apply_gradients(actor_grad, critic_grad)

@@ -107,7 +107,7 @@ class Td3Agent(Checkpointed):
         targets = self._targets(batch)
         sa = np.concatenate([batch["states"], batch["actions"]], axis=1)
         for critic, opt in ((self.critic1, self.critic1_opt), (self.critic2, self.critic2_opt)):
-            opt.step([critic.flat], [critic_gradient(critic, sa, targets, len(targets))[0]])
+            opt.step(critic.flat, critic_gradient(critic, sa, targets, len(targets))[0])
         self.update_count += 1
         if self.update_count % self.policy_delay == 0:
             self._actor_step(batch["states"])
@@ -126,8 +126,8 @@ class Td3Agent(Checkpointed):
         grad_q = -np.ones((len(states), 1)) / len(states)
         _, grad_sa = self.critic1.backward(critic_cache, grad_q, params=False)
         grad_actions = grad_sa[:, self.state_dim :] * (1.0 - actions**2)
-        grads, _ = self.actor.backward(actor_cache, grad_actions, inputs=False)
-        self.actor_opt.step([self.actor.flat], [grads.flat])
+        grad, _ = self.actor.backward(actor_cache, grad_actions, inputs=False)
+        self.actor_opt.step(self.actor.flat, grad)
 
     def _checkpoint_parts(self) -> tuple[dict, dict, dict]:
         names = ("actor", "critic1", "critic2")

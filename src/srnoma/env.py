@@ -199,6 +199,7 @@ class SrEnv:
         check_in((problem.LITERAL, problem.PENALTY), reward_mode=reward_mode)
         check_in("[1, inf]", episode_steps=episode_steps)
         check_in("[0, inf)", penalty_cost=penalty_cost)
+        check_in((False, True), normalize_obs=normalize_obs)
         if rate_cap is not None:
             check_in("[0, inf)", rate_cap=rate_cap)
         self.cfg = cfg

@@ -139,7 +139,7 @@ _DBM_ALIASES = {
 def _merge_section(base: dict, user: dict, section: str) -> None:
     for key, value in user.items():
         if key in _DBM_ALIASES and section == "system":
-            check_in("(-inf, inf)", **{f"system.{key}": value})
+            check_in("[-3000, 3000]", **{f"system.{key}": value})  # normal float64 watts
             base[_DBM_ALIASES[key]] = dbm_to_watts(float(value))
             continue
         if key not in base:
@@ -358,12 +358,7 @@ _ENV_SWEEPABLE = ("ris_mode",)
 
 def _apply_sweep_value(config: dict, variable: str, value):
     patched = copy.deepcopy(config)
-    if variable in _ENV_SWEEPABLE:
-        patched["env"][variable] = value
-    elif variable in patched["system"]:
-        patched["system"][variable] = value
-    else:
-        raise ValueError(f"cannot sweep unknown variable {variable!r}")
+    patched["env" if variable in _ENV_SWEEPABLE else "system"][variable] = value
     return patched
 
 
@@ -462,13 +457,16 @@ def sweep(config: dict, out_dir) -> tuple[str, str]:
 
     A failing point, or a train point whose training aborted, is recorded
     with status "error: <type>: <message>" and the sweep moves on.  A bad
-    ``sweep.n_channels``, ``sweep.budget``, ``sweep.mode``, ``sweep.values``,
-    ``run.seeds`` or, for train points, ``run.algo`` raises ValueError before
-    the first point runs or the output directory is made.
+    ``sweep.n_channels``, ``sweep.budget``, ``sweep.mode``, ``sweep.variable``,
+    ``sweep.compare_modes``, ``sweep.values``, ``run.seeds`` or, for train
+    points, ``run.algo`` raises ValueError before the first point runs or the
+    output directory is made.
     """
     sweep_cfg = config["sweep"]
     check_in("[1, inf]", **{f"sweep.{key}": sweep_cfg[key] for key in ("n_channels", "budget")})
     check_in(("baseline", "train"), **{"sweep.mode": sweep_cfg["mode"]})
+    check_in((*_ENV_SWEEPABLE, *config["system"]), **{"sweep.variable": sweep_cfg["variable"]})
+    check_in((False, True), **{"sweep.compare_modes": sweep_cfg["compare_modes"]})
     if sweep_cfg["mode"] == "train":
         check_in(ALGORITHMS, **{"run.algo": config["run"]["algo"]})
     values = _listed(config, "sweep", "values")
@@ -477,9 +475,7 @@ def sweep(config: dict, out_dir) -> tuple[str, str]:
     os.makedirs(out_dir, exist_ok=True)
     digest = config_hash(config)
     variable = sweep_cfg["variable"]
-    modes = [None]
-    if sweep_cfg["compare_modes"]:
-        modes = [ACTIVE, PASSIVE]
+    modes = [ACTIVE, PASSIVE] if sweep_cfg["compare_modes"] else [None]
 
     rows, series = [], []
     for value in values:

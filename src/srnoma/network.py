@@ -158,13 +158,14 @@ def next_seed(rng: np.random.Generator) -> int:
 
 def check_in(allowed, **values) -> None:
     """Raise ValueError unless every value lies in ``allowed``: a tuple of the
-    allowed values, or an interval written like "[0, 1]" or "(0, inf)"; NaN and
-    values that are not numbers lie in no interval.  An interval closed at
-    infinity, like "[1, inf]", holds counts: Python or NumPy integers only,
-    never a bool, a float, NaN or inf."""
+    allowed values, each matched with its type (1 is not True), or an interval
+    written like "[0, 1]" or "(0, inf)"; NaN, bools and values that are not
+    numbers lie in no interval.  An interval closed at infinity, like
+    "[1, inf]", holds counts: Python or NumPy integers only, never a float, NaN
+    or inf."""
     if isinstance(allowed, tuple):
         for name, value in values.items():
-            if value not in allowed:
+            if not any(type(value) is type(a) and value == a for a in allowed):
                 *head, last = map(repr, allowed)
                 raise ValueError(f"{name} must be {', '.join(head)} or {last}, got {value!r}")
         return
@@ -175,8 +176,9 @@ def check_in(allowed, **values) -> None:
             below = value < high if allowed[-1] == ")" else value <= high
         except TypeError:
             above = below = False
-        whole = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-        if not (above and below and (whole or not allowed.endswith("inf]"))):
+        whole = isinstance(value, (int, np.integer))
+        if (not (above and below and (whole or not allowed.endswith("inf]")))
+                or isinstance(value, (bool, np.bool_))):
             raise ValueError(f"{name} must be in {allowed}, got {value!r}")
 
 

@@ -6,12 +6,14 @@ gradient with respect to the input that chains a critic into an actor, or
 both; each caller asks for what it reads), two first-order optimizers, a
 tanh-squashed Gaussian policy head, and an exact checkpoint round-trip.  No
 autograd framework is involved; gradients are spelled out so they can be
-validated against finite differences.  Each net keeps its parameters in one
-flat buffer; ``weights`` and ``biases`` are views into it, to be written in
-place and never rebound.  The optimizers update whole buffers in place, a
-long one in blocks of ``BLOCK`` items so that no temporary is as large as the
-buffer, and each step is atomic: it checks every gradient before it writes,
-so a non-finite one raises with parameters and state untouched.
+validated against finite differences.  Each trainable object keeps its
+parameters in one flat buffer ``flat``: a net's ``weights`` and ``biases``
+are views into it, and a policy's buffer is its net's parameters followed by
+its ``log_std``, both views, all to be written in place and never rebound.
+The optimizers update one buffer per step in place, a long one in blocks of
+``BLOCK`` items so that no temporary is as large as the buffer, and each step
+is atomic: it checks the gradient before it writes, so a misshapen or
+non-finite one raises with parameters and state untouched.
 """
 
 from __future__ import annotations
@@ -71,22 +73,14 @@ def _finite(g: np.ndarray) -> bool:
     return all(np.isfinite(piece).all() for (piece,) in blocks(g))
 
 
-def _check_step(params: list, grads: list, name: str) -> None:
-    """Reject a step before it writes anything: unpaired buffers or a
-    non-finite gradient."""
-    if len(params) != len(grads):
-        raise ValueError(f"{name} step got {len(params)} buffers and {len(grads)} gradients")
-    if not all(_finite(g) for g in grads):
+def _check_step(param: np.ndarray, grad: np.ndarray, name: str) -> None:
+    """Reject a step before it writes anything: a gradient shaped unlike its
+    buffer, or a non-finite one."""
+    if np.shape(grad) != param.shape:
+        raise ValueError(f"{name} step got a gradient of shape {np.shape(grad)} "
+                         f"for a buffer of shape {param.shape}")
+    if not _finite(grad):
         raise NonFiniteGradientError(f"non-finite gradient in {name} step")
-
-
-class Gradients(list):
-    """Per-parameter gradients, aligned with parameters(): views into one flat
-    buffer ``flat`` laid out like the net's ``flat``, which optimizers take."""
-
-    def __init__(self, flat: np.ndarray, layout: list) -> None:
-        super().__init__(_views(flat, layout))
-        self.flat = flat
 
 
 class Mlp:
@@ -153,39 +147,39 @@ class Mlp:
         return out, cache
 
     def backward(self, cache: list, grad_out: np.ndarray, params: bool = True,
-                 inputs: bool = True) -> tuple[Gradients | None, np.ndarray | None]:
+                 inputs: bool = True) -> tuple[np.ndarray | None, np.ndarray | None]:
         """Backpropagate an upstream gradient on the head output.
 
-        Returns (parameter gradients aligned with parameters(), in one new
-        flat buffer, gradient with respect to the input batch); a part the
-        caller turns off with ``params`` or ``inputs`` is not computed and
-        comes back as None.
+        Returns (parameter gradient in one new flat buffer laid out like
+        ``flat``, gradient with respect to the input batch); a part the caller
+        turns off with ``params`` or ``inputs`` is not computed and comes back
+        as None.
         """
-        grads = Gradients(np.empty(self.flat.size), self._layout) if params else None
+        grad = np.empty(self.flat.size) if params else None
+        parts = _views(grad, self._layout) if params else None
         g = np.asarray(grad_out, dtype=float)
         for layer in range(len(self.weights) - 1, -1, -1):
             if params:
-                np.matmul(g.T, cache[layer], out=grads[2 * layer])
-                g.sum(axis=0, out=grads[2 * layer + 1])
+                np.matmul(g.T, cache[layer], out=parts[2 * layer])
+                g.sum(axis=0, out=parts[2 * layer + 1])
             if layer > 0:
                 g = (g @ self.weights[layer]) * (1.0 - cache[layer] ** 2)
             elif inputs:
                 g = g @ self.weights[0]
-        return grads, g if inputs else None
+        return grad, g if inputs else None
 
 
 class Sgd:
-    """Plain stochastic gradient descent, the default update rule, over lists
-    of parameter buffers (a net's ``flat``, or any array) and their gradients."""
+    """Plain stochastic gradient descent, the default update rule, over one
+    flat parameter buffer (a net's or a policy's ``flat``) and its gradient."""
 
     def __init__(self, lr: float) -> None:
         self.lr = float(lr)
 
-    def step(self, params: list, grads: list) -> None:
-        _check_step(params, grads, "SGD")
-        for buffers in zip(params, grads):
-            for p, g in blocks(*buffers):
-                p -= self.lr * g
+    def step(self, param: np.ndarray, grad: np.ndarray) -> None:
+        _check_step(param, grad, "SGD")
+        for p, g in blocks(param, grad):
+            p -= self.lr * g
 
     def state_arrays(self) -> dict:
         return {}
@@ -195,41 +189,35 @@ class Sgd:
 
 
 class Adam:
-    """Adam with bias correction, over buffers as Sgd.  Checkpoints name its flat
-    moments per parameter (``m<i>``, ``v<i>``) of ``shapes`` (default: buffers).
-    The moments are cut into views per buffer at the first step after
-    construction or a load; later steps must pass buffers of the same shapes."""
+    """Adam with bias correction, over one buffer as Sgd; every step must pass
+    a buffer of the same size.  Checkpoints name its flat moments per
+    parameter (``m<i>``, ``v<i>``) of ``shapes`` (default: the buffer's)."""
 
     def __init__(self, lr: float, shapes=None) -> None:
         self.lr = float(lr)
         self.shapes = shapes
         self.t = 0
         self._m = self._v = None
-        self._moments = None
 
-    def step(self, params: list, grads: list) -> None:
-        _check_step(params, grads, "Adam")
+    def step(self, param: np.ndarray, grad: np.ndarray) -> None:
+        _check_step(param, grad, "Adam")
         if self._m is None:
-            self.shapes = self.shapes or [p.shape for p in params]
-            self._m, self._v = np.zeros((2, sum(p.size for p in params)))
-        if self._moments is None:
-            layout = _layout([p.shape for p in params])
-            self._moments = list(zip(_views(self._m, layout), _views(self._v, layout)))
+            self.shapes = self.shapes or [param.shape]
+            self._m, self._v = np.zeros((2, param.size))
         self.t += 1
         correction1 = 1.0 - ADAM_BETA1 ** self.t
         correction2 = 1.0 - ADAM_BETA2 ** self.t
         # two scratch arrays per block keep the elementwise order of
         # lr * (m / c1) / (sqrt(v / c2) + eps), so results stay bit-identical
-        for p, g, (m, v) in zip(params, grads, self._moments):
-            for p, g, m, v in blocks(p, g, m, v):
-                a, b = np.empty_like(p), np.empty_like(p)
-                m *= ADAM_BETA1
-                m += np.multiply(1.0 - ADAM_BETA1, g, out=a)
-                v *= ADAM_BETA2
-                v += np.multiply(np.multiply(1.0 - ADAM_BETA2, g, out=b), g, out=b)
-                a = np.multiply(self.lr, np.divide(m, correction1, out=a), out=a)
-                b = np.add(np.sqrt(np.divide(v, correction2, out=b), out=b), ADAM_EPS, out=b)
-                p -= np.divide(a, b, out=a)
+        for p, g, m, v in blocks(param, grad, self._m, self._v):
+            a, b = np.empty_like(p), np.empty_like(p)
+            m *= ADAM_BETA1
+            m += np.multiply(1.0 - ADAM_BETA1, g, out=a)
+            v *= ADAM_BETA2
+            v += np.multiply(np.multiply(1.0 - ADAM_BETA2, g, out=b), g, out=b)
+            a = np.multiply(self.lr, np.divide(m, correction1, out=a), out=a)
+            b = np.add(np.sqrt(np.divide(v, correction2, out=b), out=b), ADAM_EPS, out=b)
+            p -= np.divide(a, b, out=a)
 
     def state_arrays(self) -> dict:
         arrays = {"t": np.array(self.t)}
@@ -247,7 +235,6 @@ class Adam:
             self.shapes = [arrays[f"m{i}"].shape for i in range(count)]
             self._m, self._v = (np.concatenate([arrays[f"{k}{i}"].ravel() for i in range(count)])
                                 for k in "mv")
-            self._moments = None
 
 
 def make_optimizer(kind: str, lr: float, shapes=None):
@@ -263,25 +250,28 @@ class GaussianPolicy:
     learnable log standard deviations clamped to [LOG_STD_MIN, LOG_STD_MAX].
 
     Actions are a = tanh(u) with u ~ N(mean(s), diag(sigma^2)); log-densities
-    carry the change-of-variables term -sum log(1 - a^2).
+    carry the change-of-variables term -sum log(1 - a^2).  ``flat`` holds
+    parameters(): the net adopts its head as its own ``flat``, and ``log_std``
+    is its tail.
     """
 
     def __init__(self, net: Mlp, init_log_std: float = -0.5) -> None:
         self.net = net
-        self.log_std = np.full(net.sizes[-1], float(init_log_std))
-        self.shapes = net.shapes + (self.log_std.shape,)
+        self.shapes = net.shapes + ((net.sizes[-1],),)
+        self.flat = np.concatenate([net.flat, np.full(net.sizes[-1], float(init_log_std))])
+        net._bind(self.flat[: net.flat.size])
+        self.log_std = self.flat[net.flat.size :]
 
     def parameters(self) -> list:
         return self.net.parameters() + [self.log_std]
 
     def copy(self) -> "GaussianPolicy":
         dup = GaussianPolicy(self.net.copy())
-        dup.log_std = self.log_std.copy()
+        dup.load_from(self)
         return dup
 
     def load_from(self, other: "GaussianPolicy") -> None:
-        self.net.load_from(other.net)
-        self.log_std[...] = other.log_std
+        np.copyto(self.flat, other.flat)
 
     def clamp_log_std(self) -> None:
         np.clip(self.log_std, LOG_STD_MIN, LOG_STD_MAX, out=self.log_std)
@@ -307,20 +297,17 @@ class GaussianPolicy:
         mu = self.net.forward(states)
         return self._log_prob_given(mu, pres)
 
-    def grad_weighted_log_prob(
-        self, states: np.ndarray, pres: np.ndarray, coeff: np.ndarray
-    ) -> tuple[list, np.ndarray]:
-        """Analytic gradient of sum_q coeff_q * log pi(a_q | s_q) with respect
-        to (net parameters, log_std).  The squash correction does not depend
-        on the parameters, so only the Gaussian part contributes."""
+    def grad_weighted_log_prob(self, states: np.ndarray, pres: np.ndarray,
+                               coeff: np.ndarray) -> np.ndarray:
+        """Analytic gradient of sum_q coeff_q * log pi(a_q | s_q), laid out
+        like ``flat``.  The squash correction does not depend on the
+        parameters, so only the Gaussian part contributes."""
         mu, cache = self.net.forward_cached(states)
         sigma = np.exp(self.log_std)
         z = (pres - mu) / sigma
         coeff = np.asarray(coeff, dtype=float)[:, None]
-        grad_mu = coeff * z / sigma
-        net_grads, _ = self.net.backward(cache, grad_mu, inputs=False)
-        grad_log_std = (coeff * (z * z - 1.0)).sum(axis=0)
-        return net_grads, grad_log_std
+        net_grad, _ = self.net.backward(cache, coeff * z / sigma, inputs=False)
+        return np.concatenate([net_grad, (coeff * (z * z - 1.0)).sum(axis=0)])
 
 
 def save_checkpoint(path, arrays: dict, meta: dict | None = None) -> None:

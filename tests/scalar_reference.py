@@ -18,7 +18,8 @@ Last, it keeps the per-array network updates ``srnoma.nn`` and
 ``srnoma.agents.td3`` ran before each net got one flat parameter buffer:
 backpropagation into freshly allocated gradient arrays, SGD and Adam steps
 that loop over the parameter arrays, and the per-array soft update.
-``test_nn.py`` compares the flat engine against them bit for bit.  It also
+``test_nn.py`` compares the flat engine against them bit for bit, reading the
+engine's flat gradients per parameter through ``split``.  It also
 keeps the one-state policy draws the agents made before they acted on a
 block of states in one call: one single-row forward and one
 ``standard_normal`` call per state.
@@ -339,6 +340,13 @@ def grid_oracle(cfg, ch, ris_mode: str, axes: dict) -> SearchResult:
 
 # --------------------------------------------------------------------------
 # per-array network updates
+
+
+def split(flat: np.ndarray, shapes) -> list:
+    """Per-parameter views of a flat buffer that holds arrays of ``shapes``
+    end to end, as a net's or a policy's ``flat`` and gradients do."""
+    cuts = itertools.accumulate(math.prod(shape) for shape in shapes)
+    return [part.reshape(shape) for part, shape in zip(np.split(flat, list(cuts)), shapes)]
 
 
 def mlp_backward(net, cache: list, grad_out: np.ndarray) -> tuple[list, np.ndarray]:

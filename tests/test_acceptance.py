@@ -27,6 +27,7 @@ import time
 
 import numpy as np
 import pytest
+import scalar_reference as ref
 
 from srnoma.agents import random_policy_trace, train
 from srnoma.env import SrEnv
@@ -339,15 +340,15 @@ class TestAcceptance:
             x = rng.normal(size=(4, sizes[0]))
             upstream = rng.normal(size=(4, sizes[-1]))
             _, cache = net.forward_cached(x)
-            grads, _ = net.backward(cache, upstream)
+            grad, _ = net.backward(cache, upstream)
 
             def loss():
                 return float(np.sum(net.forward(x) * upstream))
 
             h = 1e-5
-            for par, grad in zip(net.parameters(), grads):
+            for par, part in zip(net.parameters(), ref.split(grad, net.shapes)):
                 flat_par = par.reshape(-1)
-                flat_grad = grad.reshape(-1)
+                flat_grad = part.reshape(-1)
                 picks = rng.choice(flat_par.size, size=min(20, flat_par.size),
                                    replace=False)
                 for k in picks:

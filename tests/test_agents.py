@@ -604,9 +604,11 @@ class TestA3c:
         states = np.zeros((3, 1))
         pres = np.zeros((3, 1))
         returns = np.full(3, 2.0)  # advantages are exactly zero
-        actor_grads, log_std_grad, critic_grads = agent.segment_gradients(
+        actor_grad, critic_grads = agent.segment_gradients(
             local_policy, local_critic, states, pres, returns
         )
+        assert actor_grad.shape == local_policy.flat.shape
+        *actor_grads, log_std_grad = ref.split(actor_grad, local_policy.shapes)
         for g in actor_grads:
             np.testing.assert_allclose(g, np.zeros_like(g), atol=1e-15)
         for g in critic_grads:
@@ -617,9 +619,10 @@ class TestA3c:
         agent = A3cAgent(state_dim=1, action_dim=1, hidden=(), actor_lr=0.1,
                          critic_lr=0.1, seed=1)
         log_std_before = agent.policy.log_std.copy()
-        zero_actor = np.zeros_like(agent.policy.net.flat)
+        log_std_only = np.zeros_like(agent.policy.flat)
+        log_std_only[-1] = 1.0  # the policy buffer ends with log_std
         zero_critic = np.zeros_like(agent.critic.flat)
-        agent.apply_gradients(zero_actor, np.array([1.0]), zero_critic)
+        agent.apply_gradients(log_std_only, zero_critic)
         np.testing.assert_allclose(agent.policy.log_std, log_std_before - 0.1)
 
     def test_multi_worker_round_returns_one_stat_per_worker(self):
@@ -937,6 +940,8 @@ class TestHyperparameterChecks:
         (lambda: Td3Agent(state_dim=2, action_dim=1, hidden=(4,), discount=float("nan")),
          "discount"),
         (lambda: PpoAgent(state_dim=2, action_dim=1, hidden=(4,), clip=-0.2), "clip"),
+        (lambda: PpoAgent(state_dim=2, action_dim=1, hidden=(4,), actor_lr=True), "actor_lr"),
+        (lambda: Td3Agent(state_dim=2, action_dim=1, hidden=(4,), discount=True), "discount"),
         (lambda: PpoAgent(state_dim=2, action_dim=1, hidden=(4,), clip=0.0), "clip"),
         (lambda: Td3Agent(state_dim=2, action_dim=1, hidden=(4,), target_update=0.0),
          "target_update"),
@@ -963,6 +968,9 @@ class TestHyperparameterChecks:
          "init_log_std"),
         (lambda: SrEnv(TINY_SYSTEM, ris_mode="bogus"), "ris_mode"),
         (lambda: SrEnv(TINY_SYSTEM, r_mode="bogus"), "r_mode"),
+        (lambda: SrEnv(TINY_SYSTEM, normalize_obs="abc"), "normalize_obs"),
+        (lambda: SrEnv(TINY_SYSTEM, normalize_obs=1), "normalize_obs"),
+        (lambda: SrEnv(TINY_SYSTEM, ris_mode=True), "ris_mode"),
         (lambda: PpoAgent(state_dim=2, action_dim=1, hidden=(4, 0)), "hidden"),
         (lambda: A3cAgent(state_dim=2, action_dim=1, hidden=(0,)), "hidden"),
         (lambda: Td3Agent(state_dim=2, action_dim=1, hidden=(0,)), "hidden"),
@@ -971,12 +979,14 @@ class TestHyperparameterChecks:
          "entropy_coef"),
         (lambda: A3cAgent(state_dim=2, action_dim=1, hidden=(4,), entropy_coef=float("nan")),
          "entropy_coef"),
-    ], ids=["ppo-discount", "a3c-discount", "td3-discount-nan", "ppo-clip", "ppo-clip-zero",
+    ], ids=["ppo-discount", "a3c-discount", "td3-discount-nan", "ppo-clip", "ppo-actor_lr-bool",
+            "td3-discount-bool", "ppo-clip-zero",
             "td3-target_update-zero", "td3-target_update", "env-rate_cap", "env-rate_cap-inf",
             "env-rate_cap-nan", "env-reward_mode", "env-penalty_cost", "env-penalty_cost-inf",
             "env-penalty_cost-nan", "td3-smoothing_noise", "td3-noise_clip", "td3-explore_noise-nan",
             "ppo-init_log_std", "a3c-init_log_std", "ppo-init_log_std-nan", "env-ris_mode",
-            "env-r_mode", "ppo-hidden", "a3c-hidden", "td3-hidden", "ppo-hidden-scalar",
+            "env-r_mode", "env-normalize_obs-text", "env-normalize_obs-one", "env-ris_mode-bool",
+            "ppo-hidden", "a3c-hidden", "td3-hidden", "ppo-hidden-scalar",
             "a3c-entropy_coef", "a3c-entropy_coef-nan"])
     def test_out_of_range_settings_are_rejected(self, build, field):
         with pytest.raises(ValueError, match=field):

@@ -117,14 +117,22 @@ class TestConfig:
         config = load_config(path)
         assert math.isclose(config["system"]["noise_bs_watts"], 1e-12, rel_tol=1e-12)
         assert "noise_bs_dbm" not in config["system"]
+        for end in (-3000, 3000):
+            path.write_text(yaml.safe_dump({"system": {"noise_bs_dbm": end}}))
+            watts = load_config(path)["system"]["noise_bs_watts"]
+            assert math.isfinite(watts) and watts >= np.finfo(float).tiny
 
     @pytest.mark.parametrize("alias, value", [("noise_bs_dbm", [1]), ("noise_bs_dbm", "abc"),
                                               ("noise_asris_dbm", math.nan),
-                                              ("noise_sue_dbm", math.inf), ("noise_bs_dbm", None)])
+                                              ("noise_sue_dbm", math.inf), ("noise_bs_dbm", None),
+                                              ("noise_bs_dbm", 4000.0), ("noise_bs_dbm", -4000.0),
+                                              ("noise_sue_dbm", True)])
     def test_dbm_alias_must_be_a_finite_real(self, tmp_path, alias, value):
+        # within [-3000, 3000] dBm the level in watts is a positive, finite,
+        # normal float64
         path = tmp_path / "dbm.yaml"
         path.write_text(yaml.safe_dump({"system": {alias: value}}))
-        with pytest.raises(ValueError, match=re.escape(f"system.{alias} must be in (-inf, inf)")):
+        with pytest.raises(ValueError, match=re.escape(f"system.{alias} must be in [-3000, 3000]")):
             load_config(path)
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -427,7 +435,11 @@ class TestSweep:
                                               ("budget", -3), ("n_channels", "two"),
                                               ("n_channels", 2.5), ("n_channels", math.inf),
                                               ("n_channels", True), ("budget", 2.5),
-                                              ("budget", math.inf), ("budget", True)])
+                                              ("budget", math.inf), ("budget", True),
+                                              # and the sweep's other settings
+                                              ("variable", [1]), ("variable", {}),
+                                              ("variable", "noise_bs_dbm"),
+                                              ("compare_modes", "abc"), ("compare_modes", 1)])
     def test_counts_below_one_are_rejected_before_any_point(self, tmp_path, monkeypatch,
                                                             field, value, mode):
         ran = []
@@ -697,7 +709,18 @@ class TestCli:
          "run.algo must be 'ppo', 'td3' or 'a3c', got 'sac'"),
         ("sweep", "sweep: {mode: train}\nrun: {algo: sac, episodes: 1}", [], "run.algo"),
         ("train", "system: {noise_bs_dbm: [1]}", [],
-         "system.noise_bs_dbm must be in (-inf, inf), got [1]"),
+         "system.noise_bs_dbm must be in [-3000, 3000], got [1]"),
+        ("train", "system: {noise_bs_dbm: 4000.0}", [],
+         "system.noise_bs_dbm must be in [-3000, 3000], got 4000.0"),
+        ("train", "system: {noise_bs_dbm: -4000.0}", [],
+         "system.noise_bs_dbm must be in [-3000, 3000], got -4000.0"),
+        ("sweep", "sweep: {variable: [1]}", [], "sweep.variable"),
+        ("sweep", "sweep: {compare_modes: abc}", [],
+         "sweep.compare_modes must be False or True, got 'abc'"),
+        ("train", "agents: {ppo: {actor_lr: true}}", [],
+         "actor_lr must be in (0, inf), got True"),
+        ("train", "env: {normalize_obs: abc}", [],
+         "normalize_obs must be False or True, got 'abc'"),
         ("train", "system: {noise_sue_dbm: abc}", [], "system.noise_sue_dbm"),
         ("sweep", "sweep: {values: 4.0}", [], "sweep.values must be a non-empty list, got 4.0"),
         ("sweep", "sweep: {values: abc}", [], "sweep.values"),
@@ -707,8 +730,9 @@ class TestCli:
             "hidden-fraction", "workers-inf", "minibatch-inf", "episodes-fraction",
             "seeds-fraction", "seeds-negative", "seeds-empty", "sweep-seeds-empty",
             "seed-flag-negative", "hidden-scalar", "entropy_coef-nan", "algo-unknown",
-            "sweep-algo-unknown", "dbm-list", "dbm-text", "sweep-values-scalar",
-            "sweep-values-text", "sweep-values-mapping"])
+            "sweep-algo-unknown", "dbm-list", "dbm-huge", "dbm-tiny", "sweep-variable-list",
+            "sweep-compare_modes-text", "actor_lr-bool", "normalize_obs-text", "dbm-text",
+            "sweep-values-scalar", "sweep-values-text", "sweep-values-mapping"])
     def test_malformed_inputs_exit_1_with_an_error_line(self, tmp_path, capsys, command, text,
                                                         extra, named):
         config = tmp_path / "bad.yaml"

@@ -3,9 +3,9 @@
 The backward pass is checked against central finite differences, the policy
 head against quadrature of its own density, the optimizers against single-step
 arithmetic, and checkpoints against exact array round-trips.  The flat
-parameter buffers, the parameter-only and input-only backward forms, and the
-block-wise optimizer steps and soft update are checked bit for bit against
-the per-array code in ``scalar_reference``.
+parameter buffers (one per net or policy), the parameter-only and input-only
+backward forms, and the block-wise optimizer steps and soft update are checked
+bit for bit against the per-array code in ``scalar_reference``.
 """
 
 import math
@@ -133,7 +133,7 @@ class TestBackward:
         out, cache = net.forward_cached(x)
         analytic, _ = net.backward(cache, grad_out)
         numeric = finite_difference_grads(net, x, grad_out)
-        for a, n in zip(analytic, numeric):
+        for a, n in zip(ref.split(analytic, net.shapes), numeric):
             np.testing.assert_allclose(a, n, atol=1e-6, err_msg=f"sizes {sizes}")
 
     def test_input_gradient_matches_finite_differences(self):
@@ -160,8 +160,8 @@ class TestBackward:
         net = Mlp((2, 4, 1), rng)
         x = rng.standard_normal((3, 2))
         _, cache = net.forward_cached(x)
-        grads, grad_in = net.backward(cache, np.zeros((3, 1)))
-        for g in grads:
+        grad, grad_in = net.backward(cache, np.zeros((3, 1)))
+        for g in ref.split(grad, net.shapes):
             np.testing.assert_array_equal(g, np.zeros_like(g))
         np.testing.assert_array_equal(grad_in, np.zeros_like(x))
 
@@ -183,35 +183,35 @@ class TestBackward:
 class TestOptimizers:
     def test_sgd_arithmetic(self):
         p = np.array([1.0, -2.0])
-        Sgd(lr=0.5).step([p], [np.array([2.0, 2.0])])
+        Sgd(lr=0.5).step(p, np.array([2.0, 2.0]))
         np.testing.assert_allclose(p, [0.0, -3.0])
 
     def test_sgd_rejects_nonfinite(self):
         with pytest.raises(NonFiniteGradientError):
-            Sgd(lr=0.1).step([np.zeros(2)], [np.array([np.nan, 0.0])])
+            Sgd(lr=0.1).step(np.zeros(2), np.array([np.nan, 0.0]))
 
     def test_adam_first_step_is_lr_sized(self):
         # bias correction makes the very first update lr * g/|g| exactly
         p = np.array([1.0])
         opt = Adam(lr=0.01)
-        opt.step([p], [np.array([123.4])])
+        opt.step(p, np.array([123.4]))
         assert math.isclose(p[0], 1.0 - 0.01, rel_tol=1e-6)
 
     def test_adam_rejects_nonfinite(self):
         with pytest.raises(NonFiniteGradientError):
-            Adam(lr=0.1).step([np.zeros(2)], [np.array([np.inf, 0.0])])
+            Adam(lr=0.1).step(np.zeros(2), np.array([np.inf, 0.0]))
 
     def test_adam_state_round_trip(self):
         p = np.array([1.0, 2.0])
         opt = Adam(lr=0.1)
-        opt.step([p], [np.array([0.5, -0.5])])
-        opt.step([p], [np.array([0.25, 0.25])])
+        opt.step(p, np.array([0.5, -0.5]))
+        opt.step(p, np.array([0.25, 0.25]))
         clone = Adam(lr=0.1)
         clone.load_state_arrays(opt.state_arrays())
         p1, p2 = p.copy(), p.copy()
         g = np.array([1.0, -1.0])
-        opt.step([p1], [g])
-        clone.step([p2], [g])
+        opt.step(p1, g)
+        clone.step(p2, g)
         np.testing.assert_array_equal(p1, p2)
 
     def test_make_optimizer(self):
@@ -222,35 +222,45 @@ class TestOptimizers:
 
 
     @pytest.mark.parametrize("kind", ["sgd", "adam"])
-    def test_nonfinite_last_buffer_leaves_everything_unchanged(self, kind):
-        # the last buffer spans several blocks; its non-finite entry sits in
-        # the last one, after every other block could have been written
-        long = np.linspace(-1.0, 1.0, 3 * BLOCK + 5)
-        params = [np.array([1.0, -2.0, 0.5]), np.array([0.25, 4.0]), long]
+    def test_nonfinite_last_block_leaves_everything_unchanged(self, kind):
+        # the buffer spans several blocks; its gradient's non-finite item sits
+        # in the last one, after every other block could have been written
+        param = np.linspace(-1.0, 1.0, 3 * BLOCK + 5)
         opt = make_optimizer(kind, 0.1)
-        opt.step(params, [np.array([0.5, -1.0, 2.0]), np.array([1.0, -3.0]), long.copy()])
-        kept = [p.copy() for p in params]
+        opt.step(param, param.copy())
+        kept = param.copy()
         state = {key: np.copy(value) for key, value in opt.state_arrays().items()}
-        bad = np.ones_like(long)
+        bad = np.ones_like(param)
         bad[-1] = np.inf
         with pytest.raises(NonFiniteGradientError):
-            opt.step(params, [np.array([0.5, 0.5, 0.5]), np.array([0.0, 3.0]), bad])
-        for p, q in zip(params, kept):
-            np.testing.assert_array_equal(p, q)
+            opt.step(param, bad)
+        np.testing.assert_array_equal(param, kept)
         after = opt.state_arrays()
         assert set(after) == set(state)
         for key, value in state.items():
             np.testing.assert_array_equal(after[key], value, err_msg=key)
 
     @pytest.mark.parametrize("kind", ["sgd", "adam"])
-    def test_unpaired_buffers_are_rejected_before_any_write(self, kind):
-        params = [np.array([1.0, -2.0]), np.array([0.5])]
+    def test_misshapen_gradient_is_rejected_before_any_write(self, kind):
+        param = np.array([1.0, -2.0, 0.5])
         opt = make_optimizer(kind, 0.1)
-        with pytest.raises(ValueError, match="2 buffers and 1 gradients"):
-            opt.step(params, [np.array([1.0, 1.0])])
-        np.testing.assert_array_equal(params[0], [1.0, -2.0])
-        np.testing.assert_array_equal(params[1], [0.5])
+        misshapen = [np.ones(2), np.ones(4), np.ones((3, 1)), np.ones((1, 3)), np.float64(1.0)]
+        for bad in misshapen:  # on the first step: no moments are made
+            with pytest.raises(ValueError, match="gradient of shape"):
+                opt.step(param, bad)
+        np.testing.assert_array_equal(param, [1.0, -2.0, 0.5])
         assert all(int(value) == 0 for value in opt.state_arrays().values())
+        opt.step(param, np.array([0.5, -1.0, 2.0]))
+        kept = param.copy()
+        state = {key: np.copy(value) for key, value in opt.state_arrays().items()}
+        for bad in misshapen:  # on a later step: the moments and t stay
+            with pytest.raises(ValueError, match="gradient of shape"):
+                opt.step(param, bad)
+        np.testing.assert_array_equal(param, kept)
+        after = opt.state_arrays()
+        assert set(after) == set(state)
+        for key, value in state.items():
+            np.testing.assert_array_equal(after[key], value, err_msg=key)
 
     @pytest.mark.parametrize("kind", ["sgd", "adam"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -261,7 +271,7 @@ class TestOptimizers:
         grad[BLOCK + 3] = bad
         param = np.zeros_like(grad)
         with pytest.raises(NonFiniteGradientError):
-            make_optimizer(kind, 0.1).step([param], [grad])
+            make_optimizer(kind, 0.1).step(param, grad)
         assert not param.any()
 
     @pytest.mark.parametrize("kind", ["sgd", "adam"])
@@ -272,7 +282,7 @@ class TestOptimizers:
         param = np.zeros_like(grad)
         with np.errstate(over="ignore"):  # the sum of squares and Adam's moment overflow
             assert not np.isfinite(grad @ grad)
-            make_optimizer(kind, 1e-300).step([param], [grad])  # no NonFiniteGradientError
+            make_optimizer(kind, 1e-300).step(param, grad)  # no NonFiniteGradientError
         assert np.isfinite(param).all()
 
 
@@ -320,17 +330,18 @@ class TestFlatEngine:
             x = rng.standard_normal((16, sizes[0]))
             grad_out = rng.standard_normal((16, sizes[-1]))
             cache = net.forward_cached(x)[1]
-            grads, grad_in = net.backward(cache, grad_out)
-            only_grads, no_grad_in = net.backward(cache, grad_out, inputs=False)
-            no_grads, only_grad_in = net.backward(cache, grad_out, params=False)
-            assert no_grad_in is None and no_grads is None
+            grad, grad_in = net.backward(cache, grad_out)
+            only_grad, no_grad_in = net.backward(cache, grad_out, inputs=False)
+            no_grad, only_grad_in = net.backward(cache, grad_out, params=False)
+            assert no_grad_in is None and no_grad is None
             ref_grads, ref_grad_in = ref.mlp_backward(twin, twin.forward_cached(x)[1], grad_out)
-            for i, (g, only, r) in enumerate(zip(grads, only_grads, ref_grads)):
+            for i, (g, only, r) in enumerate(zip(ref.split(grad, net.shapes),
+                                                 ref.split(only_grad, net.shapes), ref_grads)):
                 assert_same_bits(g, r, f"step {step} gradient {i}")
                 assert_same_bits(only, r, f"step {step} parameter-only gradient {i}")
             assert_same_bits(grad_in, ref_grad_in, f"step {step} input gradient")
             assert_same_bits(only_grad_in, ref_grad_in, f"step {step} input-only gradient")
-            opt.step([net.flat], [grads.flat])
+            opt.step(net.flat, grad)
             ref_opt.step(twin.parameters(), ref_grads)
             assert_same_bits(net.flat, twin.flat, f"step {step} parameters")
         assert_same_moments(opt, ref_opt)
@@ -345,10 +356,9 @@ class TestFlatEngine:
             states = rng.standard_normal((8, 5))
             pres = rng.standard_normal((8, 3))
             coeff = rng.standard_normal(8)
-            net_grads, log_std_grad = pol.grad_weighted_log_prob(states, pres, coeff)
-            ref_net_grads, ref_log_std_grad = twin.grad_weighted_log_prob(states, pres, coeff)
-            ref_grads = list(ref_net_grads) + [ref_log_std_grad]
-            opt.step([pol.net.flat, pol.log_std], [net_grads.flat, log_std_grad])
+            grad = pol.grad_weighted_log_prob(states, pres, coeff)
+            ref_grads = ref.split(twin.grad_weighted_log_prob(states, pres, coeff), twin.shapes)
+            opt.step(pol.flat, grad)
             ref_opt.step(twin.parameters(), ref_grads)
             pol.clamp_log_std()
             twin.clamp_log_std()
@@ -383,17 +393,15 @@ class TestFlatEngine:
             for p in n.weights + n.biases:
                 assert np.shares_memory(p, n.flat)
 
-    def test_backward_gradients_are_views_of_one_flat_buffer(self):
+    def test_backward_returns_one_flat_buffer_laid_out_like_flat(self):
         net = Mlp((3, 5, 2), np.random.default_rng(6))
-        grads, _ = net.backward(net.forward_cached(np.ones((2, 3)))[1], np.ones((2, 2)))
-        offset = 0
-        for g, p in zip(grads, net.parameters()):
-            assert g.shape == p.shape and np.shares_memory(g, grads.flat)
-            assert_same_bits(g.ravel(), grads.flat[offset : offset + g.size])
-            offset += g.size
-        assert offset == grads.flat.size == net.flat.size
-        again, _ = net.backward(net.forward_cached(np.ones((2, 3)))[1], np.ones((2, 2)))
-        assert not np.shares_memory(again.flat, grads.flat)  # each call owns its buffer
+        cache = net.forward_cached(np.ones((2, 3)))[1]
+        grad, _ = net.backward(cache, np.ones((2, 2)))
+        assert grad.shape == net.flat.shape
+        ref_grads, _ = ref.mlp_backward(net, cache, np.ones((2, 2)))
+        assert_same_bits(grad, np.concatenate([g.ravel() for g in ref_grads]))
+        again, _ = net.backward(cache, np.ones((2, 2)))
+        assert not np.shares_memory(again, grad)  # each call owns its buffer
 
 
 # ===========================================================================
@@ -468,7 +476,9 @@ class TestGaussianPolicy:
         def objective():
             return float(np.sum(coeff * pol.log_prob(states, pres)))
 
-        net_grads, log_std_grad = pol.grad_weighted_log_prob(states, pres, coeff)
+        grad = pol.grad_weighted_log_prob(states, pres, coeff)
+        assert grad.shape == pol.flat.shape
+        *net_grads, log_std_grad = ref.split(grad, pol.shapes)
         eps = 1e-6
         for p, g in zip(pol.net.parameters(), net_grads):
             it = np.nditer(p, flags=["multi_index"])
@@ -504,6 +514,24 @@ class TestGaussianPolicy:
         assert pol.log_std[0] != 1.5
         pol.load_from(dup)
         np.testing.assert_array_equal(pol.log_std, dup.log_std)
+
+    def test_one_flat_buffer_holds_the_net_and_log_std(self):
+        net = Mlp((3, 4, 2), np.random.default_rng(2))
+        before = net.flat.copy()
+        pol = GaussianPolicy(net, init_log_std=-0.3)
+        assert pol.net is net
+        assert_same_bits(pol.flat, np.concatenate([before, [-0.3, -0.3]]))
+        assert_same_bits(pol.flat[: net.flat.size], net.flat)
+        assert_same_bits(pol.flat[net.flat.size :], pol.log_std)
+        for part in (net.flat, pol.log_std, *pol.parameters()):
+            assert np.shares_memory(part, pol.flat)
+        pol.flat[0], pol.flat[-1] = 0.25, 1.5  # writes through to the views
+        assert net.weights[0][0, 0] == 0.25 and pol.log_std[-1] == 1.5
+        dup = pol.copy()
+        assert_same_bits(dup.flat, pol.flat)
+        assert not np.shares_memory(dup.flat, pol.flat)
+        for part in (dup.net.flat, dup.log_std, *dup.parameters()):
+            assert np.shares_memory(part, dup.flat) and not np.shares_memory(part, pol.flat)
 
 
 # ===========================================================================
