@@ -121,7 +121,8 @@ class ActorCritic(Checkpointed):
 
 
 class ReplayBuffer:
-    """Fixed-capacity uniform replay over flat transitions."""
+    """Fixed-capacity uniform replay of transitions (s, a, r, s'); no terminal
+    flag, since episodes end only at a time limit the states do not show."""
 
     def __init__(self, capacity: int, state_dim: int, action_dim: int) -> None:
         self.capacity = capacity
@@ -129,17 +130,15 @@ class ReplayBuffer:
         self.actions = np.zeros((capacity, action_dim))
         self.rewards = np.zeros(capacity)
         self.next_states = np.zeros((capacity, state_dim))
-        self.dones = np.zeros(capacity)
         self.size = 0
         self._pos = 0
 
-    def add(self, state, action, reward, next_state, done) -> None:
+    def add(self, state, action, reward, next_state) -> None:
         i = self._pos
         self.states[i] = state
         self.actions[i] = action
         self.rewards[i] = reward
         self.next_states[i] = next_state
-        self.dones[i] = float(done)
         self._pos = (i + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 
@@ -150,7 +149,6 @@ class ReplayBuffer:
             "actions": self.actions[idx],
             "rewards": self.rewards[idx],
             "next_states": self.next_states[idx],
-            "dones": self.dones[idx],
         }
 
     def __len__(self) -> int:

@@ -4,6 +4,10 @@ Off-policy: a deterministic tanh actor explores with additive Gaussian noise,
 two critics regress on the clipped-double-Q target built from smoothed target
 actions, and the actor plus all three target networks update only every
 ``policy_delay``-th critic step, the targets through slow exponential mixing.
+Training acts once per episode on all its T states (one ``act`` call, one env
+call), then per frame, in frame order, adds the transition to replay and runs
+one ``update``.  Every target bootstraps, the last frame's too: an episode
+ends at a time limit the states do not show (Pardo et al., arXiv:1712.00378).
 """
 
 from __future__ import annotations
@@ -86,18 +90,14 @@ class Td3Agent(Checkpointed):
         return np.clip(action, -1.0, 1.0)
 
     def _targets(self, batch: dict) -> np.ndarray:
-        noise = np.clip(
-            self.smoothing_noise * self.rng.standard_normal(batch["actions"].shape),
-            -self.noise_clip,
-            self.noise_clip,
-        )
-        next_actions = np.clip(
-            np.tanh(self.actor_target.forward(batch["next_states"])) + noise, -1.0, 1.0
-        )
+        noise = np.clip(self.smoothing_noise * self.rng.standard_normal(batch["actions"].shape),
+                        -self.noise_clip, self.noise_clip)
+        next_actions = np.clip(np.tanh(self.actor_target.forward(batch["next_states"])) + noise,
+                               -1.0, 1.0)
         sa = np.concatenate([batch["next_states"], next_actions], axis=1)
         q1 = self.critic1_target.forward(sa)[:, 0]
         q2 = self.critic2_target.forward(sa)[:, 0]
-        return td3_target(batch["rewards"], self.discount, q1, q2, batch["dones"])
+        return td3_target(batch["rewards"], self.discount, q1, q2)
 
     def update(self) -> bool:
         """One gradient step from replay; no-op until a minibatch is buffered."""

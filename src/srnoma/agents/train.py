@@ -45,6 +45,7 @@ def build_agent(algo: str, state_dim: int, action_dim: int, hyper: dict | None,
 
 def _checkpoint(agent, algo: str, directory, episode: int, final: bool) -> None:
     name = f"ckpt_{algo}_final.npz" if final else f"ckpt_{algo}_ep{episode:06d}.npz"
+    os.makedirs(directory, exist_ok=True)
     save_checkpoint(
         os.path.join(directory, name),
         agent.state_dict(),
@@ -70,8 +71,8 @@ def _ppo_episode(agent: PpoAgent, env, episode_seed: int) -> EpisodeStats:
 def _td3_episode(agent: Td3Agent, env, episode_seed: int) -> EpisodeStats:
     stats = EpisodeStats()
     for state, (action,), result in rollout(env, episode_seed, lambda s: (agent.act(s),), stats,
-                                            agent.normalizer):
-        agent.buffer.add(state, action, result.reward, result.state, float(result.done))
+                                            agent.normalizer, env.episode_steps):
+        agent.buffer.add(state, action, result.reward, result.state)
         agent.update()
     return stats
 

@@ -86,7 +86,6 @@ def _cmd_train(args) -> int:
         episodes = args.episodes
     checkpoint_every = (args.checkpoint_every if args.checkpoint_every is not None
                         else config["run"]["checkpoint_every"])
-    os.makedirs(args.out, exist_ok=True)
     _, trace = train(algo, harness.env_from(config), episodes, seed, hyper=config["agents"][algo],
                      checkpoint_dir=args.out, checkpoint_every=checkpoint_every)
     trace_path = os.path.join(args.out, f"trace_{algo}_seed{seed}.csv")

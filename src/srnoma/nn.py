@@ -204,6 +204,8 @@ class Adam:
         if self._m is None:
             self.shapes = self.shapes or [param.shape]
             self._m, self._v = np.zeros((2, param.size))
+        elif param.size != self._m.size:
+            raise ValueError(f"Adam step got {param.size} items for moments of {self._m.size}")
         self.t += 1
         correction1 = 1.0 - ADAM_BETA1 ** self.t
         correction2 = 1.0 - ADAM_BETA2 ** self.t

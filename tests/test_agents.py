@@ -87,13 +87,13 @@ class TestReplayBuffer:
         buf = ReplayBuffer(4, state_dim=2, action_dim=1)
         assert len(buf) == 0
         for k in range(3):
-            buf.add([k, k], [k], float(k), [k + 1, k + 1], 0.0)
+            buf.add([k, k], [k], float(k), [k + 1, k + 1])
         assert len(buf) == 3
 
     def test_circular_overwrite(self):
         buf = ReplayBuffer(2, state_dim=1, action_dim=1)
         for k in range(5):
-            buf.add([k], [k], float(k), [k], 0.0)
+            buf.add([k], [k], float(k), [k])
         assert len(buf) == 2
         stored = set(buf.rewards.tolist())
         assert stored == {3.0, 4.0}, "oldest transitions must be overwritten"
@@ -101,12 +101,13 @@ class TestReplayBuffer:
     def test_sample_shapes(self):
         buf = ReplayBuffer(16, state_dim=3, action_dim=2)
         for k in range(10):
-            buf.add(np.full(3, k), np.full(2, k), float(k), np.full(3, k), 0.0)
+            buf.add(np.full(3, k), np.full(2, k), float(k), np.full(3, k))
         batch = buf.sample(np.random.default_rng(0), 6)
         assert batch["states"].shape == (6, 3)
         assert batch["actions"].shape == (6, 2)
         assert batch["rewards"].shape == (6,)
-        assert batch["dones"].shape == (6,)
+        assert batch["next_states"].shape == (6, 3)
+        assert set(batch) == {"states", "actions", "rewards", "next_states"}  # no terminal flag
 
 
 class TestTrace:
@@ -256,36 +257,45 @@ def one_state_per_act(monkeypatch):
     monkeypatch.setattr(Mlp, "forward_rows", ref.forward_rows)
 
 
+def _block_env():
+    cfg = SystemConfig(n_bs_antennas=2, n_ris_elements=3, n_pairs=2,
+                       harvest_threshold_joules=1e-14)
+    return SrEnv(cfg, episode_steps=7, normalize_obs=True)
+
+
+def _training_outputs(algo, workers, optimizer):
+    """Trace, state_dict, greedy evaluation and random floor of a short run."""
+    env = _block_env()
+    hyper = small_hyper(algo, workers, optimizer=optimizer)
+    agent, trace = train(algo, env, episodes=3, seed=4, hyper=hyper)
+    return (trace, agent.state_dict(), evaluate_policy(agent, env, 2, seed=8),
+            random_policy_trace(env, episodes=2, seed=3))
+
+
+def _assert_same_outputs(got, want):
+    for trace_a, trace_b in ((got[0], want[0]), (got[3], want[3])):
+        assert trace_a == trace_b
+    assert got[1].keys() == want[1].keys()
+    for key, value in got[1].items():
+        assert np.asarray(value).tobytes() == np.asarray(want[1][key]).tobytes(), key
+    assert got[2] == want[2] and got[2]["feasible_steps"] > 0
+
+
 class TestBlockStepping:
     """PPO, A3C, evaluate_policy and random_policy_trace step blocks of
     frames and act on each block in one call; one frame per env.step call,
-    each acted on one state per call, must give the same bytes."""
+    each acted on one state per call, must give the same bytes.  TD3's
+    schedule is pinned by TestTd3EpisodeSchedule."""
 
     @pytest.mark.parametrize("algo, workers, optimizer", [
-        ("ppo", 1, "sgd"), ("ppo", 1, "adam"), ("td3", 1, "sgd"),
-        ("a3c", 1, "sgd"), ("a3c", 3, "adam"),
+        ("ppo", 1, "sgd"), ("ppo", 1, "adam"), ("a3c", 1, "sgd"), ("a3c", 3, "adam"),
     ])
     def test_training_and_evaluation_match_single_frame_steps(self, monkeypatch, algo,
                                                               workers, optimizer):
-        def run():
-            cfg = SystemConfig(n_bs_antennas=2, n_ris_elements=3, n_pairs=2,
-                               harvest_threshold_joules=1e-14)
-            env = SrEnv(cfg, episode_steps=7, normalize_obs=True)
-            hyper = small_hyper(algo, workers, optimizer=optimizer)
-            agent, trace = train(algo, env, episodes=3, seed=4, hyper=hyper)
-            return (trace, agent.state_dict(), evaluate_policy(agent, env, 2, seed=8),
-                    random_policy_trace(env, episodes=2, seed=3))
-
-        blocks = run()
+        blocks = _training_outputs(algo, workers, optimizer)
         one_frame_at_a_time(monkeypatch)
         one_state_per_act(monkeypatch)
-        frames = run()
-        for trace_a, trace_b in ((blocks[0], frames[0]), (blocks[3], frames[3])):
-            assert trace_a == trace_b
-        assert blocks[1].keys() == frames[1].keys()
-        for key, value in blocks[1].items():
-            assert np.asarray(value).tobytes() == np.asarray(frames[1][key]).tobytes(), key
-        assert blocks[2] == frames[2] and blocks[2]["feasible_steps"] > 0
+        _assert_same_outputs(blocks, _training_outputs(algo, workers, optimizer))
 
     @pytest.mark.parametrize("algo", ALGORITHMS)
     def test_greedy_block_actions_equal_per_state_actions(self, algo):
@@ -303,6 +313,72 @@ class TestBlockStepping:
         assert block_agent.act(states).tobytes() == singles.tobytes()
         after = [repr(agent.rng.bit_generator.state) for agent in (block_agent, single_agent)]
         assert after[0] == after[1]
+
+
+def td3_reference_episode(agent, env, episode_seed):
+    """TD3's episode spelled out: one act call on the T observed states of
+    the episode, then one frame per env.step call, each added to the replay
+    buffer, the last one too without a terminal flag, and followed by one
+    update."""
+    observe = agent.normalizer or (lambda state: state)
+    stats = EpisodeStats()
+    env.reset(episode_seed)
+    states = [observe(raw) for raw in env.upcoming_states(env.episode_steps)]
+    actions = agent.act(np.stack(states))
+    for t, action in enumerate(actions):
+        result = env.step(action)
+        next_state = states[t + 1] if t + 1 < len(states) else observe(result.state)
+        stats.add(result.reward, result.info.min_rate, result.info.satisfied_count)
+        agent.buffer.add(states[t], action, result.reward, next_state)
+        agent.update()
+    assert result.done
+    return stats
+
+
+class TestTd3EpisodeSchedule:
+    """TD3 acts once per episode on all its states, the env scores the
+    episode in one call, and the agent adds and updates once per frame."""
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    def test_training_and_evaluation_match_the_reference_loop(self, monkeypatch, optimizer):
+        episodes = _training_outputs("td3", 1, optimizer)
+        monkeypatch.setattr(train_module, "_td3_episode", td3_reference_episode)
+        one_frame_at_a_time(monkeypatch)
+        one_state_per_act(monkeypatch)
+        _assert_same_outputs(episodes, _training_outputs("td3", 1, optimizer))
+
+    def test_act_runs_once_per_episode_on_all_its_states(self, monkeypatch):
+        calls = []
+        act = Td3Agent.act
+
+        def counted(agent, states, explore=True):
+            calls.append((np.shape(states), explore))
+            return act(agent, states, explore)
+
+        monkeypatch.setattr(Td3Agent, "act", counted)
+        env = tiny_env(steps=5)
+        train("td3", env, episodes=4, seed=2, hyper=small_hyper("td3"))
+        assert calls == [((5, env.state_dim), True)] * 4
+
+    def test_the_last_frame_of_an_episode_bootstraps(self):
+        agent, _ = train("td3", tiny_env(steps=5), 1, seed=2,
+                         hyper=small_hyper("td3", smoothing_noise=0.0))
+        buffer = agent.buffer  # frame 4 is the episode's last
+        last = {key: getattr(buffer, key)[4:5]
+                for key in ("states", "actions", "rewards", "next_states")}
+        sa = np.concatenate([last["next_states"],
+                             np.tanh(agent.actor_target.forward(last["next_states"]))], axis=1)
+        q = np.minimum(agent.critic1_target.forward(sa), agent.critic2_target.forward(sa))[:, 0]
+        assert abs(q[0]) > 0
+        assert agent._targets(last).tobytes() == (last["rewards"] + agent.discount * q).tobytes()
+
+    @pytest.mark.parametrize("minibatch, buffer_size", [(4, 100), (7, 100), (3, 6), (16, 100)])
+    def test_one_update_per_frame_with_a_full_minibatch(self, minibatch, buffer_size):
+        steps, episodes = 5, 3
+        agent, _ = train("td3", tiny_env(steps=steps), episodes, seed=2,
+                         hyper=small_hyper("td3", minibatch=minibatch, buffer_size=buffer_size))
+        held = [min(frame, buffer_size) for frame in range(1, steps * episodes + 1)]
+        assert agent.update_count == sum(size >= minibatch for size in held)
 
 
 # ===========================================================================
@@ -510,7 +586,7 @@ class TestTd3:
         rng = np.random.default_rng(10)
         for _ in range(n):
             s = rng.standard_normal(2)
-            agent.buffer.add(s, rng.uniform(-1, 1, 1), rng.normal(), rng.standard_normal(2), 0.0)
+            agent.buffer.add(s, rng.uniform(-1, 1, 1), rng.normal(), rng.standard_normal(2))
 
     def test_greedy_action_is_deterministic_and_bounded(self):
         agent = self.make_agent()
@@ -1010,7 +1086,7 @@ class TestHyperparameterChecks:
     def test_smallest_valid_td3_settings_are_accepted(self):
         agent = Td3Agent(state_dim=2, action_dim=1, hidden=(4,), policy_delay=1,
                          minibatch=1, buffer_size=1, actor_lr=1e-12)
-        agent.buffer.add(np.zeros(2), np.zeros(1), 1.0, np.zeros(2), 0.0)
+        agent.buffer.add(np.zeros(2), np.zeros(1), 1.0, np.zeros(2))
         assert agent.update() is True
 
 

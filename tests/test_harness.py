@@ -741,7 +741,7 @@ class TestCli:
         assert main([command, "--config", str(config), "--out", str(out), *extra]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
-        assert not any(path.is_file() for path in out.rglob("*"))
+        assert not out.exists()  # no command makes --out before its checks pass
 
     def test_sweep_and_report_round_trip(self, tmp_path, capsys):
         config = tiny_yaml(

@@ -262,6 +262,25 @@ class TestOptimizers:
         for key, value in state.items():
             np.testing.assert_array_equal(after[key], value, err_msg=key)
 
+    @pytest.mark.parametrize("loaded", [False, True], ids=["stepped", "loaded"])
+    def test_adam_rejects_a_buffer_unlike_its_moments_before_any_write(self, loaded):
+        opt = Adam(0.1)
+        opt.step(np.array([1.0, -2.0, 0.5]), np.array([1.0, 1.0, 1.0]))
+        if loaded:  # moments that come from a checkpoint, not from a step
+            fresh = Adam(0.1)
+            fresh.load_state_arrays(opt.state_arrays())
+            opt = fresh
+        state = {key: np.copy(value) for key, value in opt.state_arrays().items()}
+        param = np.array([1.0, -2.0, 0.5, 3.0])
+        with pytest.raises(ValueError, match="got 4 items for moments of 3"):
+            opt.step(param, np.ones(4))
+        np.testing.assert_array_equal(param, [1.0, -2.0, 0.5, 3.0])
+        assert opt.t == 1
+        after = opt.state_arrays()
+        assert set(after) == set(state) == {"t", "m0", "v0"}
+        for key, value in state.items():
+            np.testing.assert_array_equal(after[key], value, err_msg=key)
+
     @pytest.mark.parametrize("kind", ["sgd", "adam"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_one_nonfinite_item_is_rejected(self, kind, bad):
