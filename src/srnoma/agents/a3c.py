@@ -2,14 +2,12 @@
 
 Several workers share one environment and hold private RNG streams, private
 observation statistics and private copies of the global actor/critic.  A
-worker plays its episode through the shared ``rollout`` driver and cuts it
-into segments of k steps (the last one may be shorter).  A segment is one
-block of the driver: its k actions are sampled in one call from the copies
-synced before it, and its k frames are scored in one ``env.step`` call.  Before each
-segment the worker syncs its copies from the global store; after it, it
-computes the k-step returns and advantages locally, bootstrapping from its
-critic copy (from 0 at the episode's end), and pushes its gradients to the
-globals.
+worker plays its episode through the shared ``rollout`` driver in blocks of
+k steps, the last one maybe shorter; each block is one segment.  Before it
+the worker syncs its copies from the global store and samples its k actions
+from them in one call; after it, the worker computes the k-step returns and
+advantages locally, bootstrapping from its critic copy (from 0 at the
+episode's end), and pushes its gradients to the globals.
 
 Workers take turns on one thread: in every outer episode each worker, in
 fixed worker order, plays its whole episode on the globals the workers
@@ -97,29 +95,20 @@ class A3cAgent(ActorCritic):
     def worker_episode(self, env, episode_seed: int, rng: np.random.Generator,
                        observe=None) -> EpisodeStats:
         """One full episode of collect-k / push-gradients cycles, on states
-        ``observe`` maps (see ``rollout``).
-
-        A segment ends after k steps or at the episode's end, whichever comes
-        first, and is stepped as one block of k frames; it bootstraps from the
-        local critic, or from 0 at the end.
-        """
+        ``observe`` maps (see ``rollout``); each segment is one block of the
+        driver and bootstraps from the local critic, or from 0 at the end."""
         local_policy = self.policy.copy()
         local_critic = self.critic.copy()
         stats = EpisodeStats()
-        segment = []
         self.snapshot(local_policy, local_critic)
-        for state, (_, pre, _), result in rollout(
+        for states, (_, pres, _), result in rollout(
                 env, episode_seed, lambda states: local_policy.sample(states, rng), stats, observe,
                 self.k_steps):
-            segment.append((state, pre, result.reward))
-            if len(segment) < self.k_steps and not result.done:
-                continue
-            bootstrap = 0.0 if result.done else float(local_critic.forward(result.state)[0])
-            states, pres, rewards = (np.asarray(c) for c in zip(*segment))
-            returns = kstep_returns(rewards, bootstrap, self.discount)
+            done = result.done[-1]
+            bootstrap = 0.0 if done else float(local_critic.forward(result.state[-1])[0])
+            returns = kstep_returns(result.reward, bootstrap, self.discount)
             self.apply_gradients(
                 *self.segment_gradients(local_policy, local_critic, states, pres, returns))
-            segment = []
-            if not result.done:
+            if not done:
                 self.snapshot(local_policy, local_critic)
         return stats

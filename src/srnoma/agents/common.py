@@ -194,11 +194,15 @@ class EpisodeStats:
         self.min_rate_sum = 0.0
         self.satisfied_sum = 0.0
 
-    def add(self, reward: float, min_rate: float, satisfied: int) -> None:
-        self.steps += 1
-        self.reward_sum += reward
-        self.min_rate_sum += min_rate
-        self.satisfied_sum += satisfied
+    def add(self, result) -> None:
+        """Add the steps of a block's StepResult one by one, in frame order."""
+        info = result.info
+        for reward, min_rate, satisfied in zip(result.reward.tolist(), info.min_rate.tolist(),
+                                               info.satisfied_count.tolist()):
+            self.steps += 1
+            self.reward_sum += reward
+            self.min_rate_sum += min_rate
+            self.satisfied_sum += satisfied
 
     def means(self) -> tuple[float, float, float]:
         n = max(self.steps, 1)
@@ -211,28 +215,26 @@ def rollout(env, seed: int, act, stats: EpisodeStats, observe=None, block: int =
     environment.
 
     ``observe`` (an ObsNormalizer, its ``normalize``, or None for raw states)
-    maps the states s_0 ... s_T once each, in frame order.  Per block the
-    driver observes the k states ``env.upcoming_states`` gives, calls ``act``
-    once on their (k, S) stack, which returns a tuple of arrays of leading
-    axis k, the (k, D) actions first; steps the block in one call; and per
-    step t adds it to ``stats`` and yields ``(state, choice, result)``: the
-    state acted on, row t of each of act's arrays, and the StepResult.  The
-    next block's ``act`` call runs only after the consumer has handled the
-    block's last step; ``block`` 1 steps single frames.  The steps are those
-    of ``block`` 1, bit for bit, if act's rows do not depend on their block
-    and no action depends on the handling of an earlier step of its block.
+    maps the states s_0 ... s_T once each, in frame order.  Per block of k
+    frames the driver observes the k states ``env.upcoming_states`` gives,
+    calls ``act`` once on their (k, S) stack, which returns a tuple of arrays
+    of leading axis k, the (k, D) actions first; steps the block in one call;
+    adds it to ``stats``; and yields ``(states, choices, result)``: the (k, S)
+    states acted on, act's arrays, and the block's StepResult with ``state``
+    set to the k observed next states.  The next block's ``act`` call runs
+    only after the consumer has handled the block.
     """
     observe = observe or (lambda state: state)
     state = observe(env.reset(seed))
     done = False
     while not done:
-        states = [state] + [observe(raw) for raw in env.upcoming_states(block)[1:]]
-        choices = act(np.stack(states))
-        for t, result in enumerate(env.step(choices[0])):
-            result.state = states[t + 1] if t + 1 < len(states) else observe(result.state)
-            stats.add(result.reward, result.info.min_rate, result.info.satisfied_count)
-            yield states[t], tuple(choice[t] for choice in choices), result
-        state, done = result.state, result.done
+        states = np.stack([state] + [observe(raw) for raw in env.upcoming_states(block)[1:]])
+        choices = act(states)
+        result = env.step(choices[0])
+        result.state = np.vstack([states[1:], observe(result.state[-1])])
+        stats.add(result)
+        yield states, choices, result
+        state, done = result.state[-1], result.done[-1]
 
 
 def random_policy_trace(env, episodes: int, seed: int) -> TrainingTrace:

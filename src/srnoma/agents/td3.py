@@ -19,9 +19,9 @@ from ..nn import Mlp, blocks, make_optimizer
 from .common import Checkpointed, ReplayBuffer, critic_gradient
 
 
-def td3_target(reward, discount, q1, q2, done=0.0):
-    """Bootstrapped target r + gamma * (1 - done) * min(q1, q2)."""
-    return reward + discount * (1.0 - done) * np.minimum(q1, q2)
+def td3_target(reward, discount, q1, q2):
+    """Bootstrapped target r + gamma * min(q1, q2)."""
+    return reward + discount * np.minimum(q1, q2)
 
 
 def soft_update(target: Mlp, online: Mlp, mix: float) -> None:
@@ -81,7 +81,7 @@ class Td3Agent(Checkpointed):
         self.actor_opt = make_optimizer(optimizer, actor_lr, self.actor.shapes)
         self.critic1_opt = make_optimizer(optimizer, critic_lr, self.critic1.shapes)
         self.critic2_opt = make_optimizer(optimizer, critic_lr, self.critic2.shapes)
-        self.update_count = 0
+        self.update_count = np.zeros((), dtype=np.int64)  # live, so checkpoints carry it
 
     def act(self, states: np.ndarray, explore: bool = True) -> np.ndarray:
         action = np.tanh(self.actor.forward_rows(states))
@@ -133,11 +133,5 @@ class Td3Agent(Checkpointed):
         names = ("actor", "critic1", "critic2")
         nets = {name: getattr(self, name) for name in names}
         nets.update({f"{name}_target": getattr(self, f"{name}_target") for name in names})
-        return nets, {f"opt_{name}": getattr(self, f"{name}_opt") for name in names}, {}
-
-    def state_dict(self) -> dict:
-        return {**super().state_dict(), "update_count": np.array(self.update_count)}
-
-    def load_state_dict(self, state: dict) -> None:
-        super().load_state_dict(state)
-        self.update_count = int(state["update_count"])
+        return (nets, {f"opt_{name}": getattr(self, f"{name}_opt") for name in names},
+                {"update_count": self.update_count})

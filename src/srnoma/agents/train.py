@@ -57,9 +57,9 @@ def _ppo_episode(agent: PpoAgent, env, episode_seed: int) -> EpisodeStats:
     stats = EpisodeStats()
     episode = rollout(env, episode_seed, agent.act, stats, agent.normalizer,
                       env.episode_steps)
-    steps = [(state, pre, log_prob, result.reward, result.state, float(result.done))
-             for state, (_, pre, log_prob), result in episode]
-    states, pres, log_probs, rewards, next_states, dones = (np.asarray(c) for c in zip(*steps))
+    blocks = [(states, pres, log_probs, result.reward, result.state, result.done)
+              for states, (_, pres, log_probs), result in episode]
+    states, pres, log_probs, rewards, next_states, dones = map(np.concatenate, zip(*blocks))
     values = lambda x: agent.critic.forward(x)[:, 0]
     advantages, targets = advantage_and_target(
         rewards, values(states), values(next_states), dones, agent.discount
@@ -70,10 +70,11 @@ def _ppo_episode(agent: PpoAgent, env, episode_seed: int) -> EpisodeStats:
 
 def _td3_episode(agent: Td3Agent, env, episode_seed: int) -> EpisodeStats:
     stats = EpisodeStats()
-    for state, (action,), result in rollout(env, episode_seed, lambda s: (agent.act(s),), stats,
-                                            agent.normalizer, env.episode_steps):
-        agent.buffer.add(state, action, result.reward, result.state)
-        agent.update()
+    for states, (actions,), result in rollout(env, episode_seed, lambda s: (agent.act(s),),
+                                              stats, agent.normalizer, env.episode_steps):
+        for frame in zip(states, actions, result.reward, result.state):
+            agent.buffer.add(*frame)
+            agent.update()
     return stats
 
 

@@ -144,23 +144,33 @@ def decode_action(
 
 @dataclasses.dataclass
 class StepInfo:
-    """What one step scored: the rates and constraint report of its decision
-    (rows of its block's batch), its worst rate, its number of satisfied
-    families and the rate cap its action was decoded with."""
+    """What a block of k steps scored: the rates and constraint report of its
+    k decisions, and per step the worst rate, the number of satisfied families
+    and the rate cap its action was decoded with, each (k,)."""
 
     rates: RateReport
     constraints: problem.ConstraintReport
-    min_rate: float
-    satisfied_count: int
-    rate_cap: float
+    min_rate: np.ndarray
+    satisfied_count: np.ndarray
+    rate_cap: np.ndarray
 
 
 @dataclasses.dataclass
 class StepResult:
+    """A block of k steps: next states (k, S), rewards (k,), done flags (k,)
+    and their StepInfo.  ``row(j)`` is step j alone, with Python scalars."""
+
     state: np.ndarray
-    reward: float
-    done: bool
+    reward: np.ndarray
+    done: np.ndarray
     info: StepInfo
+
+    def row(self, j: int) -> "StepResult":
+        info = self.info
+        return StepResult(self.state[j], float(self.reward[j]), bool(self.done[j]),
+                          StepInfo(info.rates.row(j), info.constraints.row(j),
+                                   float(info.min_rate[j]), int(info.satisfied_count[j]),
+                                   float(info.rate_cap[j])))
 
 
 class SrEnv:
@@ -172,9 +182,10 @@ class SrEnv:
     ``step`` drops them once it has scored the last one.
     ``upcoming_states(k)`` gives the raw states of the current frame and the
     next k - 1 (fewer at the episode's end).  ``step`` scores a block (k, D)
-    of actions for those k frames in one kernel call and returns k
-    StepResults; one action (D,) is a block of one and returns its
-    StepResult.  States are read-only rows of the episode's states.
+    of actions for those k frames in one kernel call and returns one
+    StepResult whose fields carry the leading axis k; one action (D,) is a
+    block of one and returns that block's ``row(0)``.  States are read-only
+    rows of the episode's states.
 
     r_mode picks where the reward's rate factor comes from: "literal" trusts
     the action-supplied target (checked by C10/C11), "derived" substitutes the
@@ -241,7 +252,7 @@ class SrEnv:
             raise ValueError(f"k must be >= 1, got {k!r}")
         return self._states[self._t : self._t + min(int(k), left)]
 
-    def step(self, actions: np.ndarray) -> StepResult | list[StepResult]:
+    def step(self, actions: np.ndarray) -> StepResult:
         left = self._steps_left()
         a = np.asarray(actions, dtype=float)
         if np.isnan(a).any():
@@ -265,10 +276,8 @@ class SrEnv:
         self._t = t + k
         if self._t == self.episode_steps:
             self._episode = None
-        rewards, min_rates = rew.tolist(), min_rate.tolist()
-        counts, caps = report.satisfied_counts.tolist(), np.broadcast_to(cap, (k,)).tolist()
-        results = [StepResult(self._states[t + j + 1], rewards[j], t + j + 1 == self.episode_steps,
-                              StepInfo(rates.row(j), report.row(j), min_rates[j], counts[j],
-                                       caps[j]))
-                   for j in range(k)]
-        return results[0] if single else results
+        result = StepResult(self._states[t + 1 : t + k + 1], rew,
+                            np.arange(t + 1, t + k + 1) == self.episode_steps,
+                            StepInfo(rates, report, min_rate, report.satisfied_counts,
+                                     np.full(k, cap, dtype=float)))
+        return result.row(0) if single else result

@@ -278,6 +278,7 @@ def random_search(
     with the same seed evaluates a superset of the candidates.
     """
     check_in("[1, inf]", budget=budget)
+    check_in("[0, inf]", seed=seed)
     rng = philox(seed)
     dim = action_dim(cfg)
     batches = (
@@ -403,16 +404,16 @@ def evaluate_policy(agent, env: SrEnv, episodes: int, seed: int) -> dict:
     meet C1..C9 as ``evaluate_decision`` requires of baseline rows (NaN when
     there are none)."""
     check_in("[1, inf]", episodes=episodes)
+    check_in("[0, inf]", seed=seed)
     seeds = philox(seed)
     act = lambda states: (_greedy_action(agent, states),)
     observe = getattr(agent.normalizer, "normalize", None)
-    steps = [(result.reward, result.info.min_rate, result.info.rates.sum_rate,
-              result.info.constraints.flags[:_STRUCTURAL].all())
-             for _ in range(episodes)
-             for _, _, result in rollout(env, next_seed(seeds), act, EpisodeStats(), observe,
-                                         env.episode_steps)]
-    reward, min_rate, sum_rate, feasible = np.array(steps).reshape(-1, 4).T
-    feasible = feasible == 1.0
+    blocks = [(result.reward, result.info.min_rate, result.info.rates.sum_rates,
+               result.info.constraints.flags[:, :_STRUCTURAL].all(axis=1))
+              for _ in range(episodes)
+              for _, _, result in rollout(env, next_seed(seeds), act, EpisodeStats(), observe,
+                                          env.episode_steps)]
+    reward, min_rate, sum_rate, feasible = map(np.concatenate, zip(*blocks))
     mean = lambda col: float(np.mean(col)) if len(col) else float("nan")
     return {"reward": float(np.mean(reward)), "min_rate": mean(min_rate[feasible]),
             "sum_rate": mean(sum_rate[feasible]), "feasible_steps": int(feasible.sum())}

@@ -5,9 +5,12 @@ returns) are pinned by hand arithmetic; the training loops run on a tiny real
 environment and must be reproducible to the byte.
 """
 
+import dataclasses
 import filecmp
+import functools
 import importlib
 import math
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -29,14 +32,14 @@ from srnoma.agents import (
     td3_target,
     train,
 )
-from srnoma import harness
 from srnoma.agents import a3c as a3c_module
-from srnoma.agents import common as common_module
 from srnoma.agents.common import EpisodeStats, ObsNormalizer, critic_gradient, rollout
-from srnoma.env import SrEnv
+from srnoma.env import SrEnv, StepInfo, StepResult
 from srnoma.harness import _greedy_action, evaluate_policy, load_config
 from srnoma.network import SystemConfig
 from srnoma.nn import LOG_STD_MAX, LOG_STD_MIN, GaussianPolicy, Mlp, load_checkpoint
+from srnoma.problem import ConstraintReport
+from srnoma.rates import RateReport
 
 # the module, which the package's ``train`` function shadows as an attribute
 train_module = importlib.import_module("srnoma.agents.train")
@@ -138,6 +141,11 @@ class TestTrace:
         assert filecmp.cmp(a, b, shallow=False), "identical runs must dump identical bytes"
 
 
+def in_order(values):
+    """Sum of the values added one by one in order, as EpisodeStats adds."""
+    return functools.reduce(operator.add, values, 0.0)
+
+
 class TestRollout:
     def test_act_sees_each_state_once_and_stats_sum_every_step(self):
         env = tiny_env(steps=4)
@@ -148,19 +156,20 @@ class TestRollout:
             return np.full((len(states), env.action_dim), 0.25), np.full(len(states), "tag")
 
         stats = EpisodeStats()
-        steps = list(rollout(env, 9, act, stats))
-        assert len(seen) == len(steps) == 4
+        blocks = list(rollout(env, 9, act, stats))
+        assert len(seen) == len(blocks) == 4
         np.testing.assert_array_equal(seen[0], tiny_env(steps=4).reset(9))
-        for k, (state, choice, result) in enumerate(steps):
-            np.testing.assert_array_equal(state, seen[k])
-            assert choice[1] == "tag"
+        for k, (states, choices, result) in enumerate(blocks):
+            np.testing.assert_array_equal(states, [seen[k]])
+            assert choices[1].tolist() == ["tag"]
             if k:
-                assert state is steps[k - 1][2].state
-        assert [r.done for _, _, r in steps] == [False, False, False, True]
+                np.testing.assert_array_equal(states, blocks[k - 1][2].state)
+        results = [result for _, _, result in blocks]
+        assert np.concatenate([r.done for r in results]).tolist() == [False, False, False, True]
         assert stats.steps == 4
-        assert stats.reward_sum == sum(r.reward for _, _, r in steps)
-        assert stats.min_rate_sum == sum(r.info.min_rate for _, _, r in steps)
-        assert stats.satisfied_sum == sum(r.info.satisfied_count for _, _, r in steps)
+        assert stats.reward_sum == in_order(r.reward[0] for r in results)
+        assert stats.min_rate_sum == in_order(r.info.min_rate[0] for r in results)
+        assert stats.satisfied_sum == in_order(r.info.satisfied_count[0] for r in results)
 
     def test_act_runs_only_after_the_consumer_handled_the_step(self):
         env = tiny_env(steps=3)
@@ -177,18 +186,18 @@ class TestRollout:
     def test_normalized_first_observation_is_zero(self):
         env = tiny_env(steps=2)
         norm = ObsNormalizer(env.state_dim)
-        state, _, _ = next(rollout(env, 0, lambda s: (np.zeros((len(s), env.action_dim)),),
-                                   EpisodeStats(), norm))
-        np.testing.assert_allclose(state, np.zeros(env.state_dim), atol=1e-12)
+        states, _, _ = next(rollout(env, 0, lambda s: (np.zeros((len(s), env.action_dim)),),
+                                    EpisodeStats(), norm))
+        np.testing.assert_allclose(states, np.zeros((1, env.state_dim)), atol=1e-12)
         assert norm.count == 2, "the reset state and the first step's state"
 
     def test_normalized_states_stay_finite(self):
         env = tiny_env(steps=30)
         norm = ObsNormalizer(env.state_dim)
-        steps = list(rollout(env, 4, lambda s: (np.zeros((len(s), env.action_dim)),),
-                             EpisodeStats(), norm))
+        blocks = list(rollout(env, 4, lambda s: (np.zeros((len(s), env.action_dim)),),
+                              EpisodeStats(), norm))
         assert norm.count == 31
-        for _, _, result in steps:
+        for _, _, result in blocks:
             assert np.all(np.isfinite(result.state))
 
     @pytest.mark.parametrize("block", [1, 3, 7, 50])
@@ -209,21 +218,40 @@ class TestRollout:
             return 0.1 * numbers[:, None] - 0.4 + np.zeros(env.action_dim), numbers
 
         stats = EpisodeStats()
-        steps = list(rollout(env, 6, act, stats, observe, block=block))
+        blocks = list(rollout(env, 6, act, stats, observe, block=block))
         np.testing.assert_array_equal(observed, raw)  # s_0 ... s_T, once each
         assert norm.count == 8
-        assert calls == [min(block, 7 - t) for t in range(0, 7, block)]  # one call per block
-        assert [choice[1] for _, choice, _ in steps] == list(range(1, 8))
-        for t, (state, _, result) in enumerate(steps):
-            np.testing.assert_array_equal(state, acted[t])
-            if t:
-                assert state is steps[t - 1][2].state
-        assert [r.done for _, _, r in steps] == [False] * 6 + [True]
+        sizes = [min(block, 7 - t) for t in range(0, 7, block)]
+        assert calls == sizes  # one act call and one yield per block
+        assert [len(states) for states, _, _ in blocks] == sizes
+        assert np.concatenate([choice[1] for _, choice, _ in blocks]).tolist() == list(range(1, 8))
+        np.testing.assert_array_equal(np.concatenate([states for states, _, _ in blocks]), acted)
+        for (states, _, result), size in zip(blocks, sizes):
+            assert result.state.shape == states.shape == (size, env.state_dim)
+            assert result.reward.shape == result.done.shape == (size,)
+        # the next states are the observed s_1 ... s_T, the next block's first included
+        next_states = np.concatenate([result.state for _, _, result in blocks])
+        np.testing.assert_array_equal(next_states[:-1], acted[1:])
+        results = [result for _, _, result in blocks]
+        assert np.concatenate([r.done for r in results]).tolist() == [False] * 6 + [True]
         assert stats.steps == 7
-        assert stats.reward_sum == sum(r.reward for _, _, r in steps)
+        assert stats.reward_sum == in_order(np.concatenate([r.reward for r in results]).tolist())
+
+    def test_stats_add_the_frames_of_a_block_one_by_one(self):
+        # a pairwise or compensated block sum rounds differently from adding
+        # the frames in order, and the traces are made of these sums
+        env = tiny_env(steps=40)
+        rng = np.random.default_rng(1)
+        act = lambda states: (rng.uniform(-1, 1, (len(states), env.action_dim)),)
+        stats = EpisodeStats()
+        ((_, _, result),) = rollout(env, 3, act, stats, block=40)
+        assert stats.steps == 40
+        assert stats.reward_sum == in_order(result.reward.tolist())
+        assert stats.min_rate_sum == in_order(result.info.min_rate.tolist())
+        assert stats.satisfied_sum == in_order(result.info.satisfied_count.tolist())
 
     @pytest.mark.parametrize("block, acts", [(3, [3, 3, 1]), (7, [7]), (4, [4, 3])])
-    def test_the_next_block_acts_only_after_the_last_step_was_handled(self, block, acts):
+    def test_the_next_block_acts_only_after_the_block_was_handled(self, block, acts):
         env = tiny_env(steps=7)
         log = []
 
@@ -234,16 +262,35 @@ class TestRollout:
 
         for _ in rollout(env, 2, act, EpisodeStats(), block=block):
             log.append("body")
-        assert log == [word for n in acts for word in ["act"] + ["body"] * n]
+        assert log == ["act", "body"] * len(acts)
+
+
+def stacked(results):
+    """The block StepResult of single-step results, field by field."""
+    def column(items, name):
+        return np.array([getattr(item, name) for item in items])
+
+    infos = [result.info for result in results]
+    rates, reports = [info.rates for info in infos], [info.constraints for info in infos]
+    rate_fields = (field.name for field in dataclasses.fields(RateReport))
+    return StepResult(
+        column(results, "state"), column(results, "reward"), column(results, "done"),
+        StepInfo(RateReport(*(column(rates, name) for name in rate_fields)),
+                 ConstraintReport(column(reports, "flags"), column(reports, "slacks")),
+                 *(column(infos, name) for name in ("min_rate", "satisfied_count", "rate_cap"))))
 
 
 def one_frame_at_a_time(monkeypatch):
-    """Make every caller of ``rollout`` step one frame per env.step call."""
-    def stepwise(env, seed, act, stats, observe=None, block=1):
-        return rollout(env, seed, act, stats, observe)
+    """Make env.step play a block one frame per single-action call and build
+    the block's StepResult from the frames' results."""
+    step = SrEnv.step
 
-    for module in (common_module, train_module, a3c_module, harness):
-        monkeypatch.setattr(module, "rollout", stepwise)
+    def stepwise(env, actions):
+        if np.ndim(actions) == 1:
+            return step(env, actions)
+        return stacked([step(env, action) for action in actions])
+
+    monkeypatch.setattr(SrEnv, "step", stepwise)
 
 
 def one_state_per_act(monkeypatch):
@@ -328,7 +375,7 @@ def td3_reference_episode(agent, env, episode_seed):
     for t, action in enumerate(actions):
         result = env.step(action)
         next_state = states[t + 1] if t + 1 < len(states) else observe(result.state)
-        stats.add(result.reward, result.info.min_rate, result.info.satisfied_count)
+        stats.add(stacked([result]))
         agent.buffer.add(states[t], action, result.reward, next_state)
         agent.update()
     assert result.done
@@ -461,13 +508,10 @@ class TestUpdateRules:
         np.testing.assert_array_equal(grad, np.array([-14.0, -8.0]) / divisor)
 
     def test_td3_target_scalar(self):
-        assert math.isclose(td3_target(1.0, 0.99, 2.0, 3.0, 0.0), 2.98)
+        assert math.isclose(td3_target(1.0, 0.99, 2.0, 3.0), 2.98)
 
     def test_td3_target_takes_min(self):
-        assert math.isclose(td3_target(0.0, 1.0, 5.0, 2.0, 0.0), 2.0)
-
-    def test_td3_target_terminal(self):
-        assert math.isclose(td3_target(1.0, 0.99, 2.0, 3.0, 1.0), 1.0)
+        assert math.isclose(td3_target(0.0, 1.0, 5.0, 2.0), 2.0)
 
     def test_soft_update_arithmetic(self):
         rng = np.random.default_rng(0)
@@ -727,10 +771,10 @@ class TestA3c:
         blocks, next_states, sizes, critic_values, bootstraps = [], [], [], [], []
 
         def step(actions):
-            results = real_step(actions)
+            result = real_step(actions)
             blocks.append(len(actions))
-            next_states.append(results[-1].state)
-            return results
+            next_states.append(result.state[-1])
+            return result
 
         def segment_gradients(local_policy, local_critic, states, pres, returns):
             sizes.append(len(states))

@@ -407,16 +407,31 @@ def test_blocks_and_frames_drawn_ahead_equal_single_steps(env_over):
     ahead = block_env.upcoming_states(20)  # capped at the 9 steps of the episode
     assert ahead.shape == (9, state_dim(cfg))
     np.testing.assert_array_equal(ahead[1:], [r.state for r in singles[:-1]])
-    blocks = [block_env.step(actions[:4]), [block_env.step(actions[4])],
-              block_env.step(actions[5:8]), block_env.step(actions[8:])]
-    assert [len(b) for b in blocks] == [4, 1, 3, 1]
-    for got, want in zip([r for b in blocks for r in b], singles):
+    blocks = [block_env.step(actions[a:b]) for a, b in [(0, 4), (4, 5), (5, 8), (8, 9)]]
+    assert [len(b.reward) for b in blocks] == [4, 1, 3, 1]
+    for block, start in zip(blocks, [0, 4, 5, 8]):
+        # one result per block, each field with the block's leading axis
+        k = len(block.reward)
+        want = singles[start : start + k]
+        np.testing.assert_array_equal(block.state, [r.state for r in want])
+        assert block.reward.tolist() == [r.reward for r in want]
+        assert block.done.tolist() == [r.done for r in want]
+        assert block.info.min_rate.tolist() == [r.info.min_rate for r in want]
+        assert block.info.satisfied_count.tolist() == [r.info.satisfied_count for r in want]
+        assert block.info.rate_cap.tolist() == [r.info.rate_cap for r in want]
+        assert block.info.constraints.flags.shape == (k, 11)
+        assert all(getattr(block.info.rates, name).shape[0] == k for name in RATE_FIELDS)
+    for got, want in zip([b.row(j) for b in blocks for j in range(len(b.reward))], singles):
         np.testing.assert_array_equal(got.state, want.state)
         assert (got.reward, got.done) == (want.reward, want.done)
         assert type(got.reward) is type(want.reward) is float
+        assert type(got.done) is type(want.done) is bool
         info, want_info = got.info, want.info
         assert (info.min_rate, info.satisfied_count, info.rate_cap) == (
             want_info.min_rate, want_info.satisfied_count, want_info.rate_cap)
+        assert type(info.min_rate) is type(want_info.min_rate) is float
+        assert type(info.satisfied_count) is type(want_info.satisfied_count) is int
+        assert type(info.rate_cap) is type(want_info.rate_cap) is float
         for name in RATE_FIELDS:
             np.testing.assert_array_equal(getattr(info.rates, name),
                                           getattr(want_info.rates, name))
@@ -433,17 +448,17 @@ def test_reset_draws_every_frame_of_the_episode_from_its_seed_stream(shape):
     env = SrEnv(cfg, episode_steps=steps)
     first = env.reset(seed)
     upcoming = env.upcoming_states(steps)
-    last = env.step(np.zeros((steps, action_dim(cfg))))[-1]
+    block = env.step(np.zeros((steps, action_dim(cfg))))
     placement_key, channel_key = derive_keys(seed, 2)
     placement, seeds = make_placement(cfg, placement_key), philox(channel_key)
     want = [state_vector(draw_realization(cfg, placement, next_seed(seeds)))
             for _ in range(steps + 1)]
     np.testing.assert_array_equal(first, want[0])
     np.testing.assert_array_equal(upcoming, want[:-1])
-    np.testing.assert_array_equal(last.state, want[-1])
-    assert last.done
+    np.testing.assert_array_equal(block.state, want[1:])
+    assert block.done.tolist() == [False] * (steps - 1) + [True]
     # the states are the episode's own rows: a caller cannot overwrite them
-    assert not (first.flags.writeable or upcoming.flags.writeable or last.state.flags.writeable)
+    assert not (first.flags.writeable or upcoming.flags.writeable or block.state.flags.writeable)
 
 
 def test_a_block_past_the_episode_end_is_refused():
@@ -454,6 +469,6 @@ def test_a_block_past_the_episode_end_is_refused():
         env.step(np.zeros((4, action_dim(cfg))))
     with pytest.raises(ValueError, match="k must be >= 1"):
         env.upcoming_states(0)
-    assert len(env.step(np.zeros((3, action_dim(cfg))))) == 3
+    assert env.step(np.zeros((3, action_dim(cfg)))).reward.shape == (3,)
     with pytest.raises(EnvProtocolError):
         env.upcoming_states(1)

@@ -212,8 +212,8 @@ class TestProtocol:
         results = []
         for k in blocks:
             assert drawn[0]() is not None
-            results.extend(env.step(np.zeros((k, 20))))
-        assert results[-1].done and drawn[0]() is None
+            results.append(env.step(np.zeros((k, 20))))
+        assert results[-1].done[-1] and drawn[0]() is None
 
     def test_step_before_reset_raises(self):
         env = SrEnv(small_cfg(), episode_steps=1)

@@ -237,12 +237,15 @@ class TestRandomSearch:
         c = random_search(cfg, ch, ACTIVE, budget=np.int64(100), seed=9)
         assert (c.objective, c.feasible_count, c.evaluated) == (a.objective, a.feasible_count, 100)
 
-    @pytest.mark.parametrize("budget", [0, -5, 2.5, math.inf, True])
-    def test_budgets_below_one_are_rejected(self, budget):
+    @pytest.mark.parametrize("field, value", [
+        ("budget", 0), ("budget", -5), ("budget", 2.5), ("budget", math.inf), ("budget", True),
+        ("seed", -1), ("seed", 2.5), ("seed", True),
+    ])
+    def test_budgets_below_one_and_seeds_below_zero_are_rejected(self, field, value):
         cfg = scalar_cfg()
         ch = draw_realization(cfg, make_placement(cfg, seed=2), seed=2)
-        with pytest.raises(ValueError, match="budget"):
-            random_search(cfg, ch, ACTIVE, budget=budget, seed=9)
+        with pytest.raises(ValueError, match=field):
+            random_search(cfg, ch, ACTIVE, **{"budget": 10, "seed": 9, field: value})
 
     def test_evaluate_decision_feasibility_ignores_target_families(self):
         # the achieved min rate is substituted as the target, so only the
@@ -550,7 +553,7 @@ class TestEvaluatePolicy:
         agent = build_agent("ppo", env.state_dim, env.action_dim, {"hidden": (8,)}, seed=0)
         seeds = philox(4)
         act = lambda states: (_greedy_action(agent, states),)
-        infos = [result.info for _ in range(3)
+        infos = [result.row(0).info for _ in range(3)
                  for _, _, result in rollout(env, next_seed(seeds), act, EpisodeStats())]
         flags = np.array([info.constraints.flags[:9] for info in infos])
         feasible = flags.all(axis=1)
@@ -564,12 +567,16 @@ class TestEvaluatePolicy:
         assert scores["sum_rate"] == np.mean([info.rates.sum_rate for info in kept])
         assert scores["min_rate"] != np.mean([info.min_rate for info in infos])
 
-    @pytest.mark.parametrize("episodes", [0, -1, 2.5, math.inf, True])
-    def test_episode_counts_below_one_are_rejected(self, tmp_path, episodes):
+    @pytest.mark.parametrize("field, value", [
+        ("episodes", 0), ("episodes", -1), ("episodes", 2.5), ("episodes", math.inf),
+        ("episodes", True), ("seed", -1), ("seed", 2.5), ("seed", True),
+    ])
+    def test_episode_counts_below_one_and_seeds_below_zero_are_rejected(self, tmp_path, field,
+                                                                         value):
         env = env_from(load_config(tiny_yaml(tmp_path)))
         agent = build_agent("ppo", env.state_dim, env.action_dim, {"hidden": (8,)}, seed=0)
-        with pytest.raises(ValueError, match="episodes"):
-            evaluate_policy(agent, env, episodes, seed=4)
+        with pytest.raises(ValueError, match=field):
+            evaluate_policy(agent, env, **{"episodes": 1, "seed": 4, field: value})
 
     def test_no_feasible_step_gives_nan_rates(self, tmp_path):
         config = load_config(tiny_yaml(tmp_path, system={"harvest_threshold_joules": 1e-9}))
