@@ -105,7 +105,7 @@ class A3cAgent(ActorCritic):
                 env, episode_seed, lambda states: local_policy.sample(states, rng), stats, observe,
                 self.k_steps):
             done = result.done[-1]
-            bootstrap = 0.0 if done else float(local_critic.forward(result.state[-1])[0])
+            bootstrap = 0.0 if done else float(local_critic.forward_rows(result.state[-1:])[0, 0])
             returns = kstep_returns(result.reward, bootstrap, self.discount)
             self.apply_gradients(
                 *self.segment_gradients(local_policy, local_critic, states, pres, returns))

@@ -85,11 +85,12 @@ class Checkpointed:
 def critic_gradient(critic: Mlp, inputs: np.ndarray, targets: np.ndarray,
                     divisor: float = 1) -> tuple[np.ndarray, np.ndarray]:
     """Flat gradient of sum (V(x) - target)^2 / divisor over the batch, and
-    the values V(x) it was taken at."""
+    the values V(x) it was taken at; of every lane of a stacked critic, each
+    lane against the same targets."""
     values, cache = critic.forward_cached(inputs)
-    residual = values[:, 0] - targets
-    grad, _ = critic.backward(cache, (2.0 * residual / divisor)[:, None], inputs=False)
-    return grad, values[:, 0]
+    residual = values[..., 0] - targets
+    grad, _ = critic.backward(cache, (2.0 * residual / divisor)[..., None], inputs=False)
+    return grad, values[..., 0]
 
 
 class ActorCritic(Checkpointed):

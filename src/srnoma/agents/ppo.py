@@ -80,7 +80,8 @@ class PpoAgent(ActorCritic):
                 )
 
     def _minibatch_step(self, states, pres, log_probs_old, advantages, targets) -> None:
-        log_probs = self.policy.log_prob(states, pres)
+        forward = self.policy.net.forward_cached(states)  # one actor pass serves both uses
+        log_probs = self.policy.log_prob(states, pres, forward)
         # an overflowing exp is expected for badly stale samples; it yields
         # inf, which the finite mask below drops and counts
         with np.errstate(over="ignore"):
@@ -99,6 +100,6 @@ class PpoAgent(ActorCritic):
         clipped = np.clip(ratio, 1.0 - self.clip, 1.0 + self.clip) * advantages
         flows = finite & (unclipped <= clipped)
         coeff = np.where(flows, ratio * advantages, 0.0) / used
-        actor_grad = self.policy.grad_weighted_log_prob(states, pres, -coeff)
+        actor_grad = self.policy.grad_weighted_log_prob(states, pres, -coeff, forward)
         critic_grad, _ = critic_gradient(self.critic, states, targets, len(targets))
         self.apply_gradients(actor_grad, critic_grad)

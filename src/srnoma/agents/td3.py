@@ -4,6 +4,9 @@ Off-policy: a deterministic tanh actor explores with additive Gaussian noise,
 two critics regress on the clipped-double-Q target built from smoothed target
 actions, and the actor plus all three target networks update only every
 ``policy_delay``-th critic step, the targets through slow exponential mixing.
+The twin critics ``critic1``/``critic2`` are the lanes of one net ``critics``
+(their targets likewise): an update takes one target forward, one forward and
+backward and one optimizer step for both, checkpointed under each critic's keys.
 Training acts once per episode on all its T states (one ``act`` call, one env
 call), then per frame, in frame order, adds the transition to replay and runs
 one ``update``.  Every target bootstraps, the last frame's too: an episode
@@ -15,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..network import check_in, derive_keys, philox
-from ..nn import Mlp, blocks, make_optimizer
+from ..nn import LaneState, Mlp, blocks, make_optimizer
 from .common import Checkpointed, ReplayBuffer, critic_gradient
 
 
@@ -64,11 +67,11 @@ class Td3Agent(Checkpointed):
         self.state_dim = state_dim
         self.action_dim = action_dim
         self.actor = Mlp((state_dim, *hidden, action_dim), init_rng)
-        self.critic1 = Mlp((state_dim + action_dim, *hidden, 1), init_rng)
-        self.critic2 = Mlp((state_dim + action_dim, *hidden, 1), init_rng)
+        self.critics = Mlp((state_dim + action_dim, *hidden, 1), init_rng, lanes=2)
         self.actor_target = self.actor.copy()
-        self.critic1_target = self.critic1.copy()
-        self.critic2_target = self.critic2.copy()
+        self.critics_target = self.critics.copy()
+        self.critic1, self.critic2 = map(self.critics.lane, range(2))
+        self.critic1_target, self.critic2_target = map(self.critics_target.lane, range(2))
         self.rng = philox(noise_key)
         self.discount = discount
         self.target_update = target_update
@@ -79,8 +82,7 @@ class Td3Agent(Checkpointed):
         self.minibatch = minibatch
         self.buffer = ReplayBuffer(buffer_size, state_dim, action_dim)
         self.actor_opt = make_optimizer(optimizer, actor_lr, self.actor.shapes)
-        self.critic1_opt = make_optimizer(optimizer, critic_lr, self.critic1.shapes)
-        self.critic2_opt = make_optimizer(optimizer, critic_lr, self.critic2.shapes)
+        self.critic_opt = make_optimizer(optimizer, critic_lr, self.critic1.shapes)
         self.update_count = np.zeros((), dtype=np.int64)  # live, so checkpoints carry it
 
     def act(self, states: np.ndarray, explore: bool = True) -> np.ndarray:
@@ -95,8 +97,7 @@ class Td3Agent(Checkpointed):
         next_actions = np.clip(np.tanh(self.actor_target.forward(batch["next_states"])) + noise,
                                -1.0, 1.0)
         sa = np.concatenate([batch["next_states"], next_actions], axis=1)
-        q1 = self.critic1_target.forward(sa)[:, 0]
-        q2 = self.critic2_target.forward(sa)[:, 0]
+        q1, q2 = self.critics_target.forward(sa)[..., 0]
         return td3_target(batch["rewards"], self.discount, q1, q2)
 
     def update(self) -> bool:
@@ -106,14 +107,14 @@ class Td3Agent(Checkpointed):
         batch = self.buffer.sample(self.rng, self.minibatch)
         targets = self._targets(batch)
         sa = np.concatenate([batch["states"], batch["actions"]], axis=1)
-        for critic, opt in ((self.critic1, self.critic1_opt), (self.critic2, self.critic2_opt)):
-            opt.step(critic.flat, critic_gradient(critic, sa, targets, len(targets))[0])
+        # the gradient of both critics is a temporary: it is freed before the actor step
+        self.critic_opt.step(self.critics.flat,
+                             critic_gradient(self.critics, sa, targets, len(targets))[0])
         self.update_count += 1
         if self.update_count % self.policy_delay == 0:
             self._actor_step(batch["states"])
             soft_update(self.actor_target, self.actor, self.target_update)
-            soft_update(self.critic1_target, self.critic1, self.target_update)
-            soft_update(self.critic2_target, self.critic2, self.target_update)
+            soft_update(self.critics_target, self.critics, self.target_update)
         return True
 
     def _actor_step(self, states: np.ndarray) -> None:
@@ -133,5 +134,7 @@ class Td3Agent(Checkpointed):
         names = ("actor", "critic1", "critic2")
         nets = {name: getattr(self, name) for name in names}
         nets.update({f"{name}_target": getattr(self, f"{name}_target") for name in names})
-        return (nets, {f"opt_{name}": getattr(self, f"{name}_opt") for name in names},
-                {"update_count": self.update_count})
+        # one optimizer steps both critics; each lane keeps its critic's keys
+        optimizers = {"opt_actor": self.actor_opt, "opt_critic1": LaneState(self.critic_opt, 0, 2),
+                      "opt_critic2": LaneState(self.critic_opt, 1, 2)}
+        return nets, optimizers, {"update_count": self.update_count}

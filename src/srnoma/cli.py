@@ -82,6 +82,7 @@ def _cmd_train(args) -> int:
     episodes = config["run"]["episodes"]
     if args.paper_scale:
         episodes = config["agents"][algo]["episodes"]
+        check_in("[0, inf]", **{f"agents.{algo}.episodes": episodes})
     if args.episodes is not None:
         episodes = args.episodes
     checkpoint_every = (args.checkpoint_every if args.checkpoint_every is not None

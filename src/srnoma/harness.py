@@ -281,11 +281,8 @@ def random_search(
     check_in("[0, inf]", seed=seed)
     rng = philox(seed)
     dim = action_dim(cfg)
-    batches = (
-        decode_action(rng.uniform(-1.0, 1.0, (min(CHUNK, budget - start), dim)),
-                      cfg, ris_mode, rate_cap=1.0)
-        for start in range(0, budget, CHUNK)
-    )
+    batches = (decode_action(rng.uniform(-1.0, 1.0, (min(CHUNK, budget - start), dim)),
+                             cfg, ris_mode, rate_cap=1.0) for start in range(0, budget, CHUNK))
     return _best_feasible(cfg, ch, batches, budget)
 
 
@@ -373,20 +370,16 @@ def _baseline_point(config: dict, ris_mode: str, seed: int) -> dict:
     n_channels = sweep_cfg["n_channels"]
     channels = draw_realization(cfg, make_placement(cfg, placement_key),
                                 [next_seed(draw_rng) for _ in range(n_channels)])
-    min_rates, sum_rates = [], []
-    feasible_channels = 0
-    for c in range(n_channels):
-        result = random_search(cfg, channels.lane(c), ris_mode, sweep_cfg["budget"],
-                               next_seed(search_rng))
-        if result.feasible:
-            feasible_channels += 1
-            min_rates.append(result.objective)
-            sum_rates.append(result.sum_rate)
-    return {
-        "min_rate": float(np.mean(min_rates)) if min_rates else float("nan"),
-        "sum_rate": float(np.mean(sum_rates)) if sum_rates else float("nan"),
-        "feasible_channels": feasible_channels,
-    }
+    feasible = [result for result in (
+        random_search(cfg, channels.lane(c), ris_mode, sweep_cfg["budget"], next_seed(search_rng))
+        for c in range(n_channels)) if result.feasible]
+    return {"min_rate": _mean([r.objective for r in feasible]),
+            "sum_rate": _mean([r.sum_rate for r in feasible]), "feasible_channels": len(feasible)}
+
+
+def _mean(values) -> float:
+    """The mean as a float; NaN for no values."""
+    return float(np.mean(values)) if len(values) else float("nan")
 
 
 def _greedy_action(agent, states: np.ndarray) -> np.ndarray:
@@ -414,9 +407,8 @@ def evaluate_policy(agent, env: SrEnv, episodes: int, seed: int) -> dict:
               for _, _, result in rollout(env, next_seed(seeds), act, EpisodeStats(), observe,
                                           env.episode_steps)]
     reward, min_rate, sum_rate, feasible = map(np.concatenate, zip(*blocks))
-    mean = lambda col: float(np.mean(col)) if len(col) else float("nan")
-    return {"reward": float(np.mean(reward)), "min_rate": mean(min_rate[feasible]),
-            "sum_rate": mean(sum_rate[feasible]), "feasible_steps": int(feasible.sum())}
+    return {"reward": float(np.mean(reward)), "min_rate": _mean(min_rate[feasible]),
+            "sum_rate": _mean(sum_rate[feasible]), "feasible_steps": int(feasible.sum())}
 
 
 def _train_point(config: dict, ris_mode: str, seed: int) -> dict:
@@ -428,17 +420,12 @@ def _train_point(config: dict, ris_mode: str, seed: int) -> dict:
     if trace.aborted:
         raise NonFiniteGradientError(f"training aborted after {len(trace)} episodes")
     scores = evaluate_policy(agent, env, config["sweep"]["n_channels"], seed + 1)
-    return {
-        "min_rate": scores["min_rate"],
-        "sum_rate": scores["sum_rate"],
-        "feasible_channels": scores["feasible_steps"],
-    }
+    return {"min_rate": scores["min_rate"], "sum_rate": scores["sum_rate"],
+            "feasible_channels": scores["feasible_steps"]}
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 _SUMMARY_HEADER = ["config_hash", "variable", "value", "ris_mode", "seed", "n_points",
@@ -485,33 +472,17 @@ def sweep(config: dict, out_dir) -> tuple[str, str]:
             effective_mode = mode or patched["env"]["ris_mode"]
             series.append((value, effective_mode))
             for seed in seeds:
-                row = {
-                    "config_hash": digest,
-                    "variable": variable,
-                    "value": value,
-                    "ris_mode": effective_mode,
-                    "seed": seed,
-                    "status": "ok",
-                    "min_rate": float("nan"),
-                    "sum_rate": float("nan"),
-                    "feasible_channels": 0,
-                }
-                try:
-                    point = run_point(patched, effective_mode, seed)
-                    row.update(
-                        {k: point[k] for k in ("min_rate", "sum_rate", "feasible_channels")}
-                    )
+                row = {"config_hash": digest, "variable": variable, "value": value,
+                       "ris_mode": effective_mode, "seed": seed, "status": "ok",
+                       "min_rate": float("nan"), "sum_rate": float("nan"), "feasible_channels": 0}
+                try:  # a point holds min_rate, sum_rate and feasible_channels
+                    row.update(run_point(patched, effective_mode, seed))
                 except Exception as exc:  # keep sweeping past broken points
                     row["status"] = f"error: {type(exc).__name__}: {exc}"
                 rows.append(row)
 
     points_path = os.path.join(out_dir, "sweep_points.csv")
-    write_csv(
-        points_path,
-        ["config_hash", "variable", "value", "ris_mode", "seed", "status",
-         "min_rate", "sum_rate", "feasible_channels"],
-        rows,
-    )
+    write_csv(points_path, list(rows[0]), rows)  # every row has the keys in the same order
 
     summary_rows = []
     for value, effective_mode in series:
@@ -522,7 +493,7 @@ def sweep(config: dict, out_dir) -> tuple[str, str]:
         row["n_points"] = sum(not math.isnan(r["min_rate"]) for r in ok)
         for name in ("min_rate", "sum_rate"):
             picked = [r[name] for r in ok if not math.isnan(r[name])]
-            row[f"{name}_mean"] = float(np.mean(picked)) if picked else float("nan")
+            row[f"{name}_mean"] = _mean(picked)
             row[f"{name}_std"] = float(np.std(picked)) if picked else float("nan")
         summary_rows.append(row)
     summary_path = os.path.join(out_dir, "sweep_summary.csv")
@@ -542,17 +513,11 @@ def _read_csv(path) -> list[dict]:
 def report(in_dir, out_path=None) -> tuple[str, list[str]]:
     """Aggregate every sweep summary below ``in_dir`` into one long table and
     emit one monotonicity line per (variable, mode) series."""
-    summaries = []
-    for root, _, files in os.walk(in_dir):
-        for name in files:
-            if name == "sweep_summary.csv":
-                summaries.append(os.path.join(root, name))
+    summaries = sorted(os.path.join(root, name) for root, _, files in os.walk(in_dir)
+                       for name in files if name == "sweep_summary.csv")
     if not summaries:
         raise FileNotFoundError(f"no sweep_summary.csv found under {in_dir}")
-
-    rows = []
-    for path in sorted(summaries):
-        rows.extend(_read_csv(path))
+    rows = [row for path in summaries for row in _read_csv(path)]
 
     lines = []
     series: dict = {}
@@ -568,11 +533,8 @@ def report(in_dir, out_path=None) -> tuple[str, list[str]]:
         means = [float(e["min_rate_mean"]) for e in ordered]
         clean = [m for m in means if not math.isnan(m)]
         monotone = all(b >= a for a, b in zip(clean, clean[1:]))
-        lines.append(
-            f"min_rate_mean over {variable} [{mode}]: "
-            f"{'nondecreasing' if monotone else 'not monotone'} "
-            f"({len(clean)} points)"
-        )
+        lines.append(f"min_rate_mean over {variable} [{mode}]: "
+                     f"{'nondecreasing' if monotone else 'not monotone'} ({len(clean)} points)")
 
     out_path = out_path or os.path.join(in_dir, "report.csv")
     write_csv(out_path, _SUMMARY_HEADER, rows)

@@ -13,7 +13,9 @@ its ``log_std``, both views, all to be written in place and never rebound.
 The optimizers update one buffer per step in place, a long one in blocks of
 ``BLOCK`` items so that no temporary is as large as the buffer, and each step
 is atomic: it checks the gradient before it writes, so a misshapen or
-non-finite one raises with parameters and state untouched.
+non-finite one raises with parameters and state untouched.  A net may carry a
+leading lane axis of equal nets (``Mlp(..., lanes=L)``): each pass runs all
+lanes at once, bit for bit as each lane alone, and one step updates them all.
 """
 
 from __future__ import annotations
@@ -45,8 +47,10 @@ def _layout(shapes) -> list:
     return [(slice(stop - math.prod(shape), stop), shape) for stop, shape in zip(stops, shapes)]
 
 
-def _views(flat: np.ndarray, layout: list) -> list:
-    return [flat[part].reshape(shape) for part, shape in layout]
+def _views(flat: np.ndarray, layout: list, lanes: tuple = ()) -> list:
+    """Views of each parameter, stacked over the lanes (lane after lane) if any."""
+    rows = flat.reshape(lanes + (-1,))
+    return [rows[..., part].reshape(lanes + tuple(shape)) for part, shape in layout]
 
 
 def blocks(*arrays: np.ndarray):
@@ -88,46 +92,58 @@ class Mlp:
 
     Weights W have shape (fan_out, fan_in) and act as x @ W.T + b; they are
     initialized uniformly in +-1/sqrt(fan_in).  ``flat`` holds parameters().
+    With ``lanes`` = L it is L such nets, initialized in place one after the
+    other as L nets made in turn: ``flat`` holds lane after lane, ``weights``
+    are (L, fan_out, fan_in) views and ``biases`` (L, fan_out), and the same
+    passes map (L, B, in) inputs, or one (B, in) batch, to (L, B, out).
     """
 
-    def __init__(self, sizes: tuple, rng: np.random.Generator) -> None:
+    def __init__(self, sizes: tuple, rng: np.random.Generator, lanes: int = 0) -> None:
         if len(sizes) < 2:
             raise ValueError("need at least input and output sizes")
         self.sizes = tuple(int(s) for s in sizes)
         self.shapes = tuple(shape for fan_in, fan_out in zip(self.sizes[:-1], self.sizes[1:])
                             for shape in ((fan_out, fan_in), (fan_out,)))
         self._layout = _layout(self.shapes)
-        self._bind(np.empty(self._layout[-1][0].stop))
-        for w, b in zip(self.weights, self.biases):
-            bound = 1.0 / math.sqrt(w.shape[1])
-            w[...] = rng.uniform(-bound, bound, size=w.shape)
-            b[...] = rng.uniform(-bound, bound, size=b.shape)
+        self._bind(np.empty(max(lanes, 1) * self._layout[-1][0].stop), (lanes,) if lanes else ())
+        for net in map(self.lane, range(lanes)) if lanes else [self]:
+            for w, b in zip(net.weights, net.biases):
+                bound = 1.0 / math.sqrt(w.shape[1])
+                w[...] = rng.uniform(-bound, bound, size=w.shape)
+                b[...] = rng.uniform(-bound, bound, size=b.shape)
 
-    def _bind(self, flat: np.ndarray) -> None:
-        self.flat = flat
-        self._params = _views(flat, self._layout)
+    def _bind(self, flat: np.ndarray, lanes: tuple = ()) -> None:
+        self.flat, self.lanes = flat, lanes
+        self._params = _views(flat, self._layout, lanes)
         self.weights = self._params[0::2]
         self.biases = self._params[1::2]
+        # the biases as added to a batch: a lane's broadcast over its rows
+        self._shifts = [b[:, None] for b in self.biases] if lanes else self.biases
+
+    def _with(self, flat: np.ndarray, lanes: tuple = ()) -> "Mlp":
+        net = Mlp.__new__(Mlp)
+        net.sizes, net.shapes, net._layout = self.sizes, self.shapes, self._layout
+        net._bind(flat, lanes)
+        return net
+
+    def lane(self, index: int) -> "Mlp":
+        """An unstacked net over lane ``index``'s parameters, sharing memory."""
+        return self._with(self.flat.reshape(*self.lanes, -1)[index])
 
     def parameters(self) -> list:
         return list(self._params)
 
     def copy(self) -> "Mlp":
-        dup = Mlp.__new__(Mlp)
-        dup.sizes, dup.shapes, dup._layout = self.sizes, self.shapes, self._layout
-        dup._bind(self.flat.copy())
-        return dup
+        return self._with(self.flat.copy(), self.lanes)
 
     def load_from(self, other: "Mlp") -> None:
         np.copyto(self.flat, other.flat)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        single = np.ndim(x) == 1
-        a = np.atleast_2d(np.asarray(x, dtype=float))
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            a = np.tanh(a @ w.T + b)
-        out = a @ self.weights[-1].T + self.biases[-1]
-        return out[0] if single else out
+        a = np.asarray(x, dtype=float)
+        for w, b in zip(self.weights[:-1], self._shifts[:-1]):
+            a = np.tanh(a @ w.swapaxes(-1, -2) + b)
+        return a @ self.weights[-1].swapaxes(-1, -2) + self._shifts[-1]
 
     def forward_rows(self, x: np.ndarray) -> np.ndarray:
         """Forward of an (S,) input or a (k, S) stack of rows, each its own
@@ -137,13 +153,13 @@ class Mlp:
     def forward_cached(self, x: np.ndarray) -> tuple[np.ndarray, list]:
         """Batched forward that keeps every layer input for backward()."""
         a = np.asarray(x, dtype=float)
-        if a.ndim != 2:
-            raise ValueError("forward_cached expects a 2-D batch")
+        if a.ndim not in (2, 2 + len(self.lanes)):
+            raise ValueError("forward_cached expects a 2-D batch, or one per lane")
         cache = [a]
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            a = np.tanh(a @ w.T + b)
+        for w, b in zip(self.weights[:-1], self._shifts[:-1]):
+            a = np.tanh(a @ w.swapaxes(-1, -2) + b)
             cache.append(a)
-        out = a @ self.weights[-1].T + self.biases[-1]
+        out = a @ self.weights[-1].swapaxes(-1, -2) + self._shifts[-1]
         return out, cache
 
     def backward(self, cache: list, grad_out: np.ndarray, params: bool = True,
@@ -156,12 +172,12 @@ class Mlp:
         as None.
         """
         grad = np.empty(self.flat.size) if params else None
-        parts = _views(grad, self._layout) if params else None
+        parts = _views(grad, self._layout, self.lanes) if params else None
         g = np.asarray(grad_out, dtype=float)
         for layer in range(len(self.weights) - 1, -1, -1):
             if params:
-                np.matmul(g.T, cache[layer], out=parts[2 * layer])
-                g.sum(axis=0, out=parts[2 * layer + 1])
+                np.matmul(g.swapaxes(-1, -2), cache[layer], out=parts[2 * layer])
+                g.sum(axis=-2, out=parts[2 * layer + 1])
             if layer > 0:
                 g = (g @ self.weights[layer]) * (1.0 - cache[layer] ** 2)
             elif inputs:
@@ -181,17 +197,18 @@ class Sgd:
         for p, g in blocks(param, grad):
             p -= self.lr * g
 
-    def state_arrays(self) -> dict:
+    def state_arrays(self, lane: int = 0) -> dict:
         return {}
 
-    def load_state_arrays(self, arrays: dict) -> None:
+    def load_state_arrays(self, arrays: dict, lane: int = 0, lanes: int = 1) -> None:
         pass
 
 
 class Adam:
     """Adam with bias correction, over one buffer as Sgd; every step must pass
     a buffer of the same size.  Checkpoints name its flat moments per
-    parameter (``m<i>``, ``v<i>``) of ``shapes`` (default: the buffer's)."""
+    parameter (``m<i>``, ``v<i>``) of ``shapes`` (default: the buffer's), over a
+    stacked buffer those of one lane ``lane`` of ``lanes`` (see LaneState)."""
 
     def __init__(self, lr: float, shapes=None) -> None:
         self.lr = float(lr)
@@ -221,22 +238,40 @@ class Adam:
             b = np.add(np.sqrt(np.divide(v, correction2, out=b), out=b), ADAM_EPS, out=b)
             p -= np.divide(a, b, out=a)
 
-    def state_arrays(self) -> dict:
+    def state_arrays(self, lane: int = 0) -> dict:
         arrays = {"t": np.array(self.t)}
         if self._m is not None:
             layout = _layout(self.shapes)
-            for idx, (m, v) in enumerate(zip(_views(self._m, layout), _views(self._v, layout))):
-                arrays[f"m{idx}"] = m
-                arrays[f"v{idx}"] = v
+            m, v = (x.reshape(-1, layout[-1][0].stop)[lane] for x in (self._m, self._v))
+            for idx, (m_i, v_i) in enumerate(zip(_views(m, layout), _views(v, layout))):
+                arrays[f"m{idx}"] = m_i
+                arrays[f"v{idx}"] = v_i
         return arrays
 
-    def load_state_arrays(self, arrays: dict) -> None:
+    def load_state_arrays(self, arrays: dict, lane: int = 0, lanes: int = 1) -> None:
         self.t = int(arrays["t"])
         count = sum(key.startswith("m") for key in arrays)
         if count:
             self.shapes = [arrays[f"m{i}"].shape for i in range(count)]
-            self._m, self._v = (np.concatenate([arrays[f"{k}{i}"].ravel() for i in range(count)])
-                                for k in "mv")
+            m, v = (np.concatenate([arrays[f"{k}{i}"].ravel() for i in range(count)]) for k in "mv")
+            if self._m is None or self._m.size != lanes * m.size:
+                self._m, self._v = np.zeros((2, lanes * m.size))
+            self._m.reshape(lanes, -1)[lane] = m
+            self._v.reshape(lanes, -1)[lane] = v
+
+
+class LaneState:
+    """Lane ``index`` of ``lanes`` of an optimizer over a stacked buffer, as
+    checkpoints read and write it: what an optimizer of that lane alone holds."""
+
+    def __init__(self, opt, index: int, lanes: int) -> None:
+        self.opt, self.index, self.lanes = opt, index, lanes
+
+    def state_arrays(self) -> dict:
+        return self.opt.state_arrays(self.index)
+
+    def load_state_arrays(self, arrays: dict) -> None:
+        self.opt.load_state_arrays(arrays, self.index, self.lanes)
 
 
 def make_optimizer(kind: str, lr: float, shapes=None):
@@ -293,18 +328,21 @@ class GaussianPolicy:
         squash = np.log(1.0 - np.tanh(pre) ** 2 + _SQUASH_EPS)
         return (gauss - squash).sum(axis=-1)
 
-    def log_prob(self, states: np.ndarray, pres: np.ndarray) -> np.ndarray:
+    def log_prob(self, states: np.ndarray, pres: np.ndarray,
+                 forward: tuple | None = None) -> np.ndarray:
         """Log-density of previously drawn pre-squash samples under the
-        current parameters (batched)."""
-        mu = self.net.forward(states)
+        current parameters (batched); ``forward`` may pass the net's
+        ``forward_cached`` on the states."""
+        mu = forward[0] if forward else self.net.forward(states)
         return self._log_prob_given(mu, pres)
 
     def grad_weighted_log_prob(self, states: np.ndarray, pres: np.ndarray,
-                               coeff: np.ndarray) -> np.ndarray:
+                               coeff: np.ndarray, forward: tuple | None = None) -> np.ndarray:
         """Analytic gradient of sum_q coeff_q * log pi(a_q | s_q), laid out
-        like ``flat``.  The squash correction does not depend on the
-        parameters, so only the Gaussian part contributes."""
-        mu, cache = self.net.forward_cached(states)
+        like ``flat``, from ``forward`` as log_prob takes it, when given.
+        The squash correction does not depend on the parameters, so only the
+        Gaussian part contributes."""
+        mu, cache = forward or self.net.forward_cached(states)
         sigma = np.exp(self.log_std)
         z = (pres - mu) / sigma
         coeff = np.asarray(coeff, dtype=float)[:, None]

@@ -118,14 +118,6 @@ class RateReport:
             + self.phase2_transmit_rate.sum(axis=-1)
         )
 
-    @property
-    def min_rate(self) -> float:
-        return float(self.min_rates)
-
-    @property
-    def sum_rate(self) -> float:
-        return float(self.sum_rates)
-
 
 def sic_order(gains: np.ndarray) -> np.ndarray:
     """Decoding order: indices sorted by effective gain, strongest first

@@ -314,7 +314,7 @@ class TestAcceptance:
             if point % 3 == 1:
                 dv = dataclasses.replace(dv, rate_target=0.0)
             elif point % 3 == 2:
-                achieved = rate_report(ch, dv, cfg).min_rate
+                achieved = float(rate_report(ch, dv, cfg).min_rates)
                 supported = 0.5 * achieved if math.isfinite(achieved) else 0.0
                 dv = dataclasses.replace(dv, rate_target=max(supported, 0.0))
             report = evaluate_constraints(ch, dv, cfg, rate_report(ch, dv, cfg))

@@ -708,6 +708,65 @@ class TestTd3:
         )
 
 
+class TestTd3CriticLanes:
+    """The twin critics are the lanes of one stacked net with one optimizer;
+    checkpoints keep a key set and order per critic."""
+
+    def trained(self, optimizer, seed=3):
+        env = tiny_env(steps=5)
+        agent, _ = train("td3", env, episodes=3, seed=seed,
+                         hyper=small_hyper("td3", optimizer=optimizer))
+        return agent, env
+
+    def test_critics_share_memory_with_the_stacked_buffers(self):
+        agent, _ = self.trained("adam")
+        targets = (agent.critic1_target, agent.critic2_target)
+        for stacked, lanes in ((agent.critics, (agent.critic1, agent.critic2)),
+                               (agent.critics_target, targets)):
+            assert stacked.lanes == (2,)
+            size = stacked.flat.size // 2
+            for lane, critic in enumerate(lanes):
+                assert np.shares_memory(critic.flat, stacked.flat)
+                np.testing.assert_array_equal(critic.flat,
+                                              stacked.flat[lane * size : (lane + 1) * size])
+                for p in critic.weights + critic.biases:
+                    assert np.shares_memory(p, stacked.flat)
+        assert not np.shares_memory(agent.critics.flat, agent.critics_target.flat)
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_checkpoint_keys_are_unchanged(self, optimizer):
+        agent, _ = self.trained(optimizer)
+        state = agent.state_dict()
+        names = ("actor", "critic1", "critic2", "actor_target", "critic1_target", "critic2_target")
+        nets = [f"{name}/{kind}{i}" for name in names for i in range(2) for kind in "wb"]
+        opts = [f"opt_{name}/{key}" for name in names[:3]
+                for key in ["t"] + [f"{k}{i}" for i in range(4) for k in "mv"]]
+        want = nets + (opts if optimizer == "adam" else []) + ["update_count"]
+        assert list(state) == want  # the parent layout, key for key and in order
+        if optimizer == "adam":
+            assert set(state) == CHECKPOINT_KEYS["td3"]
+            for name in ("critic1", "critic2"):
+                for i, p in enumerate(getattr(agent, name).parameters()):
+                    assert state[f"opt_{name}/m{i}"].shape == p.shape
+            assert int(state["opt_critic1/t"]) == int(state["opt_critic2/t"]) > 0
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_loaded_state_gives_a_bit_identical_next_update(self, optimizer):
+        agent, env = self.trained(optimizer)
+        clone = build_agent("td3", env.state_dim, env.action_dim,
+                            small_hyper("td3", optimizer=optimizer), seed=99)
+        clone.load_state_dict(agent.state_dict())
+        clone.buffer = agent.buffer  # sampling leaves it as it is
+        clone.rng.bit_generator.state = agent.rng.bit_generator.state
+        for _ in range(2):  # a critic-only update, then one that moves the actor and targets
+            assert agent.update() and clone.update()
+            want, got = agent.state_dict(), clone.state_dict()
+            assert list(got) == list(want)
+            for key, value in want.items():
+                assert got[key].dtype == value.dtype, key
+                assert np.asarray(got[key]).tobytes() == np.asarray(value).tobytes(), key
+
+
 # ===========================================================================
 # A3C agent
 # ===========================================================================
@@ -966,7 +1025,9 @@ class TestFlatBuffers:
         env = tiny_env(steps=5)
         hyper = small_hyper(algo, optimizer="adam")
         agent, _ = train(algo, env, episodes=2, seed=3, hyper=hyper)
-        assert len(_all_nets(agent)) == {"ppo": 2, "td3": 6, "a3c": 2}[algo]
+        # TD3: actor, its target, the stacked critics and their target, and
+        # the four critic lanes
+        assert len(_all_nets(agent)) == {"ppo": 2, "td3": 8, "a3c": 2}[algo]
         _assert_views_share_buffers(agent)
         clone = build_agent(algo, env.state_dim, env.action_dim, hyper, seed=99)
         clone.load_state_dict(agent.state_dict())

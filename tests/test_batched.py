@@ -114,8 +114,8 @@ def check_batch(cfg, ch, decisions: list) -> None:
                 np.testing.assert_array_equal(getattr(one, name), getattr(want, name))
             else:
                 assert_close(getattr(one, name), getattr(want, name))
-        assert_close(one.min_rate, ref.min_rate(want))
-        assert_close(one.sum_rate, ref.sum_rate(want))
+        assert_close(float(one.min_rates), ref.min_rate(want))
+        assert_close(float(one.sum_rates), ref.sum_rate(want))
         report = evaluate_constraints(ch, dv, cfg, one)
         want_report = ref.evaluate_constraints(ch, dv, cfg, want)
         np.testing.assert_array_equal(report.slacks, slacks[b])

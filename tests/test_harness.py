@@ -564,7 +564,7 @@ class TestEvaluatePolicy:
         assert scores["feasible_steps"] == 6
         kept = [info for info, ok in zip(infos, feasible) if ok]
         assert scores["min_rate"] == np.mean([info.min_rate for info in kept])
-        assert scores["sum_rate"] == np.mean([info.rates.sum_rate for info in kept])
+        assert scores["sum_rate"] == np.mean([float(info.rates.sum_rates) for info in kept])
         assert scores["min_rate"] != np.mean([info.min_rate for info in infos])
 
     @pytest.mark.parametrize("field, value", [
@@ -732,6 +732,8 @@ class TestCli:
         ("sweep", "sweep: {values: 4.0}", [], "sweep.values must be a non-empty list, got 4.0"),
         ("sweep", "sweep: {values: abc}", [], "sweep.values"),
         ("sweep", "sweep: {values: {}}", [], "sweep.values"),
+        ("train", "agents: {td3: {episodes: 2.5}}", ["--algo", "td3", "--paper-scale"],
+         "agents.td3.episodes must be in [0, inf], got 2.5"),
     ], ids=["rician_k-nan", "p_asris-inf", "hidden-zero", "top-level-list", "episodes-negative",
             "checkpoint_every-negative", "sweep-mode", "episode_steps-fraction",
             "hidden-fraction", "workers-inf", "minibatch-inf", "episodes-fraction",
@@ -739,7 +741,8 @@ class TestCli:
             "seed-flag-negative", "hidden-scalar", "entropy_coef-nan", "algo-unknown",
             "sweep-algo-unknown", "dbm-list", "dbm-huge", "dbm-tiny", "sweep-variable-list",
             "sweep-compare_modes-text", "actor_lr-bool", "normalize_obs-text", "dbm-text",
-            "sweep-values-scalar", "sweep-values-text", "sweep-values-mapping"])
+            "sweep-values-scalar", "sweep-values-text", "sweep-values-mapping",
+            "paper-scale-episodes-fraction"])
     def test_malformed_inputs_exit_1_with_an_error_line(self, tmp_path, capsys, command, text,
                                                         extra, named):
         config = tmp_path / "bad.yaml"

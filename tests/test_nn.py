@@ -21,6 +21,7 @@ from srnoma.nn import (
     LOG_STD_MIN,
     Adam,
     GaussianPolicy,
+    LaneState,
     Mlp,
     NonFiniteGradientError,
     Sgd,
@@ -95,6 +96,14 @@ class TestForward:
         assert got.shape == (block, action_dim)
         assert got.tobytes() == ref.forward_rows(net, x).tobytes()
         assert net.forward_rows(x[0]).tobytes() == net.forward(x[0]).tobytes()
+
+    @pytest.mark.parametrize("sizes", [(3, 1), (4, 6, 2), (5, 7, 3, 2)])
+    def test_one_state_gives_one_output_row(self, sizes):
+        net = Mlp(sizes, rng=np.random.default_rng(7))
+        x = np.random.default_rng(8).standard_normal(sizes[0])
+        got = net.forward(x)
+        assert got.shape == (sizes[-1],)
+        assert got.tobytes() == net.forward_rows(x).tobytes() == net.forward(x[None])[0].tobytes()
 
     def test_zero_input_gives_bias_through_tanh(self):
         net = Mlp((2, 3, 1), rng=np.random.default_rng(3))
@@ -421,6 +430,105 @@ class TestFlatEngine:
         assert_same_bits(grad, np.concatenate([g.ravel() for g in ref_grads]))
         again, _ = net.backward(cache, np.ones((2, 2)))
         assert not np.shares_memory(again, grad)  # each call owns its buffer
+
+
+# ===========================================================================
+# lane axis: a stacked net against its lanes run one by one
+# ===========================================================================
+
+
+# (sizes, batch): width 1, batch 1, one and two hidden layers, and a buffer of
+# both lanes longer than one BLOCK
+LANE_CASES = [((3, 1), 1), ((1, 1, 1), 5), ((4, 1, 2), 3), ((5, 8, 2), 1), ((6, 16, 8, 1), 16),
+              ((7, 1, 5, 3), 4), ((2, 9, 1, 1), 2), ((40, 300, 120, 1), 8)]
+assert Mlp((40, 300, 120, 1), np.random.default_rng(0), lanes=2).flat.size > BLOCK
+
+
+class TestLanes:
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    @pytest.mark.parametrize("shared", [False, True], ids=["per-lane-batch", "shared-batch"])
+    @pytest.mark.parametrize("sizes, batch", LANE_CASES)
+    def test_stacked_net_equals_its_lanes_bit_for_bit(self, sizes, batch, shared, kind):
+        seed = sum(sizes) * 10 + batch
+        rng = np.random.default_rng(seed)
+        nets = [Mlp(sizes, rng) for _ in range(2)]
+        stacked = Mlp(sizes, np.random.default_rng(seed), lanes=2)
+        # each lane starts as the net made in its turn
+        assert_same_bits(stacked.flat, np.concatenate([net.flat for net in nets]))
+        lr = 0.01 if kind == "sgd" else 0.001
+        opt = make_optimizer(kind, lr, nets[0].shapes)
+        opts = [make_optimizer(kind, lr, nets[0].shapes) for _ in nets]
+        for step in range(4):
+            # one (B, in) batch both lanes read, or one batch per lane
+            x = rng.standard_normal((batch, sizes[0]) if shared else (2, batch, sizes[0]))
+            xs = [x, x] if shared else list(x)
+            grad_out = rng.standard_normal((2, batch, sizes[-1]))
+            want = np.stack([net.forward(xi) for net, xi in zip(nets, xs)])
+            assert_same_bits(stacked.forward(x), want, f"step {step} forward")
+            out, cache = stacked.forward_cached(x)
+            passes = [net.forward_cached(xi) for net, xi in zip(nets, xs)]
+            assert_same_bits(out, np.stack([o for o, _ in passes]), f"step {step} forward_cached")
+            grad, grad_in = stacked.backward(cache, grad_out)
+            lanes = [net.backward(c, g) for net, (_, c), g in zip(nets, passes, grad_out)]
+            for lane, (lane_grad, lane_grad_in) in enumerate(lanes):
+                size = nets[0].flat.size
+                got = ref.split(grad[lane * size : (lane + 1) * size], nets[0].shapes)
+                for i, (g, w) in enumerate(zip(got, ref.split(lane_grad, nets[0].shapes))):
+                    what = "bias sum" if i % 2 else "weight gradient"
+                    assert_same_bits(g, w, f"step {step} lane {lane} {what} {i // 2}")
+                assert_same_bits(grad_in[lane], lane_grad_in, f"step {step} lane {lane} inputs")
+            only_params, _ = stacked.backward(cache, grad_out, inputs=False)
+            _, only_inputs = stacked.backward(cache, grad_out, params=False)
+            assert_same_bits(only_params, grad)
+            assert_same_bits(only_inputs, grad_in)
+            opt.step(stacked.flat, grad)
+            for net, lane_opt, (lane_grad, _) in zip(nets, opts, lanes):
+                lane_opt.step(net.flat, lane_grad)
+            assert_same_bits(stacked.flat, np.concatenate([net.flat for net in nets]),
+                             f"step {step} parameters")
+        for lane, lane_opt in enumerate(opts):
+            mine, theirs = opt.state_arrays(lane), lane_opt.state_arrays()
+            assert set(mine) == set(theirs)
+            for key in theirs:
+                assert_same_bits(mine[key], theirs[key], f"lane {lane} {key}")
+
+    def test_lanes_are_views_of_the_stacked_buffer(self):
+        stacked = Mlp((3, 4, 2), np.random.default_rng(1), lanes=2)
+        assert stacked.weights[0].shape == (2, 4, 3) and stacked.biases[1].shape == (2, 2)
+        size = stacked.flat.size // 2
+        for lane in range(2):
+            view = stacked.lane(lane)
+            assert view.lanes == () and np.shares_memory(view.flat, stacked.flat)
+            assert_same_bits(view.flat, stacked.flat[lane * size : (lane + 1) * size])
+            for p, q in zip(view.parameters(), stacked.parameters()):
+                assert_same_bits(p, q[lane])
+        stacked.lane(1).biases[0][...] = 7.0
+        assert (stacked.biases[0][1] == 7.0).all() and (stacked.biases[0][0] != 7.0).all()
+        dup = stacked.copy()
+        assert dup.lanes == (2,) and not np.shares_memory(dup.flat, stacked.flat)
+        assert_same_bits(dup.flat, stacked.flat)
+
+    @pytest.mark.parametrize("fresh", [False, True], ids=["stepped", "fresh"])
+    def test_lane_states_round_trip_adam_moments(self, fresh):
+        rng = np.random.default_rng(3)
+        stacked = Mlp((3, 4, 1), rng, lanes=2)
+        opt = Adam(0.01, stacked.lane(0).shapes)
+        for _ in range(3):
+            opt.step(stacked.flat, rng.standard_normal(stacked.flat.size))
+        saved = [{k: np.copy(v) for k, v in LaneState(opt, lane, 2).state_arrays().items()}
+                 for lane in range(2)]
+        assert set(saved[0]) == {"t"} | {f"{k}{i}" for k in "mv" for i in range(4)}
+        clone = Adam(0.01, stacked.lane(0).shapes)
+        if not fresh:  # moments of a step to overwrite
+            clone.step(np.zeros(stacked.flat.size), np.ones(stacked.flat.size))
+        for lane in range(2):
+            LaneState(clone, lane, 2).load_state_arrays(saved[lane])
+        p, q = stacked.flat.copy(), stacked.flat.copy()
+        grad = rng.standard_normal(stacked.flat.size)
+        opt.step(p, grad)
+        clone.step(q, grad)
+        assert_same_bits(p, q)
+        assert clone.t == opt.t == 4
 
 
 # ===========================================================================

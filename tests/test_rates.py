@@ -284,8 +284,8 @@ class TestProperties:
         np.testing.assert_allclose(
             b.phase2_transmit_rate, a.phase2_transmit_rate[perm], rtol=1e-12
         )
-        assert math.isclose(a.min_rate, b.min_rate, rel_tol=1e-12)
-        assert math.isclose(a.sum_rate, b.sum_rate, rel_tol=1e-12)
+        assert math.isclose(float(a.min_rates), float(b.min_rates), rel_tol=1e-12)
+        assert math.isclose(float(a.sum_rates), float(b.sum_rates), rel_tol=1e-12)
 
     def test_surface_noise_grows_with_reflect_gain(self):
         # with the BS -> surface link cut, the surface adds only its own
@@ -309,8 +309,8 @@ class TestProperties:
         stacked = np.concatenate(
             [report.phase1_rate, report.phase2_reflect_rate, report.phase2_transmit_rate]
         )
-        assert math.isclose(report.min_rate, stacked.min(), rel_tol=1e-12)
-        assert math.isclose(report.sum_rate, stacked.sum(), rel_tol=1e-12)
+        assert math.isclose(float(report.min_rates), stacked.min(), rel_tol=1e-12)
+        assert math.isclose(float(report.sum_rates), stacked.sum(), rel_tol=1e-12)
 
 
 if __name__ == "__main__":
