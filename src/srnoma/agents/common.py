@@ -13,9 +13,9 @@ from ..nn import LOG_STD_MAX, LOG_STD_MIN, GaussianPolicy, Mlp, make_optimizer
 
 
 class ObsNormalizer:
-    """Welford running mean/variance of raw observations.  Calling it adds the
-    observation to the statistics, then normalises it; ``normalize`` only
-    normalises, so evaluation sees the inputs training fed the agent."""
+    """Welford running mean/variance of raw observations.  Calling it on a block
+    (k, S) adds each row, then normalises it, as k one-row calls would, bit for
+    bit; ``normalize`` only normalises, so evaluation sees what training fed."""
 
     def __init__(self, dim: int) -> None:
         self.count = 0
@@ -23,11 +23,15 @@ class ObsNormalizer:
         self.m2 = np.zeros(dim)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        self.count += 1
-        delta = x - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (x - self.mean)
-        return self.normalize(x)
+        means, var = np.empty_like(x), np.empty_like(x)
+        for row, mean, row_var in zip(x, means, var):
+            self.count += 1
+            delta = row - self.mean
+            self.mean += delta / self.count
+            self.m2 += delta * (row - self.mean)
+            mean[...], row_var[...] = self.mean, self.m2 / self.count
+        np.sqrt(np.add(var, 1e-8, out=var), out=var)
+        return np.divide(np.subtract(x, means, out=means), var, out=means)
 
     def normalize(self, x: np.ndarray) -> np.ndarray:
         var = self.m2 / max(self.count, 1)
@@ -216,26 +220,27 @@ def rollout(env, seed: int, act, stats: EpisodeStats, observe=None, block: int =
     environment.
 
     ``observe`` (an ObsNormalizer, its ``normalize``, or None for raw states)
-    maps the states s_0 ... s_T once each, in frame order.  Per block of k
-    frames the driver observes the k states ``env.upcoming_states`` gives,
-    calls ``act`` once on their (k, S) stack, which returns a tuple of arrays
-    of leading axis k, the (k, D) actions first; steps the block in one call;
-    adds it to ``stats``; and yields ``(states, choices, result)``: the (k, S)
-    states acted on, act's arrays, and the block's StepResult with ``state``
-    set to the k observed next states.  The next block's ``act`` call runs
-    only after the consumer has handled the block.
+    maps a block of states and sees s_0 ... s_T once each, in frame order.
+    Per block of k frames the driver observes the new states of
+    ``env.upcoming_states(k)`` in one call, calls ``act`` once on the (k, S)
+    states, which returns a tuple of arrays of leading axis k, the (k, D)
+    actions first; steps the block and observes its last next state; adds it
+    to ``stats``; and yields ``(states, choices, result)``: the (k, S) states
+    acted on, act's arrays, and the block's StepResult with ``state`` set to
+    the k observed next states.  The next ``act`` call waits for the consumer.
     """
-    observe = observe or (lambda state: state)
-    state = observe(env.reset(seed))
-    done = False
-    while not done:
-        states = np.stack([state] + [observe(raw) for raw in env.upcoming_states(block)[1:]])
+    observe = observe or (lambda states: states)
+    env.reset(seed)
+    states = observe(env.upcoming_states(block))
+    while True:
         choices = act(states)
         result = env.step(choices[0])
-        result.state = np.vstack([states[1:], observe(result.state[-1])])
+        result.state = np.vstack([states[1:], observe(result.state[-1:])])
         stats.add(result)
         yield states, choices, result
-        state, done = result.state[-1], result.done[-1]
+        if result.done[-1]:
+            return
+        states = np.vstack([result.state[-1:], observe(env.upcoming_states(block)[1:])])
 
 
 def random_policy_trace(env, episodes: int, seed: int) -> TrainingTrace:

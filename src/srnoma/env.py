@@ -177,8 +177,8 @@ class SrEnv:
     """Gym-style environment: reset(seed) -> state, step(action) -> StepResult.
 
     The channels of an episode depend on its seed alone, never on the actions
-    (frame t is the t-th draw of its seed stream), so ``reset`` draws all
-    T + 1 frames of the episode at once, the terminal one included, and
+    (frame t is keyed by the t-th seed of its seed stream), so ``reset`` draws
+    all T + 1 seeds and frames at once, the terminal one included, and
     ``step`` drops them once it has scored the last one.
     ``upcoming_states(k)`` gives the raw states of the current frame and the
     next k - 1 (fewer at the episode's end).  ``step`` scores a block (k, D)
@@ -230,9 +230,8 @@ class SrEnv:
     def reset(self, seed: int) -> np.ndarray:
         placement_key, channel_key = derive_keys(seed, 2)
         placement = make_placement(self.cfg, placement_key)
-        seeds = philox(channel_key)
-        self._episode = draw_realization(
-            self.cfg, placement, [next_seed(seeds) for _ in range(self.episode_steps + 1)])
+        frame_seeds = next_seed(philox(channel_key), self.episode_steps + 1)
+        self._episode = draw_realization(self.cfg, placement, frame_seeds)
         self._states = state_vector(self._episode)
         self._states.flags.writeable = False
         self._t = 0

@@ -366,10 +366,10 @@ def _baseline_point(config: dict, ris_mode: str, seed: int) -> dict:
     cfg = system_from(config)
     sweep_cfg = config["sweep"]
     placement_key, draw_key, search_key = derive_keys(seed, 3)
-    draw_rng, search_rng = philox(draw_key), philox(search_key)
+    search_rng = philox(search_key)
     n_channels = sweep_cfg["n_channels"]
     channels = draw_realization(cfg, make_placement(cfg, placement_key),
-                                [next_seed(draw_rng) for _ in range(n_channels)])
+                                next_seed(philox(draw_key), n_channels))
     feasible = [result for result in (
         random_search(cfg, channels.lane(c), ris_mode, sweep_cfg["budget"], next_seed(search_rng))
         for c in range(n_channels)) if result.feasible]
@@ -398,13 +398,12 @@ def evaluate_policy(agent, env: SrEnv, episodes: int, seed: int) -> dict:
     there are none)."""
     check_in("[1, inf]", episodes=episodes)
     check_in("[0, inf]", seed=seed)
-    seeds = philox(seed)
     act = lambda states: (_greedy_action(agent, states),)
     observe = getattr(agent.normalizer, "normalize", None)
     blocks = [(result.reward, result.info.min_rate, result.info.rates.sum_rates,
                result.info.constraints.flags[:, :_STRUCTURAL].all(axis=1))
-              for _ in range(episodes)
-              for _, _, result in rollout(env, next_seed(seeds), act, EpisodeStats(), observe,
+              for episode_seed in next_seed(philox(seed), episodes)
+              for _, _, result in rollout(env, episode_seed, act, EpisodeStats(), observe,
                                           env.episode_steps)]
     reward, min_rate, sum_rate, feasible = map(np.concatenate, zip(*blocks))
     return {"reward": float(np.mean(reward)), "min_rate": _mean(min_rate[feasible]),

@@ -29,10 +29,12 @@ Conventions
   keyed by 64-bit seeds, so placements and realizations are reproducible
   across platforms.  The seeding rules live here: ``philox`` builds a
   generator, ``derive_keys`` fans one seed out into independent keys and
-  ``next_seed`` draws the next seed of a seed stream.
+  ``next_seed`` draws the next seed, or seeds, of a seed stream.
   One realization takes all its normals from one ``standard_normal`` call, in
   block order h1, g1, h2, h3, g2r, g2t and, within a block, real parts before
-  imaginary parts.
+  imaginary parts.  Many frames re-key one shared generator (the package runs
+  single-threaded) with keys ``philox_keys`` hashes at once, drawing what
+  ``philox(seed)`` would; one seed calls ``philox``, cheaper than the hash.
 * Placements are immutable (frozen fields, read-only arrays).  Node positions
   are drawn once per episode and the fading once per frame, so every caller
   draws all the frames of a placement in one ``draw_realization`` call.
@@ -151,9 +153,42 @@ def derive_keys(seed: int, count: int) -> list[int]:
     return [int(k) for k in np.random.SeedSequence(seed).generate_state(count, np.uint64)]
 
 
-def next_seed(rng: np.random.Generator) -> int:
-    """The next seed a seed stream hands out, uniform on [0, 2**63)."""
-    return int(rng.integers(0, 2**63))
+def next_seed(rng: np.random.Generator, count: int | None = None):
+    """The next seed of a seed stream, uniform on [0, 2**63), or a list of the next ``count``."""
+    return rng.integers(0, 2**63, size=count).tolist()
+
+
+# SeedSequence's hash constants, init * mult**j mod 2**32 in Python ints (no NumPy scalar
+# overflows), and the generator a draw of many frames re-keys, and its fresh state
+_POOL_HASH = np.array([0x43B0D7E5 * 0x931E8875**j % 2**32 for j in range(17)], np.uint32)
+_STATE_HASH = np.array([0x8B51F9DD * 0x58F38DED**j % 2**32 for j in range(5)], np.uint32)
+_MIX_STEPS = np.insert(np.stack([_POOL_HASH[4:16], _POOL_HASH[5:17]]), [0, 4, 8, 12], 0,
+                       axis=1).reshape(2, 4, 4, 1)  # [xor or mult, src, dst], 0 at dst = src
+_FRAMES = philox(0)
+_FRESH_STATE = _FRAMES.bit_generator.state
+
+
+def _hashmix(words: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    words = (words ^ xor) * mult
+    return words ^ (words >> 16)
+
+
+def philox_keys(seeds) -> np.ndarray:
+    """The (L, 2) uint64 keys ``philox`` runs on, ``SeedSequence(seed).generate_state(2,
+    np.uint64)`` of each seed in [0, 2**64), hashed at once on a (4, L) uint32 pool."""
+    words = np.array(seeds, dtype=np.uint64)
+    if words.tolist() != list(seeds):
+        raise ValueError(f"seeds must be integers in [0, 2**64), got {seeds!r}")
+    pool = np.zeros((4, len(words)), np.uint32)
+    pool[0], pool[1] = words & 0xFFFFFFFF, words >> 32
+    pool = _hashmix(pool, _POOL_HASH[:4, None], _POOL_HASH[1:5, None])
+    for src in range(4):
+        row = pool[src]
+        mixed = 0xCA01F9DD * pool - 0x4973F715 * _hashmix(row, *_MIX_STEPS[:, src])
+        pool = mixed ^ (mixed >> 16)
+        pool[src] = row  # the source word itself stays as it was
+    state = _hashmix(pool, _STATE_HASH[:-1, None], _STATE_HASH[1:, None]).astype(np.uint64)
+    return (state[0::2] | state[1::2] << 32).T
 
 
 def check_in(allowed, **values) -> None:
@@ -313,8 +348,10 @@ def draw_realization(cfg: SystemConfig, placement: Placement, seed) -> ChannelRe
     else:
         seed = tuple(seed)
         z = np.empty((len(seed), n_normals))
-        for normals, lane_seed in zip(z, seed):
-            philox(lane_seed).standard_normal(out=normals)
+        for normals, key in zip(z, philox_keys(seed).tolist()):
+            _FRESH_STATE["state"]["key"] = key
+            _FRAMES.bit_generator.state = _FRESH_STATE
+            _FRAMES.standard_normal(out=normals)
     lanes, start, drawn = z.shape[:-1], 0, []
     for shape, scale, rician in blocks:
         size = math.prod(shape)

@@ -22,7 +22,8 @@ that loop over the parameter arrays, and the per-array soft update.
 engine's flat gradients per parameter through ``split``.  It also
 keeps the one-state policy draws the agents made before they acted on a
 block of states in one call: one single-row forward and one
-``standard_normal`` call per state.
+``standard_normal`` call per state; and the one-state observation normaliser
+call ``ObsNormalizer`` made before it took blocks of states.
 """
 
 from __future__ import annotations
@@ -422,3 +423,14 @@ def policy_sample(policy, state: np.ndarray, rng: np.random.Generator):
 def forward_rows(net, x: np.ndarray) -> np.ndarray:
     """A net's forward on each row of a (k, S) stack, one (S,) state per call."""
     return np.stack([net.forward(row) for row in x])
+
+
+def observe_row(normalizer, x: np.ndarray) -> np.ndarray:
+    """One ``ObsNormalizer`` call on one (S,) state: add it to the Welford
+    statistics, then normalise it by them."""
+    normalizer.count += 1
+    delta = x - normalizer.mean
+    normalizer.mean += delta / normalizer.count
+    normalizer.m2 += delta * (x - normalizer.mean)
+    var = normalizer.m2 / max(normalizer.count, 1)
+    return (x - normalizer.mean) / np.sqrt(var + 1e-8)

@@ -11,6 +11,7 @@ import functools
 import importlib
 import math
 import operator
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +114,46 @@ class TestReplayBuffer:
         assert set(batch) == {"states", "actions", "rewards", "next_states"}  # no terminal flag
 
 
+class TestObsNormalizerBlocks:
+    """A block call adds its rows to the statistics in order and normalises
+    each by the statistics its own update left: k one-row calls, bit for
+    bit."""
+
+    @pytest.mark.parametrize("k", [0, 1, 3, 26])
+    def test_a_block_call_equals_row_by_row_updates(self, k):
+        rng = np.random.default_rng(k)
+        dim = 37
+        scale = rng.uniform(0.01, 100.0, dim)
+        warm, x = (rng.normal(3.0, 2.0, (rows, dim)) * scale for rows in (5, k))
+        block, rows = ObsNormalizer(dim), ObsNormalizer(dim)
+        for norm in (block, rows):
+            for state in warm:
+                ref.observe_row(norm, state)
+        got = block(x)
+        want = [ref.observe_row(rows, state) for state in x]
+        assert got.shape == x.shape and got.dtype == np.float64
+        assert got.tobytes() == np.array(want).reshape(x.shape).tobytes()
+        assert block.count == rows.count == 5 + k
+        assert block.mean.tobytes() == rows.mean.tobytes()
+        assert block.m2.tobytes() == rows.m2.tobytes()
+
+    def test_a_block_call_makes_at_most_one_block_sized_temporary(self):
+        k, dim = 26, 4096
+        x = np.random.default_rng(1).normal(size=(k, dim))
+        norm = ObsNormalizer(dim)
+        norm(x)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = norm(x)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert out.shape == x.shape
+        # the output, one (k, S) temporary and a few (S,) rows of scratch
+        assert x.nbytes < peak < 2.5 * x.nbytes
+
+
 class TestTrace:
     def test_append_and_len(self):
         trace = TrainingTrace()
@@ -207,9 +248,10 @@ class TestRollout:
         norm = ObsNormalizer(env.state_dim)
         observed, acted, calls = [], [], []
 
-        def observe(state):
-            observed.append(state.copy())
-            return norm(state)
+        def observe(states):
+            assert states.ndim == 2
+            observed.extend(states.copy())
+            return norm(states)
 
         def act(states):
             calls.append(len(states))
@@ -293,6 +335,15 @@ def one_frame_at_a_time(monkeypatch):
     monkeypatch.setattr(SrEnv, "step", stepwise)
 
 
+def one_row_per_observe(monkeypatch):
+    """Make the observation normaliser add and normalise one state per call,
+    as it did before it took blocks of states."""
+    def observe(norm, states):
+        return np.array([ref.observe_row(norm, state) for state in states]).reshape(states.shape)
+
+    monkeypatch.setattr(ObsNormalizer, "__call__", observe)
+
+
 def one_state_per_act(monkeypatch):
     """Make every policy act on one state per call, as the agents did before
     they acted on a block of states in one call."""
@@ -330,9 +381,9 @@ def _assert_same_outputs(got, want):
 
 class TestBlockStepping:
     """PPO, A3C, evaluate_policy and random_policy_trace step blocks of
-    frames and act on each block in one call; one frame per env.step call,
-    each acted on one state per call, must give the same bytes.  TD3's
-    schedule is pinned by TestTd3EpisodeSchedule."""
+    frames, and observe and act on each block in one call; one frame per
+    env.step call, each observed and acted on one state per call, must give
+    the same bytes.  TD3's schedule is pinned by TestTd3EpisodeSchedule."""
 
     @pytest.mark.parametrize("algo, workers, optimizer", [
         ("ppo", 1, "sgd"), ("ppo", 1, "adam"), ("a3c", 1, "sgd"), ("a3c", 3, "adam"),
@@ -342,6 +393,7 @@ class TestBlockStepping:
         blocks = _training_outputs(algo, workers, optimizer)
         one_frame_at_a_time(monkeypatch)
         one_state_per_act(monkeypatch)
+        one_row_per_observe(monkeypatch)
         _assert_same_outputs(blocks, _training_outputs(algo, workers, optimizer))
 
     @pytest.mark.parametrize("algo", ALGORITHMS)
@@ -367,7 +419,8 @@ def td3_reference_episode(agent, env, episode_seed):
     the episode, then one frame per env.step call, each added to the replay
     buffer, the last one too without a terminal flag, and followed by one
     update."""
-    observe = agent.normalizer or (lambda state: state)
+    norm = agent.normalizer
+    observe = (lambda state: ref.observe_row(norm, state)) if norm else (lambda state: state)
     stats = EpisodeStats()
     env.reset(episode_seed)
     states = [observe(raw) for raw in env.upcoming_states(env.episode_steps)]

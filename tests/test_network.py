@@ -7,10 +7,14 @@ Groups:
   * the draw against the frozen per-block draw in ``scalar_reference``, bit
     for bit, under fuzzed and changing configs, and the baseline sweep's
     lane-drawn channels against single draws
+  * frame keys: the vectorised hash against ``SeedSequence``, lane draws of
+    the one re-keyed generator and episode resets against one generator per
+    frame, and batched seed draws against single ones
 """
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +31,9 @@ from srnoma.network import (
     next_seed,
     path_loss,
     philox,
+    philox_keys,
 )
+from srnoma.env import SrEnv, action_dim, state_vector
 from srnoma.ris import ACTIVE
 
 # independent hand evaluation of the 1 m reference loss at 28 GHz
@@ -347,6 +353,81 @@ def test_baseline_point_equals_a_loop_over_single_draws():
         "sum_rate": float(np.mean([r.sum_rate for r in feasible])),
         "feasible_channels": len(feasible),
     }
+
+
+# ===========================================================================
+# frame keys and the re-keyed generator
+# ===========================================================================
+
+
+class TestFrameKeys:
+    def test_keys_equal_seed_sequence_on_fuzzed_and_edge_seeds(self):
+        rng = np.random.default_rng(23)
+        seeds = [int(s) for s in rng.integers(0, 2**63, 8000)]
+        seeds += [int(s) for s in rng.integers(0, 2**32, 2000)]  # one 32-bit word of entropy
+        seeds += [int(s) for s in rng.integers(0, 2**64 - 1, 2000, dtype=np.uint64)]
+        seeds += [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**63, 2**64 - 1]
+        want = [np.random.SeedSequence(s).generate_state(2, np.uint64) for s in seeds]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no NumPy scalar overflows
+            got = philox_keys(seeds)
+        assert got.dtype == np.uint64 and got.shape == (len(seeds), 2)
+        np.testing.assert_array_equal(got, want)
+
+    def test_numpy_integer_seeds_hash_like_ints(self):
+        seeds = [0, 7, 2**31 - 1]
+        for kind in (np.int32, np.int64, np.uint32, np.uint64):
+            np.testing.assert_array_equal(philox_keys([kind(s) for s in seeds]),
+                                          philox_keys(seeds))
+        np.testing.assert_array_equal(philox_keys(np.array([5, 2**63], np.uint64)),
+                                      philox_keys([5, 2**63]))
+        assert philox_keys([]).shape == (0, 2)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, np.int64(-3), "7"])
+    def test_seeds_outside_the_64_bit_counts_are_refused(self, seed, small_cfg):
+        with pytest.raises((ValueError, OverflowError)):
+            philox_keys([3, seed])
+        with pytest.raises((ValueError, OverflowError)):
+            draw_realization(small_cfg, make_placement(small_cfg, seed=0), [3, seed])
+
+    def test_a_lane_draw_carries_nothing_over_from_earlier_draws(self, small_cfg):
+        # the shared generator is left mid-stream by draws of other sizes; each
+        # lane must still be its own seed's frame, as a generator built from it draws
+        pl = make_placement(small_cfg, seed=8)
+        other = SystemConfig(n_bs_antennas=3, n_ris_elements=5, n_pairs=1)
+        seeds = [11, 2**63 - 1, 0, 2**64 - 1]
+        for _ in range(2):
+            lanes = draw_realization(small_cfg, pl, seeds)
+            for lane, seed in enumerate(seeds):
+                assert_bit_equal(lanes.lane(lane), ref.draw_realization(small_cfg, pl, seed))
+            draw_realization(other, make_placement(other, seed=2), [5, 6, 7])
+            draw_realization(small_cfg, pl, [9])
+            philox(4).standard_normal(3)
+        assert_bit_equal(draw_realization(small_cfg, pl, [11]).lane(0),
+                         ref.draw_realization(small_cfg, pl, 11))
+
+    @pytest.mark.parametrize("steps", [1, 4, 25, 200])
+    def test_reset_states_equal_per_frame_reference_draws(self, steps, small_cfg):
+        # T + 1 = 2, 5, 26 and 201 frames, each keyed by its frame seed alone
+        env, seed = SrEnv(small_cfg, episode_steps=steps), 31
+        first = env.reset(seed)
+        upcoming = env.upcoming_states(steps)
+        last = env.step(np.zeros((steps, action_dim(small_cfg)))).state[-1]
+        placement_key, channel_key = derive_keys(seed, 2)
+        placement, stream = make_placement(small_cfg, placement_key), philox(channel_key)
+        frame_seeds = [next_seed(stream) for _ in range(steps + 1)]
+        want = [state_vector(ref.draw_realization(small_cfg, placement, s)) for s in frame_seeds]
+        assert np.vstack([first, upcoming[1:], last]).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 26, 201, 5000])
+    def test_batched_seeds_equal_single_draws(self, count):
+        batched, single = philox(41), philox(41)
+        seeds = next_seed(batched, count)
+        assert seeds == [int(single.integers(0, 2**63)) for _ in range(count)]  # one per call
+        assert all(type(s) is int and 0 <= s < 2**63 for s in seeds)
+        after = next_seed(batched)
+        assert type(after) is int and after == next_seed(single), "the streams end alike"
+        assert repr(batched.bit_generator.state) == repr(single.bit_generator.state)
 
 
 if __name__ == "__main__":
