@@ -2,8 +2,9 @@
 
 Several workers share one environment and hold private RNG streams, private
 observation statistics and private copies of the global actor/critic.  A
-worker plays its episode through the shared ``rollout`` driver in blocks of
-k steps, the last one maybe shorter; each block is one segment.  Before it
+worker plays its episode through the shared ``rollout`` driver, which
+observes all T + 1 states of the episode at its reset, in blocks of k steps,
+the last one maybe shorter; each block is one segment.  Before it
 the worker syncs its copies from the global store and samples its k actions
 from them in one call; after it, the worker computes the k-step returns and
 advantages locally, bootstrapping from its critic copy (from 0 at the

@@ -220,31 +220,30 @@ def rollout(env, seed: int, act, stats: EpisodeStats, observe=None, block: int =
     environment.
 
     ``observe`` (an ObsNormalizer, its ``normalize``, or None for raw states)
-    maps a block of states and sees s_0 ... s_T once each, in frame order.
-    Per block of k frames the driver observes the new states of
-    ``env.upcoming_states(k)`` in one call, calls ``act`` once on the (k, S)
+    maps the T + 1 states ``env.states`` of the episode in one call after the
+    reset, so it sees s_0 ... s_T once each, in frame order.  Per block of k
+    frames the driver calls ``act`` once on the block's (k, S) observed
     states, which returns a tuple of arrays of leading axis k, the (k, D)
-    actions first; steps the block and observes its last next state; adds it
-    to ``stats``; and yields ``(states, choices, result)``: the (k, S) states
-    acted on, act's arrays, and the block's StepResult with ``state`` set to
-    the k observed next states.  The next ``act`` call waits for the consumer.
+    actions first; steps the block; adds it to ``stats``; and yields
+    ``(states, choices, result)``: the states acted on, act's arrays, and the
+    block's StepResult with ``state`` set to the k observed next states.  The
+    next ``act`` call waits for the consumer.
     """
-    observe = observe or (lambda states: states)
     env.reset(seed)
-    states = observe(env.upcoming_states(block))
-    while True:
-        choices = act(states)
+    states = env.states if observe is None else observe(env.states)
+    for t in range(0, env.episode_steps, block):
+        stop = min(t + block, env.episode_steps)
+        choices = act(states[t:stop])
         result = env.step(choices[0])
-        result.state = np.vstack([states[1:], observe(result.state[-1:])])
+        result.state = states[t + 1 : stop + 1]
         stats.add(result)
-        yield states, choices, result
-        if result.done[-1]:
-            return
-        states = np.vstack([result.state[-1:], observe(env.upcoming_states(block)[1:])])
+        yield states[t:stop], choices, result
 
 
 def random_policy_trace(env, episodes: int, seed: int) -> TrainingTrace:
-    """Uniform-action rollouts; the reference noise floor for learning curves."""
+    """Uniform-action rollouts; the reference noise floor for learning curves.
+    An ``episodes`` that is not a count from 0 raises ValueError."""
+    check_in("[0, inf]", episodes=episodes)
     env_key, act_key = derive_keys(seed, 2)
     env_seeds, act_rng = philox(env_key), philox(act_key)
     act = lambda states: (act_rng.uniform(-1.0, 1.0, (len(states), env.action_dim)),)

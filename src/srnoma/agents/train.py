@@ -9,7 +9,7 @@ import numpy as np
 
 from ..network import check_in, derive_keys, next_seed, philox
 from ..nn import NonFiniteGradientError, save_checkpoint
-from .a3c import A3cAgent, kstep_returns
+from .a3c import A3cAgent
 from .common import EpisodeStats, ObsNormalizer, TrainingTrace, rollout
 from .ppo import PpoAgent, advantage_and_target
 from .td3 import Td3Agent
@@ -55,14 +55,11 @@ def _checkpoint(agent, algo: str, directory, episode: int, final: bool) -> None:
 
 def _ppo_episode(agent: PpoAgent, env, episode_seed: int) -> EpisodeStats:
     stats = EpisodeStats()
-    episode = rollout(env, episode_seed, agent.act, stats, agent.normalizer,
-                      env.episode_steps)
-    blocks = [(states, pres, log_probs, result.reward, result.state, result.done)
-              for states, (_, pres, log_probs), result in episode]
-    states, pres, log_probs, rewards, next_states, dones = map(np.concatenate, zip(*blocks))
+    ((states, (_, pres, log_probs), result),) = rollout(
+        env, episode_seed, agent.act, stats, agent.normalizer, env.episode_steps)
     values = lambda x: agent.critic.forward(x)[:, 0]
     advantages, targets = advantage_and_target(
-        rewards, values(states), values(next_states), dones, agent.discount
+        result.reward, values(states), values(result.state), result.done, agent.discount
     )
     agent.update(states, pres, log_probs, advantages, targets)
     return stats
@@ -137,6 +134,4 @@ __all__ = [
     "ALGORITHMS",
     "train",
     "build_agent",
-    "advantage_and_target",
-    "kstep_returns",
 ]

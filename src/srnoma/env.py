@@ -8,8 +8,8 @@ redrawn once per episode at reset.
 
 Fading is block-wise and no action changes a later channel, so the channels of
 a whole episode depend on its seed alone.  Reset draws all of them at once, as
-lanes; the environment hands out the states of upcoming frames and scores a
-block of k frames in one kernel call, a single step being a block of one.  The
+lanes, and exposes the states of every frame; the environment scores a block
+of k frames in one kernel call, a single step being a block of one.  The
 channel sequence of an episode is the same however it is stepped.
 
 Action layout (D = 1 + 3I + 4NI + 4M), each component mapped affinely from
@@ -179,13 +179,13 @@ class SrEnv:
     The channels of an episode depend on its seed alone, never on the actions
     (frame t is keyed by the t-th seed of its seed stream), so ``reset`` draws
     all T + 1 seeds and frames at once, the terminal one included, and
-    ``step`` drops them once it has scored the last one.
-    ``upcoming_states(k)`` gives the raw states of the current frame and the
-    next k - 1 (fewer at the episode's end).  ``step`` scores a block (k, D)
-    of actions for those k frames in one kernel call and returns one
+    ``step`` drops them once it has scored the last one.  ``states`` holds
+    the raw states of all T + 1 frames, (T + 1, S), read-only (None before
+    the first reset).  ``step`` scores a block (k, D) of actions for the
+    current frame and the next k - 1 in one kernel call and returns one
     StepResult whose fields carry the leading axis k; one action (D,) is a
-    block of one and returns that block's ``row(0)``.  States are read-only
-    rows of the episode's states.
+    block of one and returns that block's ``row(0)``.  The states it returns
+    are rows of ``states``.
 
     r_mode picks where the reward's rate factor comes from: "literal" trusts
     the action-supplied target (checked by C10/C11), "derived" substitutes the
@@ -224,7 +224,7 @@ class SrEnv:
         self.state_dim = state_dim(cfg)
         self.action_dim = action_dim(cfg)
         self._episode: ChannelRealization | None = None  # frames 0 .. T as lanes
-        self._states: np.ndarray | None = None  # their states, (T + 1, S)
+        self.states: np.ndarray | None = None  # their states, (T + 1, S)
         self._t = self.episode_steps  # the current frame; T when no episode runs
 
     def reset(self, seed: int) -> np.ndarray:
@@ -232,27 +232,15 @@ class SrEnv:
         placement = make_placement(self.cfg, placement_key)
         frame_seeds = next_seed(philox(channel_key), self.episode_steps + 1)
         self._episode = draw_realization(self.cfg, placement, frame_seeds)
-        self._states = state_vector(self._episode)
-        self._states.flags.writeable = False
+        self.states = state_vector(self._episode)
+        self.states.flags.writeable = False
         self._t = 0
-        return self._states[0]
+        return self.states[0]
 
-    def _steps_left(self) -> int:
+    def step(self, actions: np.ndarray) -> StepResult:
         left = self.episode_steps - self._t
         if left == 0:
             raise EnvProtocolError("no episode is running; call reset()")
-        return left
-
-    def upcoming_states(self, k: int) -> np.ndarray:
-        """Raw states of the current frame and the next frames, (k', S) with
-        k' = min(k, steps left in the episode)."""
-        left = self._steps_left()
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k!r}")
-        return self._states[self._t : self._t + min(int(k), left)]
-
-    def step(self, actions: np.ndarray) -> StepResult:
-        left = self._steps_left()
         a = np.asarray(actions, dtype=float)
         if np.isnan(a).any():
             raise ValueError("an action holds a NaN")
@@ -275,7 +263,7 @@ class SrEnv:
         self._t = t + k
         if self._t == self.episode_steps:
             self._episode = None
-        result = StepResult(self._states[t + 1 : t + k + 1], rew,
+        result = StepResult(self.states[t + 1 : t + k + 1], rew,
                             np.arange(t + 1, t + k + 1) == self.episode_steps,
                             StepInfo(rates, report, min_rate, report.satisfied_counts,
                                      np.full(k, cap, dtype=float)))

@@ -38,7 +38,8 @@ from srnoma.agents.common import EpisodeStats, ObsNormalizer, critic_gradient, r
 from srnoma.env import SrEnv, StepInfo, StepResult
 from srnoma.harness import _greedy_action, evaluate_policy, load_config
 from srnoma.network import SystemConfig
-from srnoma.nn import LOG_STD_MAX, LOG_STD_MIN, GaussianPolicy, Mlp, load_checkpoint
+from srnoma.nn import (LOG_STD_MAX, LOG_STD_MIN, GaussianPolicy, Mlp, NonFiniteGradientError, Sgd,
+                       load_checkpoint)
 from srnoma.problem import ConstraintReport
 from srnoma.rates import RateReport
 
@@ -230,7 +231,7 @@ class TestRollout:
         states, _, _ = next(rollout(env, 0, lambda s: (np.zeros((len(s), env.action_dim)),),
                                     EpisodeStats(), norm))
         np.testing.assert_allclose(states, np.zeros((1, env.state_dim)), atol=1e-12)
-        assert norm.count == 2, "the reset state and the first step's state"
+        assert norm.count == 3, "the episode's T + 1 = 3 states, observed at reset"
 
     def test_normalized_states_stay_finite(self):
         env = tiny_env(steps=30)
@@ -246,10 +247,10 @@ class TestRollout:
         env = tiny_env(steps=7)
         raw = [env.reset(6)] + [env.step(np.zeros(env.action_dim)).state for _ in range(7)]
         norm = ObsNormalizer(env.state_dim)
-        observed, acted, calls = [], [], []
+        observed, observe_calls, acted, calls = [], [], [], []
 
         def observe(states):
-            assert states.ndim == 2
+            observe_calls.append(states.shape)
             observed.extend(states.copy())
             return norm(states)
 
@@ -262,6 +263,7 @@ class TestRollout:
         stats = EpisodeStats()
         blocks = list(rollout(env, 6, act, stats, observe, block=block))
         np.testing.assert_array_equal(observed, raw)  # s_0 ... s_T, once each
+        assert observe_calls == [(8, env.state_dim)]  # one call per episode, at reset
         assert norm.count == 8
         sizes = [min(block, 7 - t) for t in range(0, 7, block)]
         assert calls == sizes  # one act call and one yield per block
@@ -415,21 +417,20 @@ class TestBlockStepping:
 
 
 def td3_reference_episode(agent, env, episode_seed):
-    """TD3's episode spelled out: one act call on the T observed states of
-    the episode, then one frame per env.step call, each added to the replay
-    buffer, the last one too without a terminal flag, and followed by one
-    update."""
+    """TD3's episode spelled out: the T + 1 states of the episode observed
+    one by one, one act call on the first T, then one frame per env.step
+    call, each added to the replay buffer, the last one too without a
+    terminal flag, and followed by one update."""
     norm = agent.normalizer
     observe = (lambda state: ref.observe_row(norm, state)) if norm else (lambda state: state)
     stats = EpisodeStats()
     env.reset(episode_seed)
-    states = [observe(raw) for raw in env.upcoming_states(env.episode_steps)]
-    actions = agent.act(np.stack(states))
+    states = [observe(raw) for raw in env.states]
+    actions = agent.act(np.stack(states[:-1]))
     for t, action in enumerate(actions):
         result = env.step(action)
-        next_state = states[t + 1] if t + 1 < len(states) else observe(result.state)
         stats.add(stacked([result]))
-        agent.buffer.add(states[t], action, result.reward, next_state)
+        agent.buffer.add(states[t], action, result.reward, states[t + 1])
         agent.update()
     assert result.done
     return stats
@@ -959,6 +960,28 @@ class TestTrain:
         assert not trace.aborted
         assert all(np.isfinite(r) for r in trace.mean_rewards)
 
+    @pytest.mark.parametrize("algo, workers", [
+        *(pytest.param(algo, 1, id=algo) for algo in ALGORITHMS),
+        pytest.param("a3c", 3, id="a3c-workers3"),
+    ])
+    def test_an_abort_at_the_first_step_has_observed_the_whole_episode(self, monkeypatch, algo,
+                                                                       workers):
+        # the normaliser takes an episode's T + 1 states at its reset, so a
+        # run that aborts at its first optimizer step (for A3C, after the
+        # first 3-step segment) has counted all of them
+        calls = []
+
+        def non_finite(optimizer, param, grad):
+            calls.append(optimizer)
+            raise NonFiniteGradientError("non-finite gradient")
+
+        monkeypatch.setattr(Sgd, "step", non_finite)
+        over = {"minibatch": 2} if algo == "td3" else {}
+        hyper = small_hyper(algo, workers, optimizer="sgd", **over)
+        agent, trace = train(algo, tiny_env(steps=7, normalize_obs=True), 2, seed=3, hyper=hyper)
+        assert trace.aborted and len(trace) == 0 and len(calls) == 1
+        assert agent.normalizer.count == 7 + 1
+
     def test_zero_episodes_gives_empty_trace(self):
         env = tiny_env(steps=3)
         agent, trace = train("ppo", env, episodes=0, seed=0, hyper={"hidden": (4,)})
@@ -1150,6 +1173,7 @@ class TestHyperparameterChecks:
                                                        hyper={"hidden": (4,)})),
         "train-checkpoint_every": ("checkpoint_every", lambda n: train(
             "ppo", tiny_env(steps=2), 1, 0, hyper={"hidden": (4,)}, checkpoint_every=n)),
+        "random-episodes": ("episodes", lambda n: random_policy_trace(tiny_env(steps=2), n, 0)),
     }
     BELOW_ONE = ["ppo-minibatch", "ppo-update_epochs", "a3c-workers", "a3c-k_steps",
                  "env-episode_steps"]
@@ -1157,6 +1181,7 @@ class TestHyperparameterChecks:
     # a count is an integer: a float, inf or a bool is rejected like a count below one
     @pytest.mark.parametrize("case, value", [
         *(pytest.param(case, 0, id=case) for case in BELOW_ONE),
+        pytest.param("random-episodes", -1, id="random-episodes--1"),
         *(pytest.param(case, value, id=f"{case}-{value}")
           for case in COUNTS for value in (2.5, math.inf, True))])
     def test_loop_counts_below_one_are_rejected(self, case, value):

@@ -404,9 +404,9 @@ def test_blocks_and_frames_drawn_ahead_equal_single_steps(env_over):
     actions = np.random.Generator(np.random.Philox(3)).uniform(-1.2, 1.2, (9, action_dim(cfg)))
     np.testing.assert_array_equal(block_env.reset(21), step_env.reset(21))
     singles = [step_env.step(a) for a in actions]
-    ahead = block_env.upcoming_states(20)  # capped at the 9 steps of the episode
-    assert ahead.shape == (9, state_dim(cfg))
-    np.testing.assert_array_equal(ahead[1:], [r.state for r in singles[:-1]])
+    ahead = block_env.states  # all 10 frames of the episode, the terminal one included
+    assert ahead.shape == (10, state_dim(cfg))
+    np.testing.assert_array_equal(ahead[1:], [r.state for r in singles])
     blocks = [block_env.step(actions[a:b]) for a, b in [(0, 4), (4, 5), (5, 8), (8, 9)]]
     assert [len(b.reward) for b in blocks] == [4, 1, 3, 1]
     for block, start in zip(blocks, [0, 4, 5, 8]):
@@ -447,18 +447,18 @@ def test_reset_draws_every_frame_of_the_episode_from_its_seed_stream(shape):
     steps, seed = 6, 17
     env = SrEnv(cfg, episode_steps=steps)
     first = env.reset(seed)
-    upcoming = env.upcoming_states(steps)
+    states = env.states
     block = env.step(np.zeros((steps, action_dim(cfg))))
     placement_key, channel_key = derive_keys(seed, 2)
     placement, seeds = make_placement(cfg, placement_key), philox(channel_key)
     want = [state_vector(draw_realization(cfg, placement, next_seed(seeds)))
             for _ in range(steps + 1)]
     np.testing.assert_array_equal(first, want[0])
-    np.testing.assert_array_equal(upcoming, want[:-1])
+    np.testing.assert_array_equal(states, want)
     np.testing.assert_array_equal(block.state, want[1:])
     assert block.done.tolist() == [False] * (steps - 1) + [True]
     # the states are the episode's own rows: a caller cannot overwrite them
-    assert not (first.flags.writeable or upcoming.flags.writeable or block.state.flags.writeable)
+    assert not (first.flags.writeable or states.flags.writeable or block.state.flags.writeable)
 
 
 def test_a_block_past_the_episode_end_is_refused():
@@ -467,8 +467,6 @@ def test_a_block_past_the_episode_end_is_refused():
     env.reset(0)
     with pytest.raises(EnvProtocolError, match="3 steps left"):
         env.step(np.zeros((4, action_dim(cfg))))
-    with pytest.raises(ValueError, match="k must be >= 1"):
-        env.upcoming_states(0)
     assert env.step(np.zeros((3, action_dim(cfg)))).reward.shape == (3,)
     with pytest.raises(EnvProtocolError):
-        env.upcoming_states(1)
+        env.step(np.zeros((1, action_dim(cfg))))

@@ -256,12 +256,11 @@ class TestProtocol:
         used.step(actions[0])
         state = used.reset(seed=3)
         np.testing.assert_array_equal(state, fresh.reset(seed=3))
-        np.testing.assert_array_equal(state, used.upcoming_states(1)[0])
-        for a in actions:
+        np.testing.assert_array_equal(state, used.states[0])
+        for t, a in enumerate(actions):
             got, want = used.step(a), fresh.step(a)
             np.testing.assert_array_equal(got.state, want.state)
-            if not got.done:
-                np.testing.assert_array_equal(got.state, used.upcoming_states(1)[0])
+            np.testing.assert_array_equal(got.state, used.states[t + 1])
             assert got.reward == want.reward and got.done == want.done
 
     def test_fixed_rate_cap_wins(self):

@@ -411,13 +411,14 @@ class TestFrameKeys:
         # T + 1 = 2, 5, 26 and 201 frames, each keyed by its frame seed alone
         env, seed = SrEnv(small_cfg, episode_steps=steps), 31
         first = env.reset(seed)
-        upcoming = env.upcoming_states(steps)
+        states = env.states
         last = env.step(np.zeros((steps, action_dim(small_cfg)))).state[-1]
         placement_key, channel_key = derive_keys(seed, 2)
         placement, stream = make_placement(small_cfg, placement_key), philox(channel_key)
         frame_seeds = [next_seed(stream) for _ in range(steps + 1)]
         want = [state_vector(ref.draw_realization(small_cfg, placement, s)) for s in frame_seeds]
-        assert np.vstack([first, upcoming[1:], last]).tobytes() == np.array(want).tobytes()
+        assert np.vstack([first, states[1:-1], last]).tobytes() == np.array(want).tobytes()
+        assert states.tobytes() == np.array(want).tobytes()
 
     @pytest.mark.parametrize("count", [0, 1, 2, 26, 201, 5000])
     def test_batched_seeds_equal_single_draws(self, count):
