@@ -14,18 +14,32 @@ from .common import EpisodeStats, ObsNormalizer, TrainingTrace, rollout
 from .ppo import PpoAgent, advantage_and_target
 from .td3 import Td3Agent
 
-ALGORITHMS = ("ppo", "td3", "a3c")
-
-_AGENT_CLASSES = {"ppo": PpoAgent, "td3": Td3Agent, "a3c": A3cAgent}
-
-# keys of the paper's hyperparameter table that an agent may not take: every
-# agent section of a config lists them, so they are skipped, not rejected
-REFERENCE_ONLY = frozenset({"episodes", "steps", "target_update", "entropy_coef", "minibatch"})
+AGENT_CLASSES = {"ppo": PpoAgent, "td3": Td3Agent, "a3c": A3cAgent}
+ALGORITHMS = tuple(AGENT_CLASSES)
 
 
-def _filtered(cls, hyper: dict) -> dict:
-    accepted = set(inspect.signature(cls.__init__).parameters) - {"self"}
-    unknown = sorted(set(hyper) - accepted - REFERENCE_ONLY)
+def keyword_defaults(cls) -> dict:
+    """The keyword defaults of ``cls``'s constructor, except its seed."""
+    return {name: p.default for name, p in inspect.signature(cls).parameters.items()
+            if p.default is not p.empty and name != "seed"}
+
+
+# read once: the hyperparameters each agent takes, with their defaults
+HYPER_DEFAULTS = {algo: keyword_defaults(cls) for algo, cls in AGENT_CLASSES.items()}
+_BUDGET = {"episodes": 30000, "steps": 200}
+# the keys of the paper's hyperparameter table that an agent does not take,
+# with their table values: its config section lists them, so they are skipped
+TABLE_ONLY = {
+    "ppo": {"target_update": 0.0005, "entropy_coef": 0.01, **_BUDGET},
+    "td3": {**_BUDGET},
+    "a3c": {"minibatch": 64, "target_update": 0.0005, **_BUDGET},
+}
+
+
+def _filtered(algo: str, hyper: dict) -> dict:
+    cls = AGENT_CLASSES[algo]
+    accepted = HYPER_DEFAULTS[algo]
+    unknown = sorted(set(hyper) - set(accepted) - set(TABLE_ONLY[algo]))
     if unknown:
         raise ValueError(f"{cls.__name__} takes no hyperparameter {', '.join(unknown)}")
     picked = {k: v for k, v in hyper.items() if k in accepted}
@@ -39,8 +53,7 @@ def _filtered(cls, hyper: dict) -> dict:
 def build_agent(algo: str, state_dim: int, action_dim: int, hyper: dict | None,
                 seed: int):
     check_in(ALGORITHMS, algo=algo)
-    cls = _AGENT_CLASSES[algo]
-    return cls(state_dim, action_dim, seed=seed, **_filtered(cls, hyper or {}))
+    return AGENT_CLASSES[algo](state_dim, action_dim, seed=seed, **_filtered(algo, hyper or {}))
 
 
 def _checkpoint(agent, algo: str, directory, episode: int, final: bool) -> None:

@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 on success, 1 on runtime failure (missing or bad config, aborted
-run, oversized grid), 2 on usage errors (argparse handles those).
+Exit codes: 0 on success, 1 on runtime failure (missing or bad config or output
+path, aborted run, oversized grid), 2 on usage errors (argparse handles those).
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import sys
 from . import __version__, harness
 from .agents import ALGORITHMS, train
 from .network import check_in, derive_keys, draw_realization, make_placement
+from .ris import ACTIVE, PASSIVE
 
 
 def _add_config_arg(parser: argparse.ArgumentParser) -> None:
@@ -46,13 +47,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_arg(p_oracle)
     p_oracle.add_argument("--seed", type=int, default=None)
     p_oracle.add_argument("--resolution", type=int, default=5)
-    p_oracle.add_argument("--ris-mode", choices=["active", "passive"], default=None)
+    p_oracle.add_argument("--ris-mode", choices=(ACTIVE, PASSIVE), default=None)
 
     p_base = sub.add_parser("baseline", help="random search on one realization")
     _add_config_arg(p_base)
     p_base.add_argument("--seed", type=int, default=None)
     p_base.add_argument("--budget", type=int, default=10000)
-    p_base.add_argument("--ris-mode", choices=["active", "passive"], default=None)
+    p_base.add_argument("--ris-mode", choices=(ACTIVE, PASSIVE), default=None)
 
     p_report = sub.add_parser("report", help="aggregate sweep outputs")
     p_report.add_argument("--in", dest="in_dir", required=True)
@@ -151,7 +152,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (FileNotFoundError, ValueError, harness.GridCapError) as exc:
+    except (OSError, ValueError, harness.GridCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -25,6 +25,7 @@ import yaml
 from . import problem
 from .agents import ALGORITHMS, A3cAgent, PpoAgent, Td3Agent, train
 from .agents.common import EpisodeStats, rollout
+from .agents.train import HYPER_DEFAULTS, TABLE_ONLY, keyword_defaults
 from .env import SrEnv, action_dim, decode_action
 from .network import (
     ChannelRealization,
@@ -50,74 +51,26 @@ class GridCapError(RuntimeError):
 # run configuration
 
 
+# read once; default_config() copies them.  A run normalises observations; a
+# bare SrEnv does not, so a library trainer adds no statistics unless asked.
+_ENV_DEFAULTS = {**keyword_defaults(SrEnv), "normalize_obs": True}
+_AGENT_DEFAULTS = {algo: {**HYPER_DEFAULTS[algo], **TABLE_ONLY[algo]} for algo in ALGORITHMS}
+
+
 def default_config() -> dict:
-    """Effective defaults; the agent sections mirror the reference
-    hyperparameter table, the run section holds the desk-scale budget."""
+    """Effective defaults: the env and agent sections are their constructors'
+    and the paper table's, the run section holds the desk-scale budget."""
     return {
         "system": dataclasses.asdict(SystemConfig()),
-        "env": {
-            "episode_steps": 200,
-            "ris_mode": ACTIVE,
-            "r_mode": "literal",
-            "reward_mode": "literal",
-            "penalty_cost": 1.0,
-            "normalize_obs": True,
-            "rate_cap": None,
-        },
+        "env": dict(_ENV_DEFAULTS),
         "run": {
             "episodes": 2000,
             "seeds": [0, 1, 2],
             "algo": "ppo",
             "checkpoint_every": 0,
         },
-        "agents": {
-            "ppo": {
-                "hidden": [128, 128],
-                "minibatch": 32,
-                "actor_lr": 0.0001,
-                "critic_lr": 0.001,
-                "target_update": 0.0005,
-                "discount": 0.99,
-                "entropy_coef": 0.01,
-                "episodes": 30000,
-                "steps": 200,
-                "clip": 0.2,
-                "update_epochs": 5,
-                "optimizer": "sgd",
-                "init_log_std": -0.5,
-            },
-            "td3": {
-                "hidden": [400, 300],
-                "minibatch": 64,
-                "actor_lr": 0.0001,
-                "critic_lr": 0.001,
-                "target_update": 0.0005,
-                "discount": 0.99,
-                "episodes": 30000,
-                "steps": 200,
-                "policy_delay": 2,
-                "smoothing_noise": 0.2,
-                "noise_clip": 0.5,
-                "explore_noise": 0.1,
-                "buffer_size": 100000,
-                "optimizer": "sgd",
-            },
-            "a3c": {
-                "hidden": [128, 128],
-                "minibatch": 64,
-                "actor_lr": 0.0001,
-                "critic_lr": 0.001,
-                "target_update": 0.0005,
-                "discount": 0.99,
-                "entropy_coef": 0.01,
-                "workers": 3,
-                "k_steps": 20,
-                "episodes": 30000,
-                "steps": 200,
-                "optimizer": "sgd",
-                "init_log_std": -0.5,
-            },
-        },
+        "agents": {algo: {**defaults, "hidden": list(defaults["hidden"])}
+                   for algo, defaults in _AGENT_DEFAULTS.items()},
         "sweep": {
             "variable": "p_bs_max_watts",
             "values": [4.0, 8.0, 16.0, 32.0],
@@ -154,7 +107,10 @@ def load_config(path) -> dict:
     if not os.path.exists(path):
         raise FileNotFoundError(f"config file not found: {path}")
     with open(path) as fh:
-        user = yaml.safe_load(fh) or {}
+        try:
+            user = yaml.safe_load(fh) or {}
+        except yaml.YAMLError as exc:
+            raise ValueError(f"config file {path} is no valid YAML: {exc}") from exc
     if not isinstance(user, dict):
         raise ValueError(f"config file {path} must hold a mapping of sections")
     config = default_config()
@@ -233,16 +189,14 @@ def evaluate_decision(
     excluded explicitly: their slacks invert the rate formula at exact
     equality, where a last-bit rounding difference could flip the sign.
 
-    Returns (min_rate, sum_rate, feasible) as (float, float, bool), or as
-    three (B,) arrays for a batch of decisions.
+    Returns (min_rate, sum_rate, feasible): three (B,) arrays for a batch
+    of decisions, three NumPy scalars for one.
     """
     rates = rate_report(ch, dv, cfg)
     min_rate = rates.min_rates
     scored = dataclasses.replace(dv, rate_target=min_rate)
     slacks = problem.constraint_slacks(ch, scored, cfg, rates)
     feasible = np.all(slacks[..., :_STRUCTURAL] >= 0.0, axis=-1)
-    if np.ndim(min_rate) == 0:
-        return float(min_rate), float(rates.sum_rates), bool(feasible)
     return min_rate, rates.sum_rates, feasible
 
 

@@ -941,7 +941,12 @@ class TestTrain:
         ("ppo", {"buffer_size": 999}, "buffer_size"),
         ("td3", {"workers": 2}, "workers"),
         ("a3c", {"update_epochs": 5}, "update_epochs"),
-    ], ids=["ppo-clipp", "ppo-buffer_size", "td3-workers", "a3c-update_epochs"])
+        # a table key of another agent: TD3's config section does not list it
+        ("td3", {"entropy_coef": 0.1}, "entropy_coef"),
+        # build_agent's own argument, no hyperparameter
+        ("ppo", {"seed": 3}, "seed"),
+    ], ids=["ppo-clipp", "ppo-buffer_size", "td3-workers", "a3c-update_epochs",
+            "td3-entropy_coef", "ppo-seed"])
     def test_build_agent_rejects_unknown_hypers(self, algo, hyper, field):
         with pytest.raises(ValueError, match=field):
             build_agent(algo, 4, 2, hyper, seed=0)

@@ -125,7 +125,7 @@ def check_batch(cfg, ch, decisions: list) -> None:
         np.testing.assert_array_equal(single[:2], [scored[0][b], scored[1][b]])
         want_min, want_sum, want_ok = ref.evaluate_decision(cfg, ch, dv)
         assert_close([single[0], single[1]], [want_min, want_sum])
-        assert single[2] is want_ok and bool(scored[2][b]) is want_ok
+        assert bool(single[2]) is want_ok and bool(scored[2][b]) is want_ok
 
 
 @pytest.mark.parametrize("shape", SHAPES)

@@ -16,7 +16,7 @@ import pytest
 import yaml
 
 from srnoma import harness
-from srnoma.agents import build_agent, train
+from srnoma.agents import ALGORITHMS, build_agent, train
 from srnoma.agents.common import EpisodeStats, rollout
 from srnoma.cli import main
 from srnoma.env import SrEnv
@@ -185,6 +185,21 @@ class TestConfig:
         assert agents["ppo"]["entropy_coef"] == 0.01
         assert agents["a3c"]["entropy_coef"] == 0.01
         assert agents["a3c"]["workers"] == 3
+
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_agent_section_holds_the_constructor_defaults(self, algo):
+        bare = build_agent(algo, 6, 5, None, 7).state_dict()
+        configured = build_agent(algo, 6, 5, default_config()["agents"][algo], 7).state_dict()
+        assert sorted(bare) == sorted(configured)
+        for key, array in bare.items():
+            assert array.dtype == configured[key].dtype, key
+            assert array.tobytes() == configured[key].tobytes(), key
+
+    def test_env_section_holds_the_constructor_defaults(self):
+        # only normalize_obs differs from SrEnv's own default
+        configured = env_from(default_config())
+        assert vars(configured) == vars(SrEnv(SystemConfig(), normalize_obs=True))
+        assert configured.normalize_obs and not SrEnv(SystemConfig()).normalize_obs
 
     def test_env_from_builds_working_env(self, tmp_path):
         config = load_config(tiny_yaml(tmp_path))
@@ -734,6 +749,7 @@ class TestCli:
         ("sweep", "sweep: {values: {}}", [], "sweep.values"),
         ("train", "agents: {td3: {episodes: 2.5}}", ["--algo", "td3", "--paper-scale"],
          "agents.td3.episodes must be in [0, inf], got 2.5"),
+        ("train", "system: [", [], "bad.yaml is no valid YAML"),
     ], ids=["rician_k-nan", "p_asris-inf", "hidden-zero", "top-level-list", "episodes-negative",
             "checkpoint_every-negative", "sweep-mode", "episode_steps-fraction",
             "hidden-fraction", "workers-inf", "minibatch-inf", "episodes-fraction",
@@ -742,7 +758,7 @@ class TestCli:
             "sweep-algo-unknown", "dbm-list", "dbm-huge", "dbm-tiny", "sweep-variable-list",
             "sweep-compare_modes-text", "actor_lr-bool", "normalize_obs-text", "dbm-text",
             "sweep-values-scalar", "sweep-values-text", "sweep-values-mapping",
-            "paper-scale-episodes-fraction"])
+            "paper-scale-episodes-fraction", "yaml-unclosed"])
     def test_malformed_inputs_exit_1_with_an_error_line(self, tmp_path, capsys, command, text,
                                                         extra, named):
         config = tmp_path / "bad.yaml"
@@ -752,6 +768,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
         assert not out.exists()  # no command makes --out before its checks pass
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize("broken", ["config-is-a-directory", "out-is-a-file"])
+    def test_unreadable_config_or_unwritable_out_exits_1_with_an_error_line(
+            self, tmp_path, capsys, command, broken):
+        config, out = tiny_yaml(tmp_path), tmp_path / "out"
+        if broken == "config-is-a-directory":
+            config = str(tmp_path)
+        else:
+            out.write_text("kept\n")
+        assert main([command, "--config", config, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        if broken == "config-is-a-directory":
+            assert not out.exists()
+        else:
+            assert out.read_text() == "kept\n"
 
     def test_sweep_and_report_round_trip(self, tmp_path, capsys):
         config = tiny_yaml(
