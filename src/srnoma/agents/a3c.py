@@ -1,29 +1,29 @@
 """Asynchronous advantage actor-critic.
 
-Several workers share one environment and hold private RNG streams, private
-observation statistics and private copies of the global actor/critic.  A
-worker plays its episode through the shared ``rollout`` driver, which
-observes all T + 1 states of the episode at its reset, in blocks of k steps,
-the last one maybe shorter; each block is one segment.  Before it
-the worker syncs its copies from the global store and samples its k actions
-from them in one call; after it, the worker computes the k-step returns and
-advantages locally, bootstrapping from its critic copy (from 0 at the
-episode's end), and pushes its gradients to the globals.
+Several workers share one environment and the global actor/critic; each holds
+private RNG streams and observation statistics, which ``episodes`` builds once
+per run, and private copies of the nets.  A worker plays its episode through
+the shared ``rollout`` driver, which observes all T + 1 states of the episode
+at its reset, in blocks of k steps, the last one maybe shorter; each block is
+one segment.  Before it the worker syncs its copies from the global store and
+samples its k actions from them in one call; after it, the worker computes the
+k-step returns and advantages locally, bootstrapping from its critic copy
+(from 0 at the episode's end), and pushes its gradients to the globals.
 
-Workers take turns on one thread: in every outer episode each worker, in
-fixed worker order, plays its whole episode on the globals the workers
-before it have moved.  No lock is needed, and a run is bit-reproducible for
-every worker count.  (Python threads would only interleave under the
-interpreter lock: slower, and in no fixed order.)
+Workers take turns on one thread: each ``next`` of ``episodes`` is one outer
+episode, in which each worker, in fixed worker order, plays its whole episode
+on the globals the workers before it have moved.  No lock is needed, and a run
+is bit-reproducible for every worker count.  (Python threads would only
+interleave under the interpreter lock: slower, and in no fixed order.)
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..network import check_in, derive_keys, philox
+from ..network import check_in, derive_keys, next_seed, philox
 from ..nn import GaussianPolicy, Mlp
-from .common import ActorCritic, EpisodeStats, critic_gradient, rollout
+from .common import ActorCritic, EpisodeStats, ObsNormalizer, critic_gradient, rollout
 
 
 def kstep_returns(rewards: np.ndarray, bootstrap: float, discount: float) -> np.ndarray:
@@ -113,3 +113,16 @@ class A3cAgent(ActorCritic):
             if not done:
                 self.snapshot(local_policy, local_critic)
         return stats
+
+    def episodes(self, env, env_key: int):
+        """Yield each outer episode's means over the workers."""
+        keys = derive_keys(env_key, 2 * self.workers)  # worker w's seeds: 2w, actions: 2w + 1
+        seeds = [philox(key) for key in keys[0::2]]
+        rngs = [philox(key) for key in keys[1::2]]
+        # worker 0 learns the agent's statistics, every other worker its own
+        observers = [self.normalizer] + [ObsNormalizer(env.state_dim) if env.normalize_obs
+                                         else None for _ in range(self.workers - 1)]
+        while True:
+            rounds = [self.worker_episode(env, next_seed(s), rng, observe).means()
+                      for s, rng, observe in zip(seeds, rngs, observers)]
+            yield tuple(float(np.mean(col)) for col in zip(*rounds))

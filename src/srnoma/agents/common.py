@@ -113,6 +113,9 @@ class ActorCritic(Checkpointed):
         self.actor_opt = make_optimizer(optimizer, actor_lr, self.policy.shapes)
         self.critic_opt = make_optimizer(optimizer, critic_lr, self.critic.shapes)
 
+    def greedy(self, states: np.ndarray) -> np.ndarray:
+        return np.tanh(self.policy.net.forward_rows(states))
+
     def apply_gradients(self, actor_grad: np.ndarray, critic_grad: np.ndarray) -> None:
         """Descend the flat gradients: the policy's, then the critic's."""
         self.actor_opt.step(self.policy.flat, actor_grad)

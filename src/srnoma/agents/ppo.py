@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..network import check_in, derive_keys, philox
-from .common import ActorCritic, critic_gradient
+from ..network import check_in, derive_keys, next_seed, philox
+from .common import ActorCritic, EpisodeStats, critic_gradient, rollout
 
 
 def advantage_and_target(
@@ -61,6 +61,19 @@ class PpoAgent(ActorCritic):
         """Sample the collection policy on a (k, S) block; returns (actions,
         pre-squash samples, behavior log-densities), shaped (k, D), (k, D), (k,)."""
         return self.policy.sample(states, self.rng)
+
+    def episodes(self, env, env_key: int):
+        """Yield each episode's means: one block of the whole episode, then one update."""
+        seeds = philox(env_key)
+        values = lambda x: self.critic.forward(x)[:, 0]
+        while True:
+            stats = EpisodeStats()
+            ((states, (_, pres, log_probs), result),) = rollout(
+                env, next_seed(seeds), self.act, stats, self.normalizer, env.episode_steps)
+            advantages, targets = advantage_and_target(
+                result.reward, values(states), values(result.state), result.done, self.discount)
+            self.update(states, pres, log_probs, advantages, targets)
+            yield stats.means()
 
     def update(
         self,

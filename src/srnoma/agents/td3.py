@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..network import check_in, derive_keys, philox
+from ..network import check_in, derive_keys, next_seed, philox
 from ..nn import LaneState, Mlp, blocks, make_optimizer
-from .common import Checkpointed, ReplayBuffer, critic_gradient
+from .common import Checkpointed, EpisodeStats, ReplayBuffer, critic_gradient, rollout
 
 
 def td3_target(reward, discount, q1, q2):
@@ -90,6 +90,22 @@ class Td3Agent(Checkpointed):
         if explore:
             action = action + self.explore_noise * self.rng.standard_normal(action.shape)
         return np.clip(action, -1.0, 1.0)
+
+    def greedy(self, states: np.ndarray) -> np.ndarray:
+        return self.act(states, explore=False)
+
+    def episodes(self, env, env_key: int):
+        """Yield each episode's means, on the schedule the module docstring gives."""
+        seeds = philox(env_key)
+        act = lambda states: (self.act(states),)
+        while True:
+            stats = EpisodeStats()
+            for states, (actions,), result in rollout(env, next_seed(seeds), act, stats,
+                                                      self.normalizer, env.episode_steps):
+                for frame in zip(states, actions, result.reward, result.state):
+                    self.buffer.add(*frame)
+                    self.update()
+            yield stats.means()
 
     def _targets(self, batch: dict) -> np.ndarray:
         noise = np.clip(self.smoothing_noise * self.rng.standard_normal(batch["actions"].shape),

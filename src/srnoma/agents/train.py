@@ -1,17 +1,17 @@
-"""Unified training entry point for the three algorithms."""
+"""Unified training entry point for the three algorithms: each agent's
+``episodes(env, env_key)`` builds its streams once and yields one training
+episode's means per ``next``, so ``train`` has no algorithm branch."""
 
 from __future__ import annotations
 
 import inspect
 import os
 
-import numpy as np
-
-from ..network import check_in, derive_keys, next_seed, philox
+from ..network import check_in, derive_keys
 from ..nn import NonFiniteGradientError, save_checkpoint
 from .a3c import A3cAgent
-from .common import EpisodeStats, ObsNormalizer, TrainingTrace, rollout
-from .ppo import PpoAgent, advantage_and_target
+from .common import ObsNormalizer, TrainingTrace
+from .ppo import PpoAgent
 from .td3 import Td3Agent
 
 AGENT_CLASSES = {"ppo": PpoAgent, "td3": Td3Agent, "a3c": A3cAgent}
@@ -58,34 +58,14 @@ def build_agent(algo: str, state_dim: int, action_dim: int, hyper: dict | None,
 
 def _checkpoint(agent, algo: str, directory, episode: int, final: bool) -> None:
     name = f"ckpt_{algo}_final.npz" if final else f"ckpt_{algo}_ep{episode:06d}.npz"
-    os.makedirs(directory, exist_ok=True)
+    # the weights of wide nets depend on the BLAS thread count: record it
+    blas_threads = {var: os.environ.get(var)
+                    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     save_checkpoint(
         os.path.join(directory, name),
         agent.state_dict(),
-        meta={"algo": algo, "episode": episode},
+        meta={"algo": algo, "episode": episode, "blas_threads": blas_threads},
     )
-
-
-def _ppo_episode(agent: PpoAgent, env, episode_seed: int) -> EpisodeStats:
-    stats = EpisodeStats()
-    ((states, (_, pres, log_probs), result),) = rollout(
-        env, episode_seed, agent.act, stats, agent.normalizer, env.episode_steps)
-    values = lambda x: agent.critic.forward(x)[:, 0]
-    advantages, targets = advantage_and_target(
-        result.reward, values(states), values(result.state), result.done, agent.discount
-    )
-    agent.update(states, pres, log_probs, advantages, targets)
-    return stats
-
-
-def _td3_episode(agent: Td3Agent, env, episode_seed: int) -> EpisodeStats:
-    stats = EpisodeStats()
-    for states, (actions,), result in rollout(env, episode_seed, lambda s: (agent.act(s),),
-                                              stats, agent.normalizer, env.episode_steps):
-        for frame in zip(states, actions, result.reward, result.state):
-            agent.buffer.add(*frame)
-            agent.update()
-    return stats
 
 
 def train(
@@ -104,40 +84,23 @@ def train(
     in the checkpoint.  A non-finite gradient aborts the run: the trace keeps
     the episodes finished so far, flags the abort, and the checkpoint on disk
     stays at the last parameters the optimizers accepted.  An ``episodes`` or
-    ``checkpoint_every`` that is not a count from 0 raises ValueError.
+    ``checkpoint_every`` that is not a count from 0 raises ValueError, and a
+    ``checkpoint_dir`` that is a file OSError, before the first episode.
     """
     check_in("[0, inf]", episodes=episodes, checkpoint_every=checkpoint_every)
     agent_key, env_key = derive_keys(seed, 2)
     agent = build_agent(algo, env.state_dim, env.action_dim, hyper, agent_key)
-    fresh = lambda: ObsNormalizer(env.state_dim) if env.normalize_obs else None
-    agent.normalizer = fresh()
+    if checkpoint_dir:
+        os.makedirs(checkpoint_dir, exist_ok=True)
+    agent.normalizer = ObsNormalizer(env.state_dim) if env.normalize_obs else None
     trace = TrainingTrace()
-
-    if algo == "a3c":
-        # worker 0 learns the agent's statistics, every other worker its own
-        observers = [agent.normalizer] + [fresh() for _ in range(agent.workers - 1)]
-        worker_keys = derive_keys(env_key, 2 * agent.workers)
-        seed_streams = [philox(key) for key in worker_keys[0::2]]
-        action_rngs = [philox(key) for key in worker_keys[1::2]]
-    else:
-        seed_stream = philox(env_key)
-        play = _ppo_episode if algo == "ppo" else _td3_episode
-
-    for episode in range(episodes):
-        try:
-            if algo == "a3c":
-                rounds = [agent.worker_episode(env, next_seed(s), rng, observe)
-                          for s, rng, observe in zip(seed_streams, action_rngs, observers)]
-                means = tuple(float(np.mean(col)) for col in zip(*(s.means() for s in rounds)))
-            else:
-                means = play(agent, env, next_seed(seed_stream)).means()
-        except NonFiniteGradientError:
-            trace.aborted = True
-            break
-        trace.append(episode, *means)
-        if checkpoint_dir and checkpoint_every > 0 and (episode + 1) % checkpoint_every == 0:
-            _checkpoint(agent, algo, checkpoint_dir, episode + 1, final=False)
-
+    try:
+        for episode, means in zip(range(episodes), agent.episodes(env, env_key)):
+            trace.append(episode, *means)
+            if checkpoint_dir and checkpoint_every > 0 and (episode + 1) % checkpoint_every == 0:
+                _checkpoint(agent, algo, checkpoint_dir, episode + 1, final=False)
+    except NonFiniteGradientError:
+        trace.aborted = True
     if checkpoint_dir:
         _checkpoint(agent, algo, checkpoint_dir, len(trace), final=True)
     return agent, trace

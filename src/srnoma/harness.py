@@ -23,7 +23,7 @@ import numpy as np
 import yaml
 
 from . import problem
-from .agents import ALGORITHMS, A3cAgent, PpoAgent, Td3Agent, train
+from .agents import ALGORITHMS, train
 from .agents.common import EpisodeStats, rollout
 from .agents.train import HYPER_DEFAULTS, TABLE_ONLY, keyword_defaults
 from .env import SrEnv, action_dim, decode_action
@@ -336,14 +336,6 @@ def _mean(values) -> float:
     return float(np.mean(values)) if len(values) else float("nan")
 
 
-def _greedy_action(agent, states: np.ndarray) -> np.ndarray:
-    if isinstance(agent, Td3Agent):
-        return agent.act(states, explore=False)
-    if isinstance(agent, (PpoAgent, A3cAgent)):
-        return np.tanh(agent.policy.net.forward_rows(states))
-    raise TypeError(f"no greedy rule for {type(agent).__name__}")
-
-
 def evaluate_policy(agent, env: SrEnv, episodes: int, seed: int) -> dict:
     """Greedy rollouts on states the agent's frozen statistics normalise (raw
     when it has none).  ``reward`` is the mean over all steps; ``min_rate``
@@ -352,7 +344,7 @@ def evaluate_policy(agent, env: SrEnv, episodes: int, seed: int) -> dict:
     there are none)."""
     check_in("[1, inf]", episodes=episodes)
     check_in("[0, inf]", seed=seed)
-    act = lambda states: (_greedy_action(agent, states),)
+    act = lambda states: (agent.greedy(states),)
     observe = getattr(agent.normalizer, "normalize", None)
     blocks = [(result.reward, result.info.min_rate, result.info.rates.sum_rates,
                result.info.constraints.flags[:, :_STRUCTURAL].all(axis=1))

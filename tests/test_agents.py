@@ -8,7 +8,6 @@ environment and must be reproducible to the byte.
 import dataclasses
 import filecmp
 import functools
-import importlib
 import math
 import operator
 import tracemalloc
@@ -36,15 +35,12 @@ from srnoma.agents import (
 from srnoma.agents import a3c as a3c_module
 from srnoma.agents.common import EpisodeStats, ObsNormalizer, critic_gradient, rollout
 from srnoma.env import SrEnv, StepInfo, StepResult
-from srnoma.harness import _greedy_action, evaluate_policy, load_config
-from srnoma.network import SystemConfig
+from srnoma.harness import evaluate_policy, load_config
+from srnoma.network import SystemConfig, next_seed, philox
 from srnoma.nn import (LOG_STD_MAX, LOG_STD_MIN, GaussianPolicy, Mlp, NonFiniteGradientError, Sgd,
                        load_checkpoint)
 from srnoma.problem import ConstraintReport
 from srnoma.rates import RateReport
-
-# the module, which the package's ``train`` function shadows as an attribute
-train_module = importlib.import_module("srnoma.agents.train")
 
 
 TINY_SYSTEM = SystemConfig(n_bs_antennas=1, n_ris_elements=1, n_pairs=1)
@@ -402,10 +398,10 @@ class TestBlockStepping:
     def test_greedy_block_actions_equal_per_state_actions(self, algo):
         agent = build_agent(algo, 72, 39, {"hidden": (32, 32)}, seed=2)
         states = np.random.default_rng(3).standard_normal((25, 72))
-        block = _greedy_action(agent, states)
+        block = agent.greedy(states)
         assert block.shape == (25, 39)
         for state, row in zip(states, block):
-            assert row.tobytes() == _greedy_action(agent, state).tobytes()
+            assert row.tobytes() == agent.greedy(state).tobytes()
 
     def test_td3_exploring_block_equals_per_state_acts(self):
         block_agent, single_agent = (Td3Agent(72, 39, hidden=(32, 32), seed=5) for _ in range(2))
@@ -436,6 +432,14 @@ def td3_reference_episode(agent, env, episode_seed):
     return stats
 
 
+def td3_reference_episodes(agent, env, env_key):
+    """Td3Agent.episodes over td3_reference_episode: one episode per next, on
+    the episode seeds of philox(env_key)."""
+    seeds = philox(env_key)
+    while True:
+        yield td3_reference_episode(agent, env, next_seed(seeds)).means()
+
+
 class TestTd3EpisodeSchedule:
     """TD3 acts once per episode on all its states, the env scores the
     episode in one call, and the agent adds and updates once per frame."""
@@ -443,7 +447,7 @@ class TestTd3EpisodeSchedule:
     @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
     def test_training_and_evaluation_match_the_reference_loop(self, monkeypatch, optimizer):
         episodes = _training_outputs("td3", 1, optimizer)
-        monkeypatch.setattr(train_module, "_td3_episode", td3_reference_episode)
+        monkeypatch.setattr(Td3Agent, "episodes", td3_reference_episodes)
         one_frame_at_a_time(monkeypatch)
         one_state_per_act(monkeypatch)
         _assert_same_outputs(episodes, _training_outputs("td3", 1, optimizer))
@@ -1011,6 +1015,34 @@ class TestTrain:
         assert (tmp_path / "ckpt_td3_ep000001.npz").exists()
         assert (tmp_path / "ckpt_td3_ep000002.npz").exists()
 
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_a_file_as_checkpoint_dir_fails_before_the_first_step(self, monkeypatch, tmp_path,
+                                                                  algo):
+        steps, step = [], SrEnv.step
+        monkeypatch.setattr(SrEnv, "step", lambda env, actions: steps.append(1) or step(env, actions))
+        path = tmp_path / "taken"
+        path.write_text("kept\n")
+        with pytest.raises(FileExistsError):
+            train(algo, tiny_env(steps=3), 2, seed=0, hyper=small_hyper(algo), checkpoint_dir=path)
+        assert steps == [] and path.read_text() == "kept\n"
+
+    def test_a_bad_hyperparameter_makes_no_checkpoint_dir(self, tmp_path):
+        with pytest.raises(ValueError, match="clipp"):
+            train("ppo", tiny_env(steps=3), 1, seed=0, hyper={"clipp": 0.1},
+                  checkpoint_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_checkpoint_meta_records_the_blas_thread_variables(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        train("ppo", tiny_env(steps=3), 1, seed=0, hyper={"hidden": (4,)},
+              checkpoint_dir=tmp_path, checkpoint_every=1)
+        for name in ("ckpt_ppo_ep000001.npz", "ckpt_ppo_final.npz"):
+            _, meta = load_checkpoint(tmp_path / name)
+            assert meta["blas_threads"] == {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "3",
+                                            "MKL_NUM_THREADS": None}
+
     @pytest.mark.parametrize("algo, workers", [
         *(pytest.param(algo, 1, id=algo) for algo in ALGORITHMS),
         pytest.param("a3c", 3, id="a3c-workers3"),
@@ -1073,8 +1105,7 @@ class TestTrain:
         for key, value in arrays.items():
             np.testing.assert_array_equal(restored[key], value, err_msg=key)
         probe = np.random.default_rng(8).standard_normal((5, env.state_dim))
-        np.testing.assert_array_equal(_greedy_action(clone, probe),
-                                      _greedy_action(agent, probe))
+        np.testing.assert_array_equal(clone.greedy(probe), agent.greedy(probe))
         if algo == "ppo":  # collection samples the loaded nets
             clone.rng.bit_generator.state = agent.rng.bit_generator.state
             for loaded, saved in zip(clone.act(probe[0]), agent.act(probe[0])):

@@ -22,7 +22,6 @@ from srnoma.cli import main
 from srnoma.env import SrEnv
 from srnoma.harness import (
     GridCapError,
-    _greedy_action,
     config_hash,
     default_config,
     dump_config,
@@ -567,7 +566,7 @@ class TestEvaluatePolicy:
         env = env_from(config)
         agent = build_agent("ppo", env.state_dim, env.action_dim, {"hidden": (8,)}, seed=0)
         seeds = philox(4)
-        act = lambda states: (_greedy_action(agent, states),)
+        act = lambda states: (agent.greedy(states),)
         infos = [result.row(0).info for _ in range(3)
                  for _, _, result in rollout(env, next_seed(seeds), act, EpisodeStats())]
         flags = np.array([info.constraints.flags[:9] for info in infos])
